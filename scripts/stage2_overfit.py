@@ -30,8 +30,8 @@ def main():
     )
     data = synthetic_dataset(2, args.samples, cfg, seed=args.data_seed)
     params = init_params(cfg)
-    _, curve = run_stage(params, data, 2, cfg)
-    write_loss_curve(curve, args.curve)
+    _, curve, grad_norms = run_stage(params, data, 2, cfg)
+    write_loss_curve(curve, grad_norms, args.curve)
     print(
         json.dumps(
             {

@@ -4,7 +4,7 @@ Library surface:
     trees      bracketed constituency trees, lowest-layer NP extraction
     tracks     point tracks, RLE masks, k-means++ condensation, matrices
     pipeline   manifest -> annotated JSONL records with temporal text
-    toymodel   surrogate alignment model, stage losses, analytic gradients
+    toymodel   surrogate alignment model, packed-batch loss and gradient pass
     trainer    staged gradient-descent training and data plumbing
     metrics    temporal grounding and dense captioning scores
     cli        the `pite` command
@@ -33,13 +33,14 @@ from .pipeline import (
 from .toymodel import (
     ToyModelParams,
     TrainerConfig,
+    PackedBatch,
     TrainingSample,
+    batch_loss,
     forward,
     grad_check,
     init_params,
-    loss_stage1,
-    loss_stage2,
-    loss_stage3,
+    loss_and_grads,
+    pack_batch,
     tile_init,
 )
 from .tracks import (

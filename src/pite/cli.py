@@ -198,12 +198,12 @@ def cmd_train_toy(args) -> int:
     else:
         params = toymodel.init_params(cfg)
     params.check_shapes(cfg)
-    params, curve = trainer.run_stage(
+    params, curve, grad_norms = trainer.run_stage(
         params, data, args.stage, cfg, tile=not args.no_tile_init
     )
     trainer.save_params(params, args.out)
     curve_path = args.curve or str(Path(args.out).with_suffix("")) + ".curve.csv"
-    trainer.write_loss_curve(curve, curve_path)
+    trainer.write_loss_curve(curve, grad_norms, curve_path)
     log.info(
         "stage %d: %d samples, %d steps, loss %.6f -> %.6f",
         args.stage,
@@ -230,11 +230,11 @@ def cmd_grad_check(args) -> int:
     worst = 0.0
     for i in range(args.fixtures):
         params = toymodel.init_params(small, seed=args.seed + i)
-        sample = trainer.synthetic_dataset(
+        samples = trainer.synthetic_dataset(
             args.stage, 1, small, seed=args.seed + 1000 + i
-        )[0]
+        )
         err = toymodel.grad_check(
-            params, sample, args.stage, eps=args.eps,
+            params, samples, args.stage, eps=args.eps,
             lam=small.lam, smoothing=small.smoothing,
         )
         worst = max(worst, err)
@@ -353,7 +353,7 @@ def cmd_ablate_points(args) -> int:
         )
         samples = trainer.samples_from_records(records, cfg)
         params = toymodel.init_params(cfg)
-        _, curve = trainer.run_stage(params, samples, 2, cfg)
+        _, curve, _ = trainer.run_stage(params, samples, 2, cfg)
         rows.append(
             {
                 "P": P,

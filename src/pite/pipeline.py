@@ -109,7 +109,6 @@ class PipelineConfig:
     points: int = 3  # P
     min_area_fraction: float = 0.0005
     seed: int = 0
-    position: str = "suffix"
     jobs: int = 1
 
     @property
@@ -142,15 +141,15 @@ def timestamp_to_frame(t: float, duration: float, N: int) -> int:
     return min(max(int(math.floor(t / duration * N)), 0), N - 1)
 
 
-def format_temporal(caption: str, s: int, e: int, position: str = "suffix") -> str:
-    """Wrap a caption in the temporal template with frame indices s and e."""
+def format_temporal(caption: str, s: int, e: int) -> str:
+    """Append the temporal template "caption, from s to e" to a caption.
+
+    The caption's words keep their indices, so noun-phrase spans over the
+    caption also index the formatted text.
+    """
     if s > e:
         raise ValueError(f"start frame {s} > end frame {e}")
-    if position == "prefix":
-        return f"From {s} to {e}, {caption}"
-    if position == "suffix":
-        return f"{caption}, from {s} to {e}"
-    raise ValueError(f"unknown position {position!r}")
+    return f"{caption}, from {s} to {e}"
 
 
 def np_slug(text: str) -> str:
@@ -189,9 +188,7 @@ def annotate_event(
         caption=event.caption,
         start_frame=start_frame,
         end_frame=end_frame,
-        formatted_text=format_temporal(
-            event.caption, start_frame, end_frame, config.position
-        ),
+        formatted_text=format_temporal(event.caption, start_frame, end_frame),
     )
     for np_idx, phrase in enumerate(extract_lowest_np(tree)):
         mask = masks.get(phrase.text)

@@ -4,8 +4,9 @@ The trainable surface mirrors the full system: a linear visual adapter,
 token embeddings, a vocabulary mapping layer, a 2-D localization head, and
 a (2*P*N)-D trajectory head, all hanging off a frozen random affine+tanh
 backbone that pools the visual tokens, the token prefix, and the sequence
-position.  Every loss has an analytic gradient that is checked against
-central finite differences.
+position.  Losses and their analytic gradients run over one packed batch:
+the samples' tokens concatenated into T rows, each weighted 1/(B * L_b).
+The gradients are checked against central finite differences.
 
 Shapes (config d_v, d, vocab V, points P, frames N, sequence length L):
     adapter      (d, d_v)
@@ -20,7 +21,7 @@ Shapes (config d_v, d, vocab V, points P, frames N, sequence length L):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -160,6 +161,24 @@ class ForwardOutput(NamedTuple):
     trajs: np.ndarray  # (L, P, N, 2)
 
 
+class PackedBatch(NamedTuple):
+    """B samples concatenated into T = sum of their lengths L_b token rows."""
+
+    tokens: np.ndarray  # (T,) int
+    sample: np.ndarray  # (T,) index of the sample that owns the row
+    starts: np.ndarray  # (B,) first row of each sample
+    inv_prefix: np.ndarray  # (T,) 1 / (tokens before the row in its sample), 0 for none
+    position: np.ndarray  # (T,) (i + 1) / L_b for the i-th token of sample b
+    weight: np.ndarray  # (T,) 1 / (B * L_b): per-sample mean, then mean over samples
+    supervised: np.ndarray  # (T,) bool
+    targets: np.ndarray | None  # (T, 2) in stage 1, (T, 2PN) in stage 2, else None
+    frame_means: np.ndarray  # (B, d_v) mean visual feature of each sample
+
+
+# trainable head of the stage's regression term
+_HEADS = {1: ("loc_w", "loc_b"), 2: ("traj_w", "traj_b")}
+
+
 def init_params(cfg: TrainerConfig, seed: int | None = None) -> ToyModelParams:
     """Seeded Gaussian init, scaled by 1/sqrt(fan_in); head biases start at zero."""
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
@@ -184,55 +203,84 @@ def init_params(cfg: TrainerConfig, seed: int | None = None) -> ToyModelParams:
     )
 
 
-def _inputs(params: ToyModelParams, frames: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-    """Per-token backbone input [mean frame token; mean prefix embedding; position]."""
-    L = len(tokens)
+def pack_batch(samples: Sequence[TrainingSample], stage: int) -> PackedBatch:
+    """Concatenate the samples' tokens and stage targets into one batch."""
+    if stage not in TRAINABLE_BY_STAGE:
+        raise ValueError(f"unknown stage {stage}")
+    if not samples:
+        raise ValueError("dataset is empty")
+    for s in samples:
+        s.require(stage)
+    lengths = np.array([len(s.tokens) for s in samples])
+    sample = np.repeat(np.arange(len(samples)), lengths)
+    starts = np.cumsum(lengths) - lengths
+    prefix = np.arange(len(sample)) - starts[sample]
+    targets = None
+    if stage == 1:
+        targets = np.concatenate([s.loc_targets for s in samples])
+    elif stage == 2:
+        targets = np.concatenate([s.traj_targets.reshape(len(s.tokens), -1) for s in samples])
+    return PackedBatch(
+        tokens=np.concatenate([s.tokens for s in samples]),
+        sample=sample,
+        starts=starts,
+        inv_prefix=np.divide(1.0, prefix, out=np.zeros(len(prefix)), where=prefix > 0),
+        position=(prefix + 1.0) / lengths[sample],
+        weight=1.0 / (len(samples) * lengths[sample]),
+        supervised=np.concatenate([s.supervised for s in samples]),
+        targets=targets,
+        frame_means=np.array([s.frames.mean(axis=0) for s in samples]),
+    )
+
+
+def _hidden(params: ToyModelParams, batch: PackedBatch) -> np.ndarray:
+    """Backbone states tanh(W [mean frame token; mean prefix embedding; position] + b)."""
     d = params.adapter.shape[0]
-    z = frames @ params.adapter.T  # (n_frames, d)
-    zbar = z.mean(axis=0)
-    ctx = np.zeros((L, d))
-    if L > 1:
-        cum = np.cumsum(params.embeddings[tokens[:-1]], axis=0)
-        ctx[1:] = cum / np.arange(1, L)[:, None]
-    pos = (np.arange(L) + 1.0) / L
-    return np.concatenate([np.tile(zbar, (L, 1)), ctx, pos[:, None]], axis=1)
+    w = params.backbone_w
+    # exclusive running sum of embeddings, restarted at each sample's first row
+    emb = params.embeddings[batch.tokens]
+    prefix_sum = np.zeros_like(emb)
+    np.cumsum(emb[:-1], axis=0, out=prefix_sum[1:])
+    prefix_sum -= prefix_sum[batch.starts][batch.sample]
+    prefix_sum *= batch.inv_prefix[:, None]
+    act = prefix_sum @ w[:, d : 2 * d].T
+    act += ((batch.frame_means @ params.adapter.T) @ w[:, :d].T)[batch.sample]
+    act += batch.position[:, None] * w[:, 2 * d]
+    act += params.backbone_b
+    return np.tanh(act, out=act)
 
 
 def forward(params: ToyModelParams, frames, tokens) -> ForwardOutput:
     """Run the surrogate model over one sample; deterministic."""
     frames = np.asarray(frames, dtype=float)
-    tokens = np.asarray(tokens, dtype=int)
-    if tokens.ndim != 1 or len(tokens) == 0:
-        raise ValueError("token sequence must be nonempty")
     if frames.ndim != 2 or frames.shape[1] != params.adapter.shape[1]:
         raise ValueError(
             f"frames shape {frames.shape} incompatible with adapter {params.adapter.shape}"
         )
-    X = _inputs(params, frames, tokens)
-    H = np.tanh(X @ params.backbone_w.T + params.backbone_b)
+    sample = TrainingSample(frames=frames, tokens=tokens, supervised=np.zeros(np.shape(tokens)))
+    H = _hidden(params, pack_batch([sample], stage=3))
     logits = H @ params.vocab_map.T
     locs = H @ params.loc_w.T + params.loc_b
     flat = H @ params.traj_w.T + params.traj_b
-    trajs = flat.reshape(len(tokens), params.points, params.traj_frames, 2)
+    trajs = flat.reshape(len(H), params.points, params.traj_frames, 2)
     return ForwardOutput(hidden=H, logits=logits, locs=locs, trajs=trajs)
 
 
-def _logsumexp(logits: np.ndarray) -> np.ndarray:
-    peak = logits.max(axis=1, keepdims=True)
-    return peak + np.log(np.exp(logits - peak).sum(axis=1, keepdims=True))
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return shifted
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+def _smoothed_ce(logp: np.ndarray, targets: np.ndarray, eps: float) -> np.ndarray:
+    nll = -logp[np.arange(len(targets)), targets]
+    uniform = -logp.mean(axis=1)
+    return (1.0 - eps) * nll + eps * uniform
 
 
 def label_smoothed_ce(logits: np.ndarray, targets: np.ndarray, eps: float) -> np.ndarray:
     """Per-token label-smoothed cross-entropy with the uniform-mixture target."""
-    logp = logits - _logsumexp(logits)
-    nll = -logp[np.arange(len(targets)), targets]
-    uniform = -logp.mean(axis=1)
-    return (1.0 - eps) * nll + eps * uniform
+    return _smoothed_ce(_log_softmax(logits), targets, eps)
 
 
 def smoothed_ce_floor(vocab: int, eps: float) -> float:
@@ -245,58 +293,87 @@ def smoothed_ce_floor(vocab: int, eps: float) -> float:
     return float(floor)
 
 
-def _ce_terms(out: ForwardOutput, sample: TrainingSample, eps: float) -> np.ndarray:
-    return label_smoothed_ce(out.logits, sample.tokens, eps)
+def _head_scale(params: ToyModelParams, stage: int, lam: float) -> float:
+    return lam / (params.points * params.traj_frames) if stage == 2 else lam
 
 
-def loss_stage1(
-    params: ToyModelParams, sample: TrainingSample, lam: float, smoothing: float
+def _forward_loss(params, batch, stage, lam, smoothing):
+    """Shared forward pass: hidden states, log-probs, head residual signs, loss."""
+    H = _hidden(params, batch)
+    logp = _log_softmax(H @ params.vocab_map.T)
+    terms = _smoothed_ce(logp, batch.tokens, smoothing)
+    sign = None
+    if stage in _HEADS:
+        w_name, b_name = _HEADS[stage]
+        dist = H @ getattr(params, w_name).T
+        dist += getattr(params, b_name)
+        dist -= batch.targets
+        # int8 residual signs are all the backward pass needs of the residuals
+        sign = np.sign(dist, out=np.empty(dist.shape, np.int8), casting="unsafe")
+        l1 = np.where(batch.supervised, np.abs(dist, out=dist).sum(axis=1), 0.0)
+        terms += _head_scale(params, stage, lam) * l1
+    return H, logp, sign, float(batch.weight @ terms)
+
+
+def batch_loss(
+    params: ToyModelParams, batch: PackedBatch, stage: int, lam: float, smoothing: float
 ) -> float:
-    """Mean over tokens of CE plus lam * L1 location error on supervised tokens."""
-    sample.require(1)
-    out = forward(params, sample.frames, sample.tokens)
-    ce = _ce_terms(out, sample, smoothing)
-    l1 = np.abs(out.locs - sample.loc_targets).sum(axis=1)
-    l1 = np.where(sample.supervised, l1, 0.0)
-    return float(np.mean(ce + lam * l1))
+    """Stage loss of the batch: the mean over samples of each sample's token mean.
 
-
-def loss_stage2(
-    params: ToyModelParams, sample: TrainingSample, lam: float, smoothing: float
-) -> float:
-    """Mean over tokens of CE plus lam/(P*N) * summed L1 trajectory error.
-
-    Sentinel (-1, -1) target cells participate exactly like real coordinates.
+    Every token pays label-smoothed cross-entropy; supervised tokens also pay
+    lam * L1 location error (stage 1) or lam/(P*N) * summed L1 trajectory
+    error (stage 2), where sentinel (-1, -1) target cells count like real
+    coordinates.  Stage 3 is cross-entropy only.
     """
-    sample.require(2)
-    out = forward(params, sample.frames, sample.tokens)
-    ce = _ce_terms(out, sample, smoothing)
-    P, N = params.points, params.traj_frames
-    l1 = np.abs(out.trajs - sample.traj_targets).sum(axis=(1, 2, 3)) / (P * N)
-    l1 = np.where(sample.supervised, l1, 0.0)
-    return float(np.mean(ce + lam * l1))
+    return _forward_loss(params, batch, stage, lam, smoothing)[3]
 
 
-def loss_stage3(params: ToyModelParams, sample: TrainingSample, smoothing: float) -> float:
-    """Label-smoothed cross-entropy only."""
-    out = forward(params, sample.frames, sample.tokens)
-    return float(np.mean(_ce_terms(out, sample, smoothing)))
+def loss_and_grads(
+    params: ToyModelParams, batch: PackedBatch, stage: int, lam: float, smoothing: float
+) -> tuple[float, dict[str, np.ndarray]]:
+    """``batch_loss`` and its analytic gradient from the same forward pass.
 
+    Returns one array per parameter group; groups frozen for the stage come
+    back as exact zeros.
+    """
+    H, logp, sign, loss = _forward_loss(params, batch, stage, lam, smoothing)
+    V, d = params.vocab_map.shape
+    trainable = TRAINABLE_BY_STAGE[stage]
+    grads = {n: np.zeros_like(getattr(params, n)) for n in ARRAY_NAMES if n not in trainable}
 
-def stage_loss(
-    params: ToyModelParams,
-    sample: TrainingSample,
-    stage: int,
-    lam: float,
-    smoothing: float,
-) -> float:
-    if stage == 1:
-        return loss_stage1(params, sample, lam, smoothing)
-    if stage == 2:
-        return loss_stage2(params, sample, lam, smoothing)
-    if stage == 3:
-        return loss_stage3(params, sample, smoothing)
-    raise ValueError(f"unknown stage {stage}")
+    # cross-entropy head: softmax minus the smoothed target, per-token weighted
+    g_logits = np.exp(logp, out=logp)
+    g_logits -= smoothing / V
+    g_logits[np.arange(len(batch.tokens)), batch.tokens] -= 1.0 - smoothing
+    g_logits *= batch.weight[:, None]
+    grads["vocab_map"] = g_logits.T @ H
+    g_h = g_logits @ params.vocab_map
+
+    if sign is not None:
+        w_name, b_name = _HEADS[stage]
+        coef = _head_scale(params, stage, lam) * batch.weight * batch.supervised
+        g_head = np.multiply(sign, coef[:, None])  # L1 subgradient, per-token weighted
+        grads[w_name] = g_head.T @ H
+        grads[b_name] = g_head.sum(axis=0)
+        g_h += g_head @ getattr(params, w_name)
+
+    g_h *= 1.0 - H**2  # through tanh; the backbone itself stays frozen
+    w = params.backbone_w
+    if "adapter" in trainable:
+        # each sample's frame token is the adapter applied to its mean frame
+        g_zbar = np.add.reduceat(g_h, batch.starts, axis=0) @ w[:, :d]
+        grads["adapter"] = g_zbar.T @ batch.frame_means
+
+    # token s feeds the prefix mean of every later row t of its sample
+    g_ctx = g_h @ w[:, d : 2 * d]
+    g_ctx *= batch.inv_prefix[:, None]
+    later = np.zeros_like(g_ctx)
+    later[:-1] = np.cumsum(g_ctx[:0:-1], axis=0)[::-1]
+    last = np.append(batch.starts[1:], len(later)) - 1
+    later -= later[last][batch.sample]
+    grads["embeddings"] = np.zeros_like(params.embeddings)
+    np.add.at(grads["embeddings"], batch.tokens, later)
+    return loss, grads
 
 
 def tile_init(params: ToyModelParams) -> ToyModelParams:
@@ -312,80 +389,9 @@ def tile_init(params: ToyModelParams) -> ToyModelParams:
     return new
 
 
-def gradients(
-    params: ToyModelParams,
-    sample: TrainingSample,
-    stage: int,
-    lam: float,
-    smoothing: float,
-) -> dict[str, np.ndarray]:
-    """Analytic gradients of the stage loss for one sample.
-
-    Returns one array per parameter group; groups frozen for the stage come
-    back as exact zeros.
-    """
-    sample.require(stage)
-    frames = sample.frames
-    tokens = sample.tokens
-    L = len(tokens)
-    V, d = params.vocab_map.shape
-
-    X = _inputs(params, frames, tokens)
-    H = np.tanh(X @ params.backbone_w.T + params.backbone_b)
-    logits = H @ params.vocab_map.T
-
-    grads = {name: np.zeros_like(getattr(params, name)) for name in ARRAY_NAMES}
-
-    # cross-entropy head
-    probs = _softmax(logits)
-    q = np.full((L, V), smoothing / V)
-    q[np.arange(L), tokens] += 1.0 - smoothing
-    g_logits = (probs - q) / L
-    grads["vocab_map"] = g_logits.T @ H
-    g_h = g_logits @ params.vocab_map
-
-    sup = sample.supervised.astype(float)[:, None]
-    if stage == 1:
-        locs = H @ params.loc_w.T + params.loc_b
-        g_locs = (lam / L) * np.sign(locs - sample.loc_targets) * sup
-        grads["loc_w"] = g_locs.T @ H
-        grads["loc_b"] = g_locs.sum(axis=0)
-        g_h += g_locs @ params.loc_w
-    elif stage == 2:
-        P, N = params.points, params.traj_frames
-        flat = H @ params.traj_w.T + params.traj_b
-        targets = sample.traj_targets.reshape(L, 2 * P * N)
-        g_flat = (lam / (L * P * N)) * np.sign(flat - targets) * sup
-        grads["traj_w"] = g_flat.T @ H
-        grads["traj_b"] = g_flat.sum(axis=0)
-        g_h += g_flat @ params.traj_w
-
-    g_a = g_h * (1.0 - H**2)
-    g_x = g_a @ params.backbone_w
-    # backbone itself stays frozen: no accumulation
-
-    # visual adapter: zbar is the mean of per-frame projections
-    g_zbar = g_x[:, :d].sum(axis=0)
-    grads["adapter"] = np.outer(g_zbar, frames.mean(axis=0))
-
-    # embeddings enter through prefix means: token s feeds ctx_t for all t > s
-    g_ctx = g_x[:, d : 2 * d]
-    if L > 1:
-        weighted = g_ctx[1:] / np.arange(1, L)[:, None]
-        suffix = np.cumsum(weighted[::-1], axis=0)[::-1]
-        np.add.at(grads["embeddings"], tokens[:-1], suffix)
-
-    for name in FROZEN_ALWAYS:
-        grads[name][...] = 0.0
-    for name in ARRAY_NAMES:
-        if name not in TRAINABLE_BY_STAGE[stage] and name not in FROZEN_ALWAYS:
-            grads[name][...] = 0.0
-    return grads
-
-
 def grad_check(
     params: ToyModelParams,
-    sample: TrainingSample,
+    samples: Sequence[TrainingSample],
     stage: int,
     eps: float = 1e-5,
     lam: float = 1.0,
@@ -393,12 +399,13 @@ def grad_check(
 ) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
-    Sweeps every trainable scalar of the stage; the error for one scalar is
-    |analytic - numeric| / max(1, |numeric|).
+    Sweeps every trainable scalar of the stage over the packed samples; the
+    error for one scalar is |analytic - numeric| / max(1, |numeric|).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    analytic = gradients(params, sample, stage, lam, smoothing)
+    batch = pack_batch(samples, stage)
+    _, analytic = loss_and_grads(params, batch, stage, lam, smoothing)
     worst = 0.0
     work = params.copy()
     for name in TRAINABLE_BY_STAGE[stage]:
@@ -407,9 +414,9 @@ def grad_check(
         for idx in np.ndindex(arr.shape):
             keep = arr[idx]
             arr[idx] = keep + eps
-            hi = stage_loss(work, sample, stage, lam, smoothing)
+            hi = batch_loss(work, batch, stage, lam, smoothing)
             arr[idx] = keep - eps
-            lo = stage_loss(work, sample, stage, lam, smoothing)
+            lo = batch_loss(work, batch, stage, lam, smoothing)
             arr[idx] = keep
             numeric = (hi - lo) / (2 * eps)
             err = abs(grad[idx] - numeric) / max(1.0, abs(numeric))

@@ -1,9 +1,11 @@
 """Three-stage training loop over the surrogate model, plus data plumbing.
 
-Training is plain full-batch gradient descent with analytic gradients; the
-stage decides which parameter groups move (the backbone never does, the
-adapter only in stage 1).  Stage transitions keep training the same
-parameter object.  Everything is deterministic for a given seed.
+Training is plain full-batch gradient descent: each stage packs its samples
+into one batch once, and every step takes the loss and analytic gradients
+from one fused pass over it.  The stage decides which parameter groups move
+(the backbone never does, the adapter only in stage 1).  Stage transitions
+keep training the same parameter object.  Everything is deterministic for a
+given seed.
 """
 
 from __future__ import annotations
@@ -22,22 +24,12 @@ from .toymodel import (
     ToyModelParams,
     TrainerConfig,
     TrainingSample,
-    gradients,
+    batch_loss,
     init_params,
-    stage_loss,
+    loss_and_grads,
+    pack_batch,
     tile_init,
 )
-
-
-def dataset_loss(
-    params: ToyModelParams,
-    dataset: Sequence[TrainingSample],
-    stage: int,
-    cfg: TrainerConfig,
-) -> float:
-    return float(
-        np.mean([stage_loss(params, s, stage, cfg.lam, cfg.smoothing) for s in dataset])
-    )
 
 
 def train(
@@ -45,33 +37,26 @@ def train(
     dataset: Sequence[TrainingSample],
     stage: int,
     cfg: TrainerConfig,
-) -> tuple[ToyModelParams, list[float]]:
-    """Gradient-descend the stage loss; returns new params and the loss curve.
+) -> tuple[ToyModelParams, list[float], list[float]]:
+    """Gradient-descend the stage loss; returns new params, losses and gradient norms.
 
-    The curve has cfg.steps + 1 entries: the loss before each update and one
-    final entry after the last update.  The input params are not mutated.
+    The losses have cfg.steps + 1 entries: the loss before each update and
+    one final entry after the last update.  The gradient norms are the L2
+    norms over the stage's trainable groups of the cfg.steps updates.  The
+    input params are not mutated.
     """
-    if stage not in TRAINABLE_BY_STAGE:
-        raise ValueError(f"unknown stage {stage}")
-    if not dataset:
-        raise ValueError("dataset is empty")
-    for sample in dataset:
-        sample.require(stage)
+    batch = pack_batch(dataset, stage)
     params = params.copy()
     trainable = TRAINABLE_BY_STAGE[stage]
-    curve = []
+    losses, grad_norms = [], []
     for _ in range(cfg.steps):
-        curve.append(dataset_loss(params, dataset, stage, cfg))
-        total = {name: np.zeros_like(getattr(params, name)) for name in trainable}
-        for sample in dataset:
-            grads = gradients(params, sample, stage, cfg.lam, cfg.smoothing)
-            for name in trainable:
-                total[name] += grads[name]
-        scale = cfg.lr / len(dataset)
+        loss, grads = loss_and_grads(params, batch, stage, cfg.lam, cfg.smoothing)
+        losses.append(loss)
+        grad_norms.append(float(np.sqrt(sum(np.vdot(grads[n], grads[n]) for n in trainable))))
         for name in trainable:
-            getattr(params, name)[...] -= scale * total[name]
-    curve.append(dataset_loss(params, dataset, stage, cfg))
-    return params, curve
+            getattr(params, name)[...] -= cfg.lr * grads[name]
+    losses.append(batch_loss(params, batch, stage, cfg.lam, cfg.smoothing))
+    return params, losses, grad_norms
 
 
 def run_stage(
@@ -80,7 +65,7 @@ def run_stage(
     stage: int,
     cfg: TrainerConfig,
     tile: bool = True,
-) -> tuple[ToyModelParams, list[float]]:
+) -> tuple[ToyModelParams, list[float], list[float]]:
     """Stage protocol wrapper: stage 2 starts from the tiled localization head."""
     if stage == 2 and tile:
         params = tile_init(params)
@@ -301,12 +286,16 @@ def load_params(path: str | Path) -> ToyModelParams:
         return params_from_json(json.load(handle))
 
 
-def write_loss_curve(curve: Sequence[float], path: str | Path) -> None:
+def write_loss_curve(
+    losses: Sequence[float], grad_norms: Sequence[float], path: str | Path
+) -> None:
+    """CSV ``step,loss,grad_norm``; steps past the last norm leave grad_norm empty."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["step", "loss"])
-        for step, loss in enumerate(curve):
-            writer.writerow([step, repr(loss)])
+        writer.writerow(["step", "loss", "grad_norm"])
+        for step, loss in enumerate(losses):
+            norm = repr(grad_norms[step]) if step < len(grad_norms) else ""
+            writer.writerow([step, repr(loss), norm])
 
 
 __all__ = [
@@ -315,7 +304,6 @@ __all__ = [
     "TrainingSample",
     "train",
     "run_stage",
-    "dataset_loss",
     "synthetic_dataset",
     "samples_from_records",
     "stable_token_id",

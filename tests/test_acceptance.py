@@ -81,7 +81,7 @@ def test_gradient_checks_all_stages():
         for seed in range(5):
             params = init_params(cfg, seed=seed)
             sample = synthetic_dataset(stage, 1, cfg, seed=seed + 500, length=5)[0]
-            err = grad_check(params, sample, stage, eps=1e-5, lam=1.0, smoothing=0.1)
+            err = grad_check(params, [sample], stage, eps=1e-5, lam=1.0, smoothing=0.1)
             worst = max(worst, err)
     ok = worst < 1e-4
     report(
@@ -99,9 +99,9 @@ def test_stage2_overfit_experiment():
         lam=1.0, smoothing=0.0, lr=4.0, steps=1000, seed=7,
     )
     data = synthetic_dataset(2, 50, cfg, seed=123)
-    _, curve = run_stage(init_params(cfg), data, 2, cfg)
+    _, curve, _ = run_stage(init_params(cfg), data, 2, cfg)
     ratio = curve[-1] / curve[0]
-    _, curve_again = run_stage(init_params(cfg), data, 2, cfg)
+    _, curve_again, _ = run_stage(init_params(cfg), data, 2, cfg)
     ok = ratio <= 0.10 and curve == curve_again
     report(
         f"stage-2 overfit: 50 samples, 1000 steps, loss {curve[0]:.3f} -> "

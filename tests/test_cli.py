@@ -134,7 +134,7 @@ def test_train_toy_and_grad_check(capsys, tmp_path):
     params = load_params(out_path)
     assert params.points == 2
     curve_lines = (tmp_path / "params.curve.csv").read_text().splitlines()
-    assert curve_lines[0] == "step,loss"
+    assert curve_lines[0] == "step,loss,grad_norm"
     assert len(curve_lines) == cfg.steps + 2
 
     code, out, _ = run_cli(capsys, "grad-check", "--stage", "2", "--seed", "4")

@@ -32,13 +32,10 @@ def test_timestamp_to_frame_bad_duration():
 
 
 def test_format_temporal():
-    assert format_temporal("a dog runs", 3, 40, "prefix") == "From 3 to 40, a dog runs"
-    assert format_temporal("a dog runs", 3, 40, "suffix") == "a dog runs, from 3 to 40"
-    assert format_temporal("x", 7, 7, "prefix") == "From 7 to 7, x"
+    assert format_temporal("a dog runs", 3, 40) == "a dog runs, from 3 to 40"
+    assert format_temporal("x", 7, 7) == "x, from 7 to 7"
     with pytest.raises(ValueError):
         format_temporal("x", 8, 7)
-    with pytest.raises(ValueError):
-        format_temporal("x", 1, 2, "inline")
 
 
 def test_manifest_validation():

@@ -6,15 +6,14 @@ from pite.toymodel import (
     ForwardOutput,
     TrainerConfig,
     TrainingSample,
+    batch_loss,
     forward,
     grad_check,
-    gradients,
     greedy_decode,
     init_params,
     label_smoothed_ce,
-    loss_stage1,
-    loss_stage2,
-    loss_stage3,
+    loss_and_grads,
+    pack_batch,
     smoothed_ce_floor,
     tile_init,
 )
@@ -42,6 +41,14 @@ def make_sample(cfg: TrainerConfig, seed: int, stage: int, length: int = 5) -> T
         loc_targets=loc_targets,
         traj_targets=traj_targets,
     )
+
+
+def sample_loss(params, sample, stage, lam=1.0, smoothing=0.1):
+    return batch_loss(params, pack_batch([sample], stage), stage, lam, smoothing)
+
+
+def sample_grads(params, sample, stage, lam, smoothing):
+    return loss_and_grads(params, pack_batch([sample], stage), stage, lam, smoothing)[1]
 
 
 # --- independent straight-line oracle ----------------------------------------
@@ -182,7 +189,7 @@ def test_stage1_perfect_zero():
         supervised=[True, True, True],
         loc_targets=[[0.25, 0.75]] * 3,
     )
-    assert loss_stage1(params, sample, lam=1.0, smoothing=0.0) == 0.0
+    assert sample_loss(params, sample, 1, lam=1.0, smoothing=0.0) == 0.0
 
 
 def test_stage1_l1_arithmetic():
@@ -194,7 +201,7 @@ def test_stage1_l1_arithmetic():
         supervised=[True, True, True],
         loc_targets=[[0.5, 0.1]] * 3,  # off by (0.1, 0.1)
     )
-    assert loss_stage1(params, sample, lam=1.0, smoothing=0.0) == pytest.approx(0.2)
+    assert sample_loss(params, sample, 1, lam=1.0, smoothing=0.0) == pytest.approx(0.2)
 
 
 def test_stage2_perfect_zero():
@@ -206,7 +213,7 @@ def test_stage2_perfect_zero():
         supervised=[True, True],
         traj_targets=np.zeros((2, cfg.points, cfg.frames, 2)),
     )
-    assert loss_stage2(params, sample, lam=1.0, smoothing=0.0) == 0.0
+    assert sample_loss(params, sample, 2, lam=1.0, smoothing=0.0) == 0.0
 
 
 def test_stage2_all_sentinel_target():
@@ -219,7 +226,7 @@ def test_stage2_all_sentinel_target():
         supervised=[True],
         traj_targets=np.full((1, cfg.points, cfg.frames, 2), -1.0),
     )
-    assert loss_stage2(params, sample, lam=1.0, smoothing=0.0) == 0.0
+    assert sample_loss(params, sample, 2, lam=1.0, smoothing=0.0) == 0.0
 
 
 def test_stage3_uniform_logits():
@@ -234,7 +241,7 @@ def test_stage3_perfect():
     sample = TrainingSample(
         frames=np.zeros((1, cfg.d_v)), tokens=[5, 5], supervised=[False, False]
     )
-    assert loss_stage3(params, sample, smoothing=0.0) == 0.0
+    assert sample_loss(params, sample, 3, smoothing=0.0) == 0.0
 
 
 @pytest.mark.parametrize("stage", [1, 2, 3])
@@ -244,12 +251,7 @@ def test_losses_match_oracle(stage):
         params = init_params(cfg, seed=seed + 50)
         sample = make_sample(cfg, seed=seed + 60, stage=stage)
         lam, eps = 0.7, 0.13
-        if stage == 1:
-            got = loss_stage1(params, sample, lam, eps)
-        elif stage == 2:
-            got = loss_stage2(params, sample, lam, eps)
-        else:
-            got = loss_stage3(params, sample, eps)
+        got = sample_loss(params, sample, stage, lam, eps)
         assert got == pytest.approx(oracle_loss(params, sample, stage, lam, eps), rel=1e-12)
 
 
@@ -312,14 +314,14 @@ def test_grad_check_below_tolerance(stage):
     for seed in range(5):
         params = init_params(SMALL, seed=seed)
         sample = make_sample(SMALL, seed=seed + 10, stage=stage)
-        err = grad_check(params, sample, stage, eps=1e-5, lam=1.0, smoothing=0.1)
+        err = grad_check(params, [sample], stage, eps=1e-5, lam=1.0, smoothing=0.1)
         assert err < 1e-4
 
 
 def test_frozen_groups_have_zero_gradient():
     params = init_params(SMALL, seed=4)
     sample = make_sample(SMALL, seed=5, stage=2)
-    grads = gradients(params, sample, stage=2, lam=1.0, smoothing=0.1)
+    grads = sample_grads(params, sample, stage=2, lam=1.0, smoothing=0.1)
     assert np.all(grads["backbone_w"] == 0.0)
     assert np.all(grads["backbone_b"] == 0.0)
     assert np.all(grads["adapter"] == 0.0)  # frozen in stage 2
@@ -329,11 +331,11 @@ def test_frozen_groups_have_zero_gradient():
 def test_lambda_zero_stage1_reduces_to_stage3():
     params = init_params(SMALL, seed=6)
     sample = make_sample(SMALL, seed=7, stage=1)
-    assert loss_stage1(params, sample, lam=0.0, smoothing=0.1) == pytest.approx(
-        loss_stage3(params, sample, smoothing=0.1)
+    assert sample_loss(params, sample, 1, lam=0.0, smoothing=0.1) == pytest.approx(
+        sample_loss(params, sample, 3, smoothing=0.1)
     )
-    g1 = gradients(params, sample, stage=1, lam=0.0, smoothing=0.1)
-    g3 = gradients(params, sample, stage=3, lam=0.0, smoothing=0.1)
+    g1 = sample_grads(params, sample, stage=1, lam=0.0, smoothing=0.1)
+    g3 = sample_grads(params, sample, stage=3, lam=0.0, smoothing=0.1)
     for name in TRAINABLE_BY_STAGE[3]:
         np.testing.assert_allclose(g1[name], g3[name], atol=1e-15)
     assert np.all(g1["loc_w"] == 0.0)
@@ -343,7 +345,7 @@ def test_grad_check_rejects_bad_eps():
     params = init_params(SMALL, seed=0)
     sample = make_sample(SMALL, seed=0, stage=3)
     with pytest.raises(ValueError):
-        grad_check(params, sample, stage=3, eps=0.0)
+        grad_check(params, [sample], stage=3, eps=0.0)
 
 
 def test_check_shapes():
@@ -351,6 +353,54 @@ def test_check_shapes():
     params.check_shapes(SMALL)
     with pytest.raises(ValueError, match="shape"):
         params.check_shapes(TrainerConfig(d_v=4, d=7, vocab=10, points=2, frames=3))
+
+
+# --- packed batches -----------------------------------------------------------------
+
+
+def ragged_batch(cfg, stage, seed, lengths=(1, 5, 9)):
+    return [make_sample(cfg, seed=seed + i, stage=stage, length=n) for i, n in enumerate(lengths)]
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3])
+def test_packed_loss_is_mean_of_oracle_sample_losses(stage):
+    lam, eps = 0.7, 0.13
+    for seed in range(3):
+        params = init_params(SMALL, seed=seed + 20)
+        samples = ragged_batch(SMALL, stage, seed=10 * seed + 30)
+        got = batch_loss(params, pack_batch(samples, stage), stage, lam, eps)
+        want = np.mean([oracle_loss(params, s, stage, lam, eps) for s in samples])
+        assert abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3])
+def test_packed_pass_ignores_sample_order(stage):
+    params = init_params(SMALL, seed=40)
+    samples = ragged_batch(SMALL, stage, seed=41)
+    order = [2, 0, 1]
+    loss, grads = loss_and_grads(params, pack_batch(samples, stage), stage, 1.0, 0.1)
+    loss_p, grads_p = loss_and_grads(
+        params, pack_batch([samples[i] for i in order], stage), stage, 1.0, 0.1
+    )
+    assert abs(loss - loss_p) <= 1e-12
+    assert batch_loss(params, pack_batch(samples, stage), stage, 1.0, 0.1) == loss
+    for name, grad in grads.items():
+        np.testing.assert_allclose(grads_p[name], grad, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3])
+def test_grad_check_on_multi_sample_batch(stage):
+    for seed in range(3):
+        params = init_params(SMALL, seed=seed + 60)
+        samples = ragged_batch(SMALL, stage, seed=10 * seed + 70)
+        assert grad_check(params, samples, stage, eps=1e-5, lam=1.0, smoothing=0.1) < 1e-4
+
+
+def test_pack_batch_rejects_empty_and_unknown_stage():
+    with pytest.raises(ValueError, match="empty"):
+        pack_batch([], 3)
+    with pytest.raises(ValueError, match="stage"):
+        pack_batch([make_sample(SMALL, seed=0, stage=3)], 4)
 
 
 def test_decode_uses_prefix_only():

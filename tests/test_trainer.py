@@ -4,11 +4,12 @@ import pytest
 from pite.toymodel import (
     ARRAY_NAMES,
     TrainerConfig,
+    batch_loss,
     greedy_decode,
     init_params,
+    pack_batch,
 )
 from pite.trainer import (
-    dataset_loss,
     load_params,
     load_samples,
     params_from_json,
@@ -32,34 +33,37 @@ def test_zero_lr_keeps_params_and_curve_flat():
     cfg = TrainerConfig(**{**CFG.to_json(), "lr": 0.0, "steps": 4})
     params = init_params(cfg)
     data = synthetic_dataset(1, 3, cfg, seed=5)
-    trained, curve = train(params, data, stage=1, cfg=cfg)
+    trained, curve, grad_norms = train(params, data, stage=1, cfg=cfg)
     for name in ARRAY_NAMES:
         assert np.array_equal(getattr(trained, name), getattr(params, name))
     assert len(curve) == 5
     assert len(set(curve)) == 1
+    assert len(grad_norms) == 4 and len(set(grad_norms)) == 1 and grad_norms[0] > 0
 
 
 @pytest.mark.parametrize("stage", [1, 2, 3])
 def test_training_reduces_loss(stage):
     cfg = TrainerConfig(**{**CFG.to_json(), "steps": 40, "lr": 1.0, "smoothing": 0.0})
     data = synthetic_dataset(stage, 6, cfg, seed=9)
-    trained, curve = train(init_params(cfg), data, stage=stage, cfg=cfg)
+    trained, curve, _ = train(init_params(cfg), data, stage=stage, cfg=cfg)
     assert curve[-1] < curve[0]
-    assert curve[-1] == pytest.approx(dataset_loss(trained, data, stage, cfg))
+    assert curve[-1] == pytest.approx(
+        batch_loss(trained, pack_batch(data, stage), stage, cfg.lam, cfg.smoothing)
+    )
 
 
 def test_frozen_groups_bitwise_unchanged():
     cfg = TrainerConfig(**{**CFG.to_json(), "steps": 10})
     params = init_params(cfg)
     data2 = synthetic_dataset(2, 4, cfg, seed=2)
-    trained, _ = train(params, data2, stage=2, cfg=cfg)
+    trained, _, _ = train(params, data2, stage=2, cfg=cfg)
     assert np.array_equal(trained.backbone_w, params.backbone_w)
     assert np.array_equal(trained.backbone_b, params.backbone_b)
     assert np.array_equal(trained.adapter, params.adapter)  # frozen in stage 2
     assert not np.array_equal(trained.embeddings, params.embeddings)
 
     data3 = synthetic_dataset(3, 4, cfg, seed=3)
-    trained3, _ = train(params, data3, stage=3, cfg=cfg)
+    trained3, _, _ = train(params, data3, stage=3, cfg=cfg)
     assert np.array_equal(trained3.adapter, params.adapter)
     assert np.array_equal(trained3.loc_w, params.loc_w)
     assert np.array_equal(trained3.traj_w, params.traj_w)
@@ -68,9 +72,10 @@ def test_frozen_groups_bitwise_unchanged():
 def test_same_seed_identical_curves():
     cfg = TrainerConfig(**{**CFG.to_json(), "steps": 15})
     data = synthetic_dataset(1, 5, cfg, seed=11)
-    _, curve_a = train(init_params(cfg), data, stage=1, cfg=cfg)
-    _, curve_b = train(init_params(cfg), data, stage=1, cfg=cfg)
+    _, curve_a, norms_a = train(init_params(cfg), data, stage=1, cfg=cfg)
+    _, curve_b, norms_b = train(init_params(cfg), data, stage=1, cfg=cfg)
     assert curve_a == curve_b
+    assert norms_a == norms_b
 
 
 def test_stage_schema_mismatch():
@@ -82,10 +87,10 @@ def test_stage_schema_mismatch():
 def test_run_stage_tiles_before_stage2():
     cfg = TrainerConfig(**{**CFG.to_json(), "steps": 0})
     params = init_params(cfg)
-    tiled, _ = run_stage(params, synthetic_dataset(2, 2, cfg, seed=1), 2, cfg)
+    tiled, _, _ = run_stage(params, synthetic_dataset(2, 2, cfg, seed=1), 2, cfg)
     reps = cfg.points * cfg.frames
     assert np.array_equal(tiled.traj_w, np.tile(params.loc_w, (reps, 1)))
-    plain, _ = run_stage(
+    plain, _, _ = run_stage(
         params, synthetic_dataset(2, 2, cfg, seed=1), 2, cfg, tile=False
     )
     assert np.array_equal(plain.traj_w, params.traj_w)
@@ -94,9 +99,9 @@ def test_run_stage_tiles_before_stage2():
 def test_three_stage_chain_carries_params():
     cfg = TrainerConfig(**{**CFG.to_json(), "steps": 8})
     params = init_params(cfg)
-    p1, _ = run_stage(params, synthetic_dataset(1, 3, cfg, seed=4), 1, cfg)
-    p2, _ = run_stage(p1, synthetic_dataset(2, 3, cfg, seed=5), 2, cfg)
-    p3, _ = run_stage(p2, synthetic_dataset(3, 3, cfg, seed=6), 3, cfg)
+    p1, _, _ = run_stage(params, synthetic_dataset(1, 3, cfg, seed=4), 1, cfg)
+    p2, _, _ = run_stage(p1, synthetic_dataset(2, 3, cfg, seed=5), 2, cfg)
+    p3, _, _ = run_stage(p2, synthetic_dataset(3, 3, cfg, seed=6), 3, cfg)
     # the adapter trained in stage 1 survives stages 2 and 3 untouched
     assert np.array_equal(p3.adapter, p1.adapter)
     assert np.array_equal(p3.backbone_w, params.backbone_w)
@@ -107,7 +112,7 @@ def test_stage3_overfit_decodes_target_sequences():
         d_v=8, d=24, vocab=12, points=1, frames=2, smoothing=0.1, lr=4.0, steps=1200, seed=3
     )
     data = synthetic_dataset(3, 6, cfg, seed=21, length=4, n_frames=3, distinct_tokens=True)
-    trained, _ = train(init_params(cfg), data, stage=3, cfg=cfg)
+    trained, _, _ = train(init_params(cfg), data, stage=3, cfg=cfg)
     for sample in data:
         decoded = greedy_decode(trained, sample.frames, len(sample.tokens))
         assert np.array_equal(decoded, sample.tokens)
@@ -173,10 +178,11 @@ def test_params_file_round_trip(tmp_path):
 
 def test_loss_curve_csv(tmp_path):
     path = tmp_path / "curve.csv"
-    write_loss_curve([2.0, 1.0, 0.5], path)
+    write_loss_curve([2.0, 1.0, 0.5], [3.0, 1.5], path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "step,loss"
-    assert lines[1] == "0,2.0"
+    assert lines[0] == "step,loss,grad_norm"
+    assert lines[1] == "0,2.0,3.0"
+    assert lines[3] == "2,0.5,"
     assert len(lines) == 4
 
 
