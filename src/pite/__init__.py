@@ -35,12 +35,12 @@ from .toymodel import (
     TrainerConfig,
     PackedBatch,
     TrainingSample,
-    batch_loss,
     forward,
     grad_check,
+    gradients,
     init_params,
-    loss_and_grads,
     pack_batch,
+    stage_loss,
     tile_init,
 )
 from .tracks import (

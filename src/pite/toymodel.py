@@ -171,7 +171,7 @@ class PackedBatch(NamedTuple):
     position: np.ndarray  # (T,) (i + 1) / L_b for the i-th token of sample b
     weight: np.ndarray  # (T,) 1 / (B * L_b): per-sample mean, then mean over samples
     supervised: np.ndarray  # (T,) bool
-    targets: np.ndarray | None  # (T, 2) in stage 1, (T, 2PN) in stage 2, else None
+    targets: np.ndarray | None  # (T, 2) in stage 1, (T, P, N, 2) in stage 2, else None
     frame_means: np.ndarray  # (B, d_v) mean visual feature of each sample
 
 
@@ -219,7 +219,7 @@ def pack_batch(samples: Sequence[TrainingSample], stage: int) -> PackedBatch:
     if stage == 1:
         targets = np.concatenate([s.loc_targets for s in samples])
     elif stage == 2:
-        targets = np.concatenate([s.traj_targets.reshape(len(s.tokens), -1) for s in samples])
+        targets = np.concatenate([s.traj_targets for s in samples])
     return PackedBatch(
         tokens=np.concatenate([s.tokens for s in samples]),
         sample=sample,
@@ -266,21 +266,18 @@ def forward(params: ToyModelParams, frames, tokens) -> ForwardOutput:
     return ForwardOutput(hidden=H, logits=logits, locs=locs, trajs=trajs)
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-probabilities, shifted by the row maximum for stability."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     shifted -= np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return shifted
 
 
-def _smoothed_ce(logp: np.ndarray, targets: np.ndarray, eps: float) -> np.ndarray:
+def label_smoothed_ce(logp: np.ndarray, targets: np.ndarray, eps: float) -> np.ndarray:
+    """Per-token label-smoothed cross-entropy of log-probs (see ``log_softmax``)."""
     nll = -logp[np.arange(len(targets)), targets]
     uniform = -logp.mean(axis=1)
     return (1.0 - eps) * nll + eps * uniform
-
-
-def label_smoothed_ce(logits: np.ndarray, targets: np.ndarray, eps: float) -> np.ndarray:
-    """Per-token label-smoothed cross-entropy with the uniform-mixture target."""
-    return _smoothed_ce(_log_softmax(logits), targets, eps)
 
 
 def smoothed_ce_floor(vocab: int, eps: float) -> float:
@@ -300,14 +297,17 @@ def _head_scale(params: ToyModelParams, stage: int, lam: float) -> float:
 def _forward_loss(params, batch, stage, lam, smoothing):
     """Shared forward pass: hidden states, log-probs, head residual signs, loss."""
     H = _hidden(params, batch)
-    logp = _log_softmax(H @ params.vocab_map.T)
-    terms = _smoothed_ce(logp, batch.tokens, smoothing)
+    logp = log_softmax(H @ params.vocab_map.T)
+    terms = label_smoothed_ce(logp, batch.tokens, smoothing)
     sign = None
     if stage in _HEADS:
         w_name, b_name = _HEADS[stage]
         dist = H @ getattr(params, w_name).T
         dist += getattr(params, b_name)
-        dist -= batch.targets
+        shape = (2,) if stage == 1 else (params.points, params.traj_frames, 2)
+        if batch.targets.shape[1:] != shape:
+            raise ValueError(f"target rows of shape {batch.targets.shape[1:]}, expected {shape}")
+        dist -= batch.targets.reshape(dist.shape)
         # int8 residual signs are all the backward pass needs of the residuals
         sign = np.sign(dist, out=np.empty(dist.shape, np.int8), casting="unsafe")
         l1 = np.where(batch.supervised, np.abs(dist, out=dist).sum(axis=1), 0.0)
@@ -315,7 +315,7 @@ def _forward_loss(params, batch, stage, lam, smoothing):
     return H, logp, sign, float(batch.weight @ terms)
 
 
-def batch_loss(
+def stage_loss(
     params: ToyModelParams, batch: PackedBatch, stage: int, lam: float, smoothing: float
 ) -> float:
     """Stage loss of the batch: the mean over samples of each sample's token mean.
@@ -328,10 +328,10 @@ def batch_loss(
     return _forward_loss(params, batch, stage, lam, smoothing)[3]
 
 
-def loss_and_grads(
+def gradients(
     params: ToyModelParams, batch: PackedBatch, stage: int, lam: float, smoothing: float
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """``batch_loss`` and its analytic gradient from the same forward pass.
+    """``stage_loss`` and its analytic gradient from the same forward pass.
 
     Returns one array per parameter group; groups frozen for the stage come
     back as exact zeros.
@@ -405,7 +405,7 @@ def grad_check(
     if eps <= 0:
         raise ValueError("eps must be positive")
     batch = pack_batch(samples, stage)
-    _, analytic = loss_and_grads(params, batch, stage, lam, smoothing)
+    _, analytic = gradients(params, batch, stage, lam, smoothing)
     worst = 0.0
     work = params.copy()
     for name in TRAINABLE_BY_STAGE[stage]:
@@ -414,9 +414,9 @@ def grad_check(
         for idx in np.ndindex(arr.shape):
             keep = arr[idx]
             arr[idx] = keep + eps
-            hi = batch_loss(work, batch, stage, lam, smoothing)
+            hi = stage_loss(work, batch, stage, lam, smoothing)
             arr[idx] = keep - eps
-            lo = batch_loss(work, batch, stage, lam, smoothing)
+            lo = stage_loss(work, batch, stage, lam, smoothing)
             arr[idx] = keep
             numeric = (hi - lo) / (2 * eps)
             err = abs(grad[idx] - numeric) / max(1.0, abs(numeric))

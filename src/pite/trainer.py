@@ -24,10 +24,10 @@ from .toymodel import (
     ToyModelParams,
     TrainerConfig,
     TrainingSample,
-    batch_loss,
+    gradients,
     init_params,
-    loss_and_grads,
     pack_batch,
+    stage_loss,
     tile_init,
 )
 
@@ -50,12 +50,12 @@ def train(
     trainable = TRAINABLE_BY_STAGE[stage]
     losses, grad_norms = [], []
     for _ in range(cfg.steps):
-        loss, grads = loss_and_grads(params, batch, stage, cfg.lam, cfg.smoothing)
+        loss, grads = gradients(params, batch, stage, cfg.lam, cfg.smoothing)
         losses.append(loss)
         grad_norms.append(float(np.sqrt(sum(np.vdot(grads[n], grads[n]) for n in trainable))))
         for name in trainable:
             getattr(params, name)[...] -= cfg.lr * grads[name]
-    losses.append(batch_loss(params, batch, stage, cfg.lam, cfg.smoothing))
+    losses.append(stage_loss(params, batch, stage, cfg.lam, cfg.smoothing))
     return params, losses, grad_norms
 
 

@@ -6,13 +6,14 @@ from pite.toymodel import (
     ForwardOutput,
     TrainerConfig,
     TrainingSample,
-    batch_loss,
+    stage_loss,
     forward,
     grad_check,
+    gradients,
     greedy_decode,
     init_params,
     label_smoothed_ce,
-    loss_and_grads,
+    log_softmax,
     pack_batch,
     smoothed_ce_floor,
     tile_init,
@@ -44,11 +45,11 @@ def make_sample(cfg: TrainerConfig, seed: int, stage: int, length: int = 5) -> T
 
 
 def sample_loss(params, sample, stage, lam=1.0, smoothing=0.1):
-    return batch_loss(params, pack_batch([sample], stage), stage, lam, smoothing)
+    return stage_loss(params, pack_batch([sample], stage), stage, lam, smoothing)
 
 
 def sample_grads(params, sample, stage, lam, smoothing):
-    return loss_and_grads(params, pack_batch([sample], stage), stage, lam, smoothing)[1]
+    return gradients(params, pack_batch([sample], stage), stage, lam, smoothing)[1]
 
 
 # --- independent straight-line oracle ----------------------------------------
@@ -231,7 +232,7 @@ def test_stage2_all_sentinel_target():
 
 def test_stage3_uniform_logits():
     logits = np.zeros((4, 8))
-    ce = label_smoothed_ce(logits, np.array([0, 1, 2, 3]), eps=0.1)
+    ce = label_smoothed_ce(log_softmax(logits), np.array([0, 1, 2, 3]), eps=0.1)
     np.testing.assert_allclose(ce, np.log(8))
 
 
@@ -262,7 +263,7 @@ def test_ce_floor_property():
         eps = float(rng.uniform(0, 0.9))
         logits = rng.normal(size=(6, vocab)) * rng.uniform(0.1, 5)
         targets = rng.integers(0, vocab, size=6)
-        ce = label_smoothed_ce(logits, targets, eps)
+        ce = label_smoothed_ce(log_softmax(logits), targets, eps)
         assert np.all(ce >= smoothed_ce_floor(vocab, eps) - 1e-12)
 
 
@@ -368,7 +369,7 @@ def test_packed_loss_is_mean_of_oracle_sample_losses(stage):
     for seed in range(3):
         params = init_params(SMALL, seed=seed + 20)
         samples = ragged_batch(SMALL, stage, seed=10 * seed + 30)
-        got = batch_loss(params, pack_batch(samples, stage), stage, lam, eps)
+        got = stage_loss(params, pack_batch(samples, stage), stage, lam, eps)
         want = np.mean([oracle_loss(params, s, stage, lam, eps) for s in samples])
         assert abs(got - want) <= 1e-12
 
@@ -378,12 +379,12 @@ def test_packed_pass_ignores_sample_order(stage):
     params = init_params(SMALL, seed=40)
     samples = ragged_batch(SMALL, stage, seed=41)
     order = [2, 0, 1]
-    loss, grads = loss_and_grads(params, pack_batch(samples, stage), stage, 1.0, 0.1)
-    loss_p, grads_p = loss_and_grads(
+    loss, grads = gradients(params, pack_batch(samples, stage), stage, 1.0, 0.1)
+    loss_p, grads_p = gradients(
         params, pack_batch([samples[i] for i in order], stage), stage, 1.0, 0.1
     )
     assert abs(loss - loss_p) <= 1e-12
-    assert batch_loss(params, pack_batch(samples, stage), stage, 1.0, 0.1) == loss
+    assert stage_loss(params, pack_batch(samples, stage), stage, 1.0, 0.1) == loss
     for name, grad in grads.items():
         np.testing.assert_allclose(grads_p[name], grad, rtol=0, atol=1e-12)
 
@@ -394,6 +395,16 @@ def test_grad_check_on_multi_sample_batch(stage):
         params = init_params(SMALL, seed=seed + 60)
         samples = ragged_batch(SMALL, stage, seed=10 * seed + 70)
         assert grad_check(params, samples, stage, eps=1e-5, lam=1.0, smoothing=0.1) < 1e-4
+
+
+def test_stage2_rejects_targets_of_another_head_geometry():
+    swapped = TrainerConfig(d_v=4, d=6, vocab=10, points=SMALL.frames, frames=SMALL.points)
+    params = init_params(SMALL, seed=0)
+    batch = pack_batch([make_sample(swapped, seed=1, stage=2)], 2)
+    with pytest.raises(ValueError, match="expected"):
+        stage_loss(params, batch, 2, 1.0, 0.1)
+    with pytest.raises(ValueError, match="expected"):
+        gradients(params, batch, 2, 1.0, 0.1)
 
 
 def test_pack_batch_rejects_empty_and_unknown_stage():

@@ -4,10 +4,10 @@ import pytest
 from pite.toymodel import (
     ARRAY_NAMES,
     TrainerConfig,
-    batch_loss,
     greedy_decode,
     init_params,
     pack_batch,
+    stage_loss,
 )
 from pite.trainer import (
     load_params,
@@ -48,7 +48,7 @@ def test_training_reduces_loss(stage):
     trained, curve, _ = train(init_params(cfg), data, stage=stage, cfg=cfg)
     assert curve[-1] < curve[0]
     assert curve[-1] == pytest.approx(
-        batch_loss(trained, pack_batch(data, stage), stage, cfg.lam, cfg.smoothing)
+        stage_loss(trained, pack_batch(data, stage), stage, cfg.lam, cfg.smoothing)
     )
 
 
