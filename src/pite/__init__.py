@@ -2,7 +2,7 @@
 
 Library surface:
     trees      bracketed constituency trees, lowest-layer NP extraction
-    tracks     point tracks, RLE masks, k-means++ condensation, matrices
+    tracks     point-track arrays, RLE masks, k-means++ condensation, matrices
     pipeline   manifest -> annotated JSONL records with temporal text
     toymodel   surrogate alignment model, packed-batch loss and gradient pass
     trainer    staged gradient-descent training and data plumbing
@@ -45,8 +45,8 @@ from .toymodel import (
 )
 from .tracks import (
     Mask,
-    PointTrack,
     TrajectoryMatrix,
+    Tracks,
     condense,
     filter_tracks_by_mask,
     kmeans_pp,

@@ -138,17 +138,13 @@ def cmd_condense_tracks(args) -> int:
                 selected = tracks.filter_tracks_by_mask(
                     clip.tracks, tracks.load_mask(mask_path)
                 )
-        if selected:
-            keypoints = tracks.condense(
+        if len(selected):
+            selected = tracks.condense(
                 selected,
                 args.points,
                 seed=pipeline.derive_seed(args.seed, clip.clip_id),
             )
-        else:
-            keypoints = []
-        matrix = tracks.to_matrix(
-            keypoints, args.points, args.frames, clip.width, clip.height, clip.frames
-        )
+        matrix = tracks.to_matrix(selected, args.points, args.frames, clip.width, clip.height)
         out_lines.append(
             json.dumps({"clip_id": clip.clip_id, "trajectory": matrix.to_json()})
         )

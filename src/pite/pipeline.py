@@ -10,6 +10,8 @@ File layout consumed by run_pipeline:
     manifest.jsonl   one video per line (see VideoManifest)
     trees file       one bracketed tree per event line, in manifest order
     masks_dir/{video_id}/ev{k}/{np_slug}.json   missing file = rejected NP
+                                                (np_slug escapes %, _ and /
+                                                and writes spaces as _)
     tracks_dir/{video_id}.jsonl                 one event clip per line,
                                                 clip_id "{video_id}:{k}"
 """
@@ -28,9 +30,8 @@ from typing import Mapping, Sequence
 
 from .tracks import (
     Mask,
-    PointTrack,
+    Tracks,
     TrajectoryMatrix,
-    cell_is_valid,
     condense,
     filter_tracks_by_mask,
     iter_clip_tracks,
@@ -152,8 +153,24 @@ def format_temporal(caption: str, s: int, e: int) -> str:
     return f"{caption}, from {s} to {e}"
 
 
+_SLUG_ESCAPES = {"%": "%25", "_": "%5F", "/": "%2F"}
+
+
 def np_slug(text: str) -> str:
+    """Mask file stem for a phrase; ``np_from_slug`` inverts it.
+
+    ``%``, ``_`` and ``/`` are percent-escaped first, then each whitespace
+    run becomes ``_``, so the stem never names a subdirectory.
+    """
+    for char, escape in _SLUG_ESCAPES.items():
+        text = text.replace(char, escape)
     return re.sub(r"\s+", "_", text.strip())
+
+
+def np_from_slug(stem: str) -> str:
+    """The phrase whose mask file stem is ``stem`` (single-spaced words)."""
+    unescape = {escape: char for char, escape in _SLUG_ESCAPES.items()}
+    return re.sub("%25|%5F|%2F", lambda m: unescape[m.group()], stem.replace("_", " "))
 
 
 def derive_seed(seed: int, *salt: object) -> int:
@@ -166,10 +183,9 @@ def annotate_event(
     event: ManifestEvent,
     tree: ParseTree,
     masks: Mapping[str, Mask],
-    tracks: Sequence[PointTrack],
+    tracks: Tracks,
     config: PipelineConfig,
     duration: float,
-    src_frames: int,
     width: int,
     height: int,
     clip_id: str = "",
@@ -210,9 +226,7 @@ def annotate_event(
         keypoints = condense(
             selected, config.points, seed=derive_seed(config.seed, clip_id, np_idx)
         )
-        matrix = to_matrix(
-            keypoints, config.points, config.frames, width, height, src_frames
-        )
+        matrix = to_matrix(keypoints, config.points, config.frames, width, height)
         annotation.objects.append(
             {
                 "np": {"text": phrase.text, "span": list(phrase.span)},
@@ -237,7 +251,7 @@ def load_event_masks(masks_dir: Path, video_id: str, event_idx: int) -> dict[str
     masks = {}
     if event_dir.is_dir():
         for mask_path in sorted(event_dir.glob("*.json")):
-            masks[mask_path.stem.replace("_", " ")] = load_mask(mask_path)
+            masks[np_from_slug(mask_path.stem)] = load_mask(mask_path)
     return masks
 
 
@@ -283,7 +297,6 @@ def annotate_video(
                 clip.tracks,
                 config,
                 duration=video.duration,
-                src_frames=clip.frames,
                 width=video.width,
                 height=video.height,
                 clip_id=clip_id,
@@ -328,42 +341,23 @@ def run_pipeline(
     masks_dir = Path(masks_dir)
     tracks_dir = Path(tracks_dir)
 
-    def work(item):
-        video, trees = item
-        return annotate_video(video, trees, masks_dir, tracks_dir, config)
-
-    jobs = max(1, config.jobs)
-    records: list[dict | None] = [None] * len(videos)
-    items = list(zip(videos, trees_per_video))
-    if jobs == 1:
-        outcomes = []
-        for item in items:
-            try:
-                outcomes.append(work(item))
-            except Exception as exc:  # noqa: BLE001 - per-video isolation
-                outcomes.append(exc)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(work, item) for item in items]
-            outcomes = []
-            for future in futures:
-                try:
-                    outcomes.append(future.result())
-                except Exception as exc:  # noqa: BLE001
-                    outcomes.append(exc)
-    for i, outcome in enumerate(outcomes):
-        if isinstance(outcome, Exception):
+    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, config.jobs)) as pool:
+        futures = [
+            pool.submit(annotate_video, video, trees, masks_dir, tracks_dir, config)
+            for video, trees in zip(videos, trees_per_video)
+        ]
+    records = []
+    for video, future in zip(videos, futures):
+        try:
+            records.append(future.result())
+        except Exception as exc:  # noqa: BLE001 - per-video isolation
             if strict:
-                raise outcome
-            log.error("skipping video %s: %s", videos[i].video_id, outcome)
-        else:
-            records[i] = outcome
+                raise
+            log.error("skipping video %s: %s", video.video_id, exc)
 
     summary = {"videos": 0, "events": 0, "trajectories": 0}
     with open(out_path, "w", encoding="utf-8") as handle:
         for record in records:
-            if record is None:
-                continue
             handle.write(json.dumps(record) + "\n")
             summary["videos"] += 1
             summary["events"] += len(record["events"])
@@ -372,30 +366,37 @@ def run_pipeline(
 
 
 def validate_record(record: dict) -> None:
-    """Schema and invariant check for one output record; raises DataError."""
-    if not isinstance(record.get("video_id"), str):
+    """Schema and invariant check for one output record; raises only DataError.
+
+    A fault inside an event is reported with the video id and event index.
+    """
+    if not isinstance(record, dict) or not isinstance(record.get("video_id"), str):
         raise DataError("record missing video_id")
     events = record.get("events")
     if not isinstance(events, list):
         raise DataError("record missing events list")
-    for event in events:
-        for key in ("caption", "start_frame", "end_frame", "formatted_text", "objects"):
-            if key not in event:
-                raise DataError(f"event missing {key}")
-        if event["start_frame"] > event["end_frame"]:
-            raise DataError("start_frame > end_frame")
-        text = event["formatted_text"]
-        if event["caption"] not in text:
-            raise DataError("formatted_text does not embed the caption")
-        if f"from {event['start_frame']} to {event['end_frame']}" not in text.lower():
-            raise DataError("formatted_text does not embed the frame indices")
-        for obj in event["objects"]:
-            np_field = obj.get("np", {})
-            if not np_field.get("text") or "span" not in np_field:
-                raise DataError("object missing np text/span")
-            traj = obj.get("trajectory", {})
-            matrix = TrajectoryMatrix.from_json(traj)  # re-validates cells
-            for row in matrix.coords:
-                for cell in row:
-                    if not cell_is_valid(cell):
-                        raise DataError(f"invalid trajectory cell {cell}")
+    for event_idx, event in enumerate(events):
+        try:
+            _check_event(event)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(
+                f"{record['video_id']} event {event_idx}: {type(exc).__name__}: {exc}"
+            ) from exc
+
+
+def _check_event(event: dict) -> None:
+    for key in ("caption", "start_frame", "end_frame", "formatted_text", "objects"):
+        if key not in event:
+            raise DataError(f"event missing {key}")
+    if event["start_frame"] > event["end_frame"]:
+        raise DataError("start_frame > end_frame")
+    text = event["formatted_text"]
+    if event["caption"] not in text:
+        raise DataError("formatted_text does not embed the caption")
+    if f"from {event['start_frame']} to {event['end_frame']}" not in text.lower():
+        raise DataError("formatted_text does not embed the frame indices")
+    for obj in event["objects"]:
+        np_field = obj.get("np", {})
+        if not np_field.get("text") or "span" not in np_field:
+            raise DataError("object missing np text/span")
+        TrajectoryMatrix.from_json(obj["trajectory"])

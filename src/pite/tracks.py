@@ -1,42 +1,59 @@
 """Point tracks, binary masks, and trajectory-matrix condensation.
 
-Dense per-frame point tracks come from an external tracker; a first-frame
-object mask selects the tracks belonging to one object.  Those tracks are
-condensed to at most P key points by k-means++ on their first-frame
-positions, then resampled onto an N-frame grid of normalized coordinates
-with (-1, -1) marking absent samples.
+Dense per-frame point tracks come from an external tracker and are held as
+one ``Tracks`` array pair: pixel positions (T, F, 2) and visibility (T, F).
+A first-frame object mask selects the tracks belonging to one object.  Those
+tracks are condensed to at most P key points by k-means++ on their
+first-frame positions, then resampled onto an N-frame grid of normalized
+coordinates with (-1, -1) marking absent samples.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-SENTINEL = (-1.0, -1.0)
+SENTINEL = -1.0  # both coordinates of an absent sample
 
 
-@dataclass(frozen=True)
-class PointTrack:
-    """One tracked scene point: per-frame pixel position plus visibility."""
+@dataclass(frozen=True, eq=False)
+class Tracks:
+    """T tracked scene points over F >= 1 frames: pixel positions plus visibility.
 
-    positions: tuple[tuple[float, float], ...]
-    visible: tuple[bool, ...]
+    ``xy`` is a (T, F, 2) float64 array of finite (x, y) positions and
+    ``vis`` a (T, F) bool array.  ``tracks[rows]`` selects rows (a slice,
+    an index array or a bool mask) and returns a ``Tracks``.
+    """
+
+    xy: np.ndarray
+    vis: np.ndarray
 
     def __post_init__(self):
-        if len(self.positions) == 0 or len(self.positions) != len(self.visible):
-            raise ValueError("positions and visible must have equal nonzero length")
+        xy = np.asarray(self.xy, dtype=float)
+        vis = np.asarray(self.vis, dtype=bool)
+        if xy.ndim != 3 or xy.shape[1] == 0 or xy.shape[2] != 2 or vis.shape != xy.shape[:2]:
+            raise ValueError(
+                f"tracks need xy of shape (T, F>=1, 2) and vis of shape (T, F), "
+                f"got {xy.shape} and {vis.shape}"
+            )
+        if not np.isfinite(xy).all():
+            raise ValueError("track positions must be finite")
+        object.__setattr__(self, "xy", xy)
+        object.__setattr__(self, "vis", vis)
 
     def __len__(self) -> int:
-        return len(self.positions)
+        return self.xy.shape[0]
 
     @property
-    def start(self) -> tuple[float, float]:
-        return self.positions[0]
+    def frames(self) -> int:
+        return self.xy.shape[1]
+
+    def __getitem__(self, rows) -> "Tracks":
+        return Tracks(self.xy[rows], self.vis[rows])
 
 
 @dataclass(frozen=True)
@@ -58,115 +75,76 @@ class Mask:
             )
 
     def to_array(self) -> np.ndarray:
-        flat = np.zeros(self.width * self.height, dtype=bool)
-        pos = 0
-        fg = False
-        for run in self.runs:
-            if fg:
-                flat[pos : pos + run] = True
-            pos += run
-            fg = not fg
-        return flat.reshape(self.height, self.width)
+        fg = np.arange(len(self.runs)) % 2 == 1
+        return np.repeat(fg, self.runs).reshape(self.height, self.width)
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Mask":
         arr = np.asarray(arr, dtype=bool)
         height, width = arr.shape
         flat = arr.reshape(-1)
-        runs: list[int] = []
-        fg = False
-        pos = 0
-        while pos < flat.size:
-            end = pos
-            while end < flat.size and flat[end] == fg:
-                end += 1
-            runs.append(end - pos)
-            pos = end
-            fg = not fg
-        if not runs:
-            runs = [width * height]
+        changes = np.flatnonzero(np.diff(flat)) + 1
+        runs = np.diff(np.concatenate(([0], changes, [flat.size]))).tolist()
+        if flat[:1].any():
+            runs.insert(0, 0)  # the first run is always background
         return cls(width=width, height=height, runs=tuple(runs))
 
     def area(self) -> int:
         """Foreground pixel count."""
         return sum(self.runs[1::2])
 
-    def contains(self, x: float, y: float) -> bool:
-        """Pixel-center containment: the point lies in a foreground pixel cell."""
-        px, py = math.floor(x), math.floor(y)
-        if not (0 <= px < self.width and 0 <= py < self.height):
-            return False
-        return bool(self.to_array()[py, px])
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryMatrix:
-    """P key points x N frames of coordinates in [0,1], or the (-1,-1) sentinel."""
+    """P key points x N frames: ``coords`` (P, N, 2) in [0,1], or the (-1,-1) sentinel."""
 
     points: int
     frames: int
-    coords: tuple[tuple[tuple[float, float], ...], ...]
+    coords: np.ndarray
 
     def __post_init__(self):
-        if len(self.coords) != self.points:
-            raise ValueError("coords row count != points")
-        for row in self.coords:
-            if len(row) != self.frames:
-                raise ValueError("coords column count != frames")
-            for cell in row:
-                if not cell_is_valid(cell):
-                    raise ValueError(f"invalid cell {cell}: must be in [0,1]^2 or (-1,-1)")
-
-    def to_array(self) -> np.ndarray:
-        return np.asarray(self.coords, dtype=float).reshape(self.points, self.frames, 2)
+        coords = np.asarray(self.coords, dtype=float)
+        if coords.shape != (self.points, self.frames, 2):
+            raise ValueError(
+                f"coords shape {coords.shape} != ({self.points}, {self.frames}, 2)"
+            )
+        inside = ((coords >= 0.0) & (coords <= 1.0)).all(axis=-1)
+        valid = inside | (coords == SENTINEL).all(axis=-1)
+        if not valid.all():
+            cell = tuple(coords[~valid][0].tolist())
+            raise ValueError(f"invalid cell {cell}: must be in [0,1]^2 or (-1,-1)")
+        object.__setattr__(self, "coords", coords)
 
     def to_json(self) -> dict:
-        return {
-            "points": self.points,
-            "frames": self.frames,
-            "coords": [[list(cell) for cell in row] for row in self.coords],
-        }
+        return {"points": self.points, "frames": self.frames, "coords": self.coords.tolist()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "TrajectoryMatrix":
         return cls(
-            points=obj["points"],
-            frames=obj["frames"],
-            coords=tuple(
-                tuple((float(c[0]), float(c[1])) for c in row) for row in obj["coords"]
-            ),
+            points=int(obj["points"]),
+            frames=int(obj["frames"]),
+            coords=np.array(obj["coords"], dtype=float),
         )
 
 
-def cell_is_valid(cell: Sequence[float]) -> bool:
-    x, y = cell
-    if (x, y) == SENTINEL:
-        return True
-    return 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0
+def filter_tracks_by_mask(tracks: Tracks, mask: Mask) -> Tracks:
+    """Keep exactly the tracks whose frame-0 position is visible and inside the mask.
 
-
-def filter_tracks_by_mask(tracks: Sequence[PointTrack], mask: Mask) -> list[PointTrack]:
-    """Keep exactly the tracks whose frame-0 position is visible and inside the mask."""
-    if not tracks:
-        return []
-    n_frames = len(tracks[0])
-    for track in tracks:
-        if len(track) != n_frames:
-            raise ValueError("tracks do not share one frame count")
-    fg = mask.to_array()
-    kept = []
-    for track in tracks:
-        if not track.visible[0]:
-            continue
-        x, y = track.start
-        px, py = math.floor(x), math.floor(y)
-        if not (0 <= px < mask.width and 0 <= py < mask.height):
-            raise ValueError(
-                f"visible track position ({x}, {y}) outside {mask.width}x{mask.height} mask"
-            )
-        if fg[py, px]:
-            kept.append(track)
-    return kept
+    A position (x, y) is inside when its pixel cell (floor x, floor y) is
+    foreground; a visible position outside the mask's pixel grid raises.
+    """
+    visible = tracks.vis[:, 0]
+    cells = np.floor(tracks.xy[visible, 0])
+    outside = ((cells < 0) | (cells >= (mask.width, mask.height))).any(axis=1)
+    if outside.any():
+        x, y = tracks.xy[visible, 0][outside][0].tolist()
+        raise ValueError(
+            f"visible track position ({x}, {y}) outside {mask.width}x{mask.height} mask"
+        )
+    px, py = cells.astype(np.intp).T
+    keep = visible.copy()
+    keep[visible] = mask.to_array()[py, px]
+    return tracks[keep]
 
 
 def kmeans_pp(
@@ -237,15 +215,10 @@ def _seed_centers(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 def _lloyd(
     pts: np.ndarray, centers: np.ndarray, max_iter: int, tol: float, debug: bool
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    k = centers.shape[0]
     prev_sse = np.inf
     assign = _assign(pts, centers)
     for _ in range(max_iter):
-        new_centers = centers.copy()
-        for j in range(k):
-            members = pts[assign == j]
-            if len(members):
-                new_centers[j] = members.mean(axis=0)
+        new_centers = _means(pts, assign, centers)
         move = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max()
         centers = new_centers
         assign = _assign(pts, centers)
@@ -315,83 +288,63 @@ def _sse(pts: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> float:
     return float(np.sum((pts - centers[assign]) ** 2))
 
 
-def condense(tracks: Sequence[PointTrack], P: int, seed: int = 0) -> list[PointTrack]:
+def condense(tracks: Tracks, P: int, seed: int = 0) -> Tracks:
     """Condense tracks to at most P key-point tracks.
 
     First-frame positions are clustered into min(P, distinct-position-count)
     clusters; each cluster is represented by its medoid track (the member
     whose frame-0 point is nearest the cluster center, ties broken by lowest
-    input index).  The result is ordered by frame-0 position (x, then y) so
-    output does not depend on input order beyond the tie-break.
+    input index).  The result is ordered by frame-0 position (x, then y;
+    equal positions keep cluster order) so output does not depend on input
+    order beyond the tie-break.
     """
-    if not tracks:
+    if not len(tracks):
         raise ValueError("condense requires at least one track")
     if P < 1:
         raise ValueError("P must be >= 1")
-    starts = np.asarray([t.start for t in tracks], dtype=float)
-    n_distinct = len({tuple(p) for p in starts.tolist()})
-    k = min(P, n_distinct)
+    starts = tracks.xy[:, 0]
+    k = min(P, len(np.unique(starts, axis=0)))
     centers, assign, _ = kmeans_pp(starts, k, seed=seed)
-    medoids: list[PointTrack] = []
+    medoids = []
     for j in range(k):
         member_idx = np.flatnonzero(assign == j)
         if member_idx.size == 0:
             continue
         d2 = np.sum((starts[member_idx] - centers[j]) ** 2, axis=1)
-        best = member_idx[int(np.argmin(d2))]  # argmin ties -> lowest index
-        medoids.append(tracks[best])
-    medoids.sort(key=lambda t: t.start)
-    return medoids
+        medoids.append(member_idx[int(np.argmin(d2))])  # argmin ties -> lowest index
+    rows = np.array(medoids, dtype=np.intp)
+    order = np.lexsort((starts[rows, 1], starts[rows, 0]))  # stable: x, then y
+    return tracks[rows[order]]
 
 
-def to_matrix(
-    keypoints: Sequence[PointTrack],
-    P: int,
-    N: int,
-    width: int,
-    height: int,
-    src_frames: int,
-) -> TrajectoryMatrix:
+def to_matrix(keypoints: Tracks, P: int, N: int, width: int, height: int) -> TrajectoryMatrix:
     """Resample key-point tracks onto a P x N grid of normalized coordinates.
 
-    Sample k reads source frame floor(k * src_frames / N).  Visible samples
-    become (x/width, y/height); invisible samples and rows past the keypoint
-    count are the (-1, -1) sentinel.
+    With F source frames, sample k reads source frame floor(k * F / N).
+    Visible samples become (x/width, y/height); invisible samples and rows
+    past the keypoint count are the (-1, -1) sentinel.
     """
     if len(keypoints) > P:
         raise ValueError("more keypoints than matrix rows")
-    if src_frames < 1 or N < 1:
-        raise ValueError("src_frames and N must be >= 1")
-    rows: list[tuple[tuple[float, float], ...]] = []
-    sample_idx = [min(src_frames - 1, (k * src_frames) // N) for k in range(N)]
-    for j in range(P):
-        if j >= len(keypoints):
-            rows.append(tuple(SENTINEL for _ in range(N)))
-            continue
-        track = keypoints[j]
-        row = []
-        for src in sample_idx:
-            if src < len(track) and track.visible[src]:
-                x, y = track.positions[src]
-                row.append((x / width, y / height))
-            else:
-                row.append(SENTINEL)
-        rows.append(tuple(row))
-    return TrajectoryMatrix(points=P, frames=N, coords=tuple(rows))
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    src = np.arange(N) * keypoints.frames // N
+    coords = np.full((P, N, 2), SENTINEL)
+    coords[: len(keypoints)] = np.where(
+        keypoints.vis[:, src, None], keypoints.xy[:, src] / (width, height), SENTINEL
+    )
+    return TrajectoryMatrix(points=P, frames=N, coords=coords)
 
 
 # --- file formats ----------------------------------------------------------
 
 
-def track_from_json(obj: dict) -> PointTrack:
-    return PointTrack(
-        positions=tuple((float(x), float(y)) for x, y in obj["xy"]),
-        visible=tuple(bool(v) for v in obj["vis"]),
-    )
-
-
-def track_to_json(track: PointTrack) -> dict:
-    return {"xy": [list(p) for p in track.positions], "vis": list(track.visible)}
+def _exact_array(rows: list, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """``rows`` as an array of exactly ``shape``; ragged or misshapen rows raise."""
+    arr = np.array(rows, dtype=dtype) if rows else np.zeros(shape, dtype=dtype)
+    if arr.shape != shape:
+        raise ValueError(f"tracks have shape {arr.shape}, expected {shape}")
+    return arr
 
 
 @dataclass
@@ -402,16 +355,27 @@ class ClipTracks:
     width: int
     height: int
     frames: int
-    tracks: list[PointTrack] = field(default_factory=list)
+    tracks: Tracks
 
     @classmethod
     def from_json(cls, obj: dict) -> "ClipTracks":
+        """Parse one clip; ValueError naming the clip on tracks that do not fit ``frames``."""
+        clip_id = str(obj["clip_id"])
+        frames = int(obj["frames"])
+        rows = obj["tracks"]
+        try:
+            tracks = Tracks(
+                xy=_exact_array([t["xy"] for t in rows], (len(rows), frames, 2), float),
+                vis=_exact_array([t["vis"] for t in rows], (len(rows), frames), bool),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"clip {clip_id}: {type(exc).__name__}: {exc}") from None
         return cls(
-            clip_id=str(obj["clip_id"]),
+            clip_id=clip_id,
             width=int(obj["width"]),
             height=int(obj["height"]),
-            frames=int(obj["frames"]),
-            tracks=[track_from_json(t) for t in obj["tracks"]],
+            frames=frames,
+            tracks=tracks,
         )
 
     def to_json(self) -> dict:
@@ -420,7 +384,10 @@ class ClipTracks:
             "width": self.width,
             "height": self.height,
             "frames": self.frames,
-            "tracks": [track_to_json(t) for t in self.tracks],
+            "tracks": [
+                {"xy": xy, "vis": vis}
+                for xy, vis in zip(self.tracks.xy.tolist(), self.tracks.vis.tolist())
+            ],
         }
 
 

@@ -9,7 +9,7 @@ Leaf spans are single token positions; internal spans cover their children.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -63,10 +63,6 @@ class ParseTree:
 class NounPhrase:
     text: str
     span: tuple[int, int]
-    valid: bool = True
-
-    def invalidate(self) -> "NounPhrase":
-        return replace(self, valid=False)
 
 
 _TOKEN = re.compile(r"\(|\)|[^()\s]+")
@@ -145,7 +141,7 @@ def extract_lowest_np(tree: ParseTree, tag: str = "NP") -> list[NounPhrase]:
 
     A lowest-layer NP is a node labeled exactly ``tag`` (leaves do not count)
     with no ``tag``-labeled constituent below it.  Results come back in
-    left-to-right span order, all marked valid.
+    left-to-right span order.
     """
 
     def has_np_below(node: ParseTree) -> bool:

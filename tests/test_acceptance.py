@@ -27,7 +27,7 @@ from pite.toymodel import (
     init_params,
     tile_init,
 )
-from pite.tracks import cell_is_valid, kmeans_pp
+from pite.tracks import kmeans_pp
 from pite.trainer import run_stage, synthetic_dataset
 from pite.trees import extract_lowest_np, parse_bracketed
 
@@ -223,8 +223,8 @@ def test_pipeline_end_to_end(toy_fixture_dir, tmp_path):
         for event in record["events"]:
             for obj in event["objects"]:
                 for row in obj["trajectory"]["coords"]:
-                    for cell in row:
-                        ok &= cell_is_valid(tuple(cell))
+                    for x, y in row:
+                        ok &= (x, y) == (-1.0, -1.0) or (0 <= x <= 1 and 0 <= y <= 1)
     manifest = [
         json.loads(line)
         for line in (toy_fixture_dir / "manifest.jsonl").read_text().splitlines()

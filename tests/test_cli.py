@@ -113,6 +113,22 @@ def test_condense_tracks_cli(capsys, toy_fixture_dir, tmp_path):
     assert len(matrix["coords"]) == 3
 
 
+def test_condense_tracks_rejects_bad_clip(capsys, tmp_path):
+    clip = {"clip_id": "vid_bad:0", "width": 8, "height": 8, "frames": 3,
+            "tracks": [{"xy": [[1.0, 1.0]] * 3, "vis": [True] * 3},
+                       {"xy": [[1.0, 1.0]] * 4, "vis": [True] * 4}]}
+    tracks_path = tmp_path / "clips.jsonl"
+    tracks_path.write_text(json.dumps(clip) + "\n")
+    code, _, err = run_cli(
+        capsys,
+        "condense-tracks",
+        "--tracks", str(tracks_path),
+        "--out", str(tmp_path / "out.jsonl"),
+    )
+    assert code == 2
+    assert "vid_bad:0" in err
+
+
 def test_train_toy_and_grad_check(capsys, tmp_path):
     cfg = TrainerConfig(d_v=4, d=8, vocab=12, points=2, frames=3, lr=1.0, steps=4, seed=2)
     data_path = tmp_path / "stage2.jsonl"

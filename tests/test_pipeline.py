@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +15,14 @@ from pite.pipeline import (
     VideoManifest,
     annotate_event,
     format_temporal,
+    load_event_masks,
+    np_from_slug,
     np_slug,
     run_pipeline,
     timestamp_to_frame,
     validate_record,
 )
-from pite.tracks import Mask, PointTrack
+from pite.tracks import Mask, Tracks, save_mask
 from pite.trees import parse_bracketed
 
 
@@ -62,6 +68,19 @@ def test_np_slug():
     assert np_slug(" two  people ") == "two_people"
 
 
+def test_np_slug_round_trips_through_mask_files(tmp_path):
+    phrases = ["t_shirt", "a/b", "50%", "a white table", "%5F_%2F/", "the 100 %_x/ y"]
+    assert np_slug("t_shirt") == "t%5Fshirt" and np_slug("a/b") == "a%2Fb"
+    event_dir = tmp_path / "v" / "ev0"
+    event_dir.mkdir(parents=True)
+    mask = Mask.from_array(np.ones((2, 2), dtype=bool))
+    for phrase in phrases:
+        assert "/" not in np_slug(phrase)
+        assert np_from_slug(np_slug(phrase)) == phrase
+        save_mask(mask, event_dir / f"{np_slug(phrase)}.json")
+    assert sorted(load_event_masks(tmp_path, "v", 0)) == sorted(phrases)
+
+
 # --- annotate_event -----------------------------------------------------------
 
 
@@ -70,12 +89,8 @@ def full_mask(width, height):
 
 
 def tracks_at(points, n_frames=10):
-    out = []
-    for x, y in points:
-        out.append(
-            PointTrack(positions=((x, y),) * n_frames, visible=(True,) * n_frames)
-        )
-    return out
+    xy = np.repeat(np.asarray(points, dtype=float)[:, None, :], n_frames, axis=1)
+    return Tracks(xy=xy, vis=np.ones(xy.shape[:2], dtype=bool))
 
 
 def event_config(**kw):
@@ -100,7 +115,6 @@ def test_annotate_event_drops_unmasked_phrase(fig3_trees):
         tracks_at([(2.0, 2.0), (9.0, 9.0), (14.0, 5.0)]),
         event_config(),
         duration=10.0,
-        src_frames=10,
         width=16,
         height=16,
     )
@@ -129,7 +143,6 @@ def test_annotate_event_drops_small_mask(fig3_trees):
         tracks_at([(2.0, 2.0), (9.0, 9.0)]),
         event_config(min_area_fraction=0.01),
         duration=10.0,
-        src_frames=10,
         width=16,
         height=16,
     )
@@ -150,7 +163,6 @@ def test_annotate_event_zero_surviving_nps():
         tracks_at([(2.0, 2.0)]),
         event_config(),
         duration=10.0,
-        src_frames=10,
         width=16,
         height=16,
     )
@@ -169,7 +181,6 @@ def test_annotate_event_mask_dimension_mismatch():
             tracks_at([(2.0, 2.0)]),
             event_config(),
             duration=10.0,
-            src_frames=10,
             width=16,
             height=16,
         )
@@ -187,7 +198,6 @@ def test_annotate_event_drops_trackless_object():
         tracks_at([(12.0, 2.0)]),  # starts outside the mask
         event_config(),
         duration=10.0,
-        src_frames=10,
         width=16,
         height=16,
     )
@@ -352,8 +362,8 @@ def test_pipeline_tree_caption_mismatch(toy_fixture_dir, tmp_path):
         )
 
 
-def test_validate_record_rejects_bad_matrix():
-    record = {
+def record_with_object(obj):
+    return {
         "video_id": "v",
         "events": [
             {
@@ -361,21 +371,56 @@ def test_validate_record_rejects_bad_matrix():
                 "start_frame": 0,
                 "end_frame": 1,
                 "formatted_text": "c, from 0 to 1",
-                "objects": [
-                    {
-                        "np": {"text": "c", "span": [0, 1]},
-                        "trajectory": {
-                            "points": 1,
-                            "frames": 1,
-                            "coords": [[[-1.0, 0.5]]],
-                        },
-                    }
-                ],
-            }
+                "objects": [],
+            },
+            {
+                "caption": "c",
+                "start_frame": 0,
+                "end_frame": 1,
+                "formatted_text": "c, from 0 to 1",
+                "objects": [{"np": {"text": "c", "span": [0, 1]}, **obj}],
+            },
         ],
     }
-    with pytest.raises((DataError, ValueError)):
+
+
+def matrix_json(coords):
+    return {"trajectory": {"points": len(coords), "frames": len(coords[0]), "coords": coords}}
+
+
+def test_validate_record_rejects_bad_matrix():
+    with pytest.raises(DataError, match="v event 1: ValueError: invalid cell"):
+        validate_record(record_with_object(matrix_json([[[-1.0, 0.5]]])))
+
+
+def test_validate_record_rejects_missing_trajectory():
+    with pytest.raises(DataError, match="v event 1: KeyError: 'trajectory'"):
+        validate_record(record_with_object({}))
+
+
+def test_validate_record_rejects_out_of_range_cell():
+    with pytest.raises(DataError, match=r"v event 1: .*invalid cell \(2.0, 0.5\)"):
+        validate_record(record_with_object(matrix_json([[[0.5, 0.5], [2.0, 0.5]]])))
+
+
+def test_validate_record_rejects_malformed_fields():
+    record = record_with_object(matrix_json([[[0.5, 0.5]]]))
+    record["events"][1]["objects"].append("not an object")
+    with pytest.raises(DataError, match="v event 1: AttributeError"):
         validate_record(record)
+    record["events"][0]["start_frame"] = "0"
+    with pytest.raises(DataError, match="v event 0: TypeError"):
+        validate_record(record)
+    with pytest.raises(DataError, match="video_id"):
+        validate_record([])
+
+
+def test_validate_record_rejects_misdeclared_shape():
+    obj = matrix_json([[[0.5, 0.5], [0.25, 0.5]]])
+    obj["trajectory"]["frames"] = 3
+    with pytest.raises(DataError, match="coords shape"):
+        validate_record(record_with_object(obj))
+    validate_record(record_with_object(matrix_json([[[0.5, 0.5], [-1.0, -1.0]]])))
 
 
 def test_validate_record_requires_template():
@@ -393,3 +438,18 @@ def test_validate_record_requires_template():
     }
     with pytest.raises(DataError, match="frame indices"):
         validate_record(record)
+
+
+def test_toy_fixture_script_reproduces_bundled_fixture(toy_fixture_dir, tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    subprocess.run(
+        [sys.executable, str(root / "scripts" / "make_toy_fixture.py"), "--out", str(tmp_path)],
+        check=True,
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+
+    def files(base):
+        return {p.relative_to(base): p.read_bytes() for p in base.rglob("*") if p.is_file()}
+
+    assert files(tmp_path) == files(toy_fixture_dir)

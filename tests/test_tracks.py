@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,9 +9,8 @@ from hypothesis import strategies as st
 from pite.tracks import (
     ClipTracks,
     Mask,
-    PointTrack,
     TrajectoryMatrix,
-    cell_is_valid,
+    Tracks,
     condense,
     filter_tracks_by_mask,
     kmeans_pp,
@@ -18,8 +18,23 @@ from pite.tracks import (
 )
 
 
-def static_track(x, y, n=4, visible=True):
-    return PointTrack(positions=((x, y),) * n, visible=(visible,) * n)
+def static_tracks(points, n=4, visible=True):
+    """One track per (x, y) point, standing still for n frames.
+
+    ``visible`` is one flag for every track or one flag per track.
+    """
+    xy = np.repeat(np.asarray(points, dtype=float).reshape(-1, 1, 2), n, axis=1)
+    vis = np.repeat(np.broadcast_to(visible, (len(xy),))[:, None], n, axis=1)
+    return Tracks(xy=xy, vis=vis)
+
+
+def rows_of(tracks):
+    """Track rows as (positions, visibility) lists, for equality checks."""
+    return list(zip(tracks.xy.tolist(), tracks.vis.tolist()))
+
+
+def starts_of(tracks):
+    return [tuple(p) for p in tracks.xy[:, 0].tolist()]
 
 
 def brute_force_sse(points: np.ndarray, k: int) -> float:
@@ -47,6 +62,12 @@ def test_mask_round_trip():
     assert sum(mask.runs) == 24
     assert np.array_equal(mask.to_array(), arr)
     assert mask.area() == 6
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        arr = rng.random((int(rng.integers(1, 6)), int(rng.integers(1, 6)))) < 0.5
+        mask = Mask.from_array(arr)
+        assert np.array_equal(mask.to_array(), arr)
+        assert all(run > 0 for run in mask.runs[1:])  # only the leading run may be 0
 
 
 def test_mask_run_validation():
@@ -54,14 +75,6 @@ def test_mask_run_validation():
         Mask(width=2, height=2, runs=(3,))
     with pytest.raises(ValueError):
         Mask(width=2, height=2, runs=(5, -1))
-
-
-def test_mask_contains_pixel_center():
-    mask = Mask.from_array(np.array([[False, True], [False, False]]))
-    assert mask.contains(1.5, 0.5)
-    assert mask.contains(1.0, 0.0)
-    assert not mask.contains(0.99, 0.5)
-    assert not mask.contains(5.0, 0.0)
 
 
 def test_empty_and_full_mask_encoding():
@@ -77,40 +90,84 @@ def test_empty_and_full_mask_encoding():
 
 def test_filter_full_mask_keeps_visible():
     full = Mask.from_array(np.ones((10, 10), dtype=bool))
-    tracks = [
-        static_track(1.0, 1.0),
-        static_track(2.0, 3.0, visible=False),
-        static_track(8.0, 8.0),
-    ]
+    tracks = static_tracks(
+        [(1.0, 1.0), (2.0, 3.0), (8.0, 8.0)], visible=[True, False, True]
+    )
     kept = filter_tracks_by_mask(tracks, full)
-    assert kept == [tracks[0], tracks[2]]
+    assert rows_of(kept) == [rows_of(tracks)[0], rows_of(tracks)[2]]
 
 
 def test_filter_empty_mask():
     empty = Mask.from_array(np.zeros((10, 10), dtype=bool))
-    assert filter_tracks_by_mask([static_track(1.0, 1.0)], empty) == []
+    kept = filter_tracks_by_mask(static_tracks([(1.0, 1.0)]), empty)
+    assert len(kept) == 0 and kept.frames == 4
 
 
 def test_filter_left_half_mask():
     arr = np.zeros((10, 10), dtype=bool)
     arr[:, :5] = True
     mask = Mask.from_array(arr)
-    tracks = [static_track(x, 5.0) for x in [1.0, 2.0, 4.0, 7.0, 9.0]]
+    tracks = static_tracks([(x, 5.0) for x in [1.0, 2.0, 4.0, 7.0, 9.0]])
     kept = filter_tracks_by_mask(tracks, mask)
-    assert [t.start[0] for t in kept] == [1.0, 2.0, 4.0]
+    assert [x for x, _ in starts_of(kept)] == [1.0, 2.0, 4.0]
+
+
+def test_filter_pixel_cell_boundaries():
+    # a point belongs to the pixel cell [floor x, floor x + 1) x [floor y, floor y + 1)
+    mask = Mask.from_array(np.array([[False, True], [False, False]]))
+    tracks = static_tracks([(1.5, 0.5), (1.0, 0.0), (0.99, 0.5), (1.99, 0.99)])
+    assert starts_of(filter_tracks_by_mask(tracks, mask)) == [
+        (1.5, 0.5),
+        (1.0, 0.0),
+        (1.99, 0.99),
+    ]
+    for x, y in [(5.0, 0.0), (2.0, 0.0), (-0.01, 0.0), (0.0, 2.0)]:
+        with pytest.raises(ValueError, match="outside 2x2 mask"):
+            filter_tracks_by_mask(static_tracks([(x, y)]), mask)
+    # an invisible start is never looked up, so it may lie off the grid
+    assert len(filter_tracks_by_mask(static_tracks([(5.0, 0.0)], visible=False), mask)) == 0
 
 
 def test_filter_dimension_mismatch():
     mask = Mask.from_array(np.ones((4, 4), dtype=bool))
     with pytest.raises(ValueError, match="outside"):
-        filter_tracks_by_mask([static_track(9.0, 1.0)], mask)
+        filter_tracks_by_mask(static_tracks([(9.0, 1.0)]), mask)
 
 
-def test_filter_ragged_tracks():
-    mask = Mask.from_array(np.ones((4, 4), dtype=bool))
-    tracks = [static_track(1, 1, n=3), static_track(1, 1, n=5)]
-    with pytest.raises(ValueError, match="frame count"):
-        filter_tracks_by_mask(tracks, mask)
+# --- loading --------------------------------------------------------------------
+
+
+def clip_json(tracks, frames=3):
+    return {"clip_id": "v:0", "width": 8, "height": 8, "frames": frames, "tracks": tracks}
+
+
+def walk(n, visible=True):
+    return {"xy": [[1.0, float(i)] for i in range(n)], "vis": [visible] * n}
+
+
+@pytest.mark.parametrize(
+    "tracks",
+    [
+        pytest.param([walk(3), walk(5)], id="ragged"),
+        pytest.param([walk(4), walk(4)], id="xy-and-vis-longer-than-frames"),
+        pytest.param([{"xy": walk(3)["xy"], "vis": [True] * 2}], id="vis-shorter"),
+        pytest.param([{"xy": walk(2)["xy"], "vis": [True] * 3}], id="xy-shorter"),
+        # six numbers that a reshape would silently read as three (x, y) points
+        pytest.param([{"xy": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], "vis": [True] * 3}], id="2x3"),
+        pytest.param([walk(3), {"xy": [[1.0, float("nan")]] * 3, "vis": [True] * 3}], id="nan"),
+        pytest.param([{"xy": [[float("inf"), 1.0]] * 3, "vis": [False] * 3}], id="inf"),
+        pytest.param([{"vis": [True] * 3}], id="no-xy"),
+        pytest.param([None], id="not-an-object"),
+    ],
+)
+def test_clip_tracks_rejects_tracks_that_do_not_fit(tracks):
+    with pytest.raises(ValueError, match="clip v:0"):
+        ClipTracks.from_json(clip_json(tracks))
+
+
+def test_clip_tracks_without_tracks():
+    clip = ClipTracks.from_json(clip_json([], frames=5))
+    assert clip.tracks.xy.shape == (0, 5, 2) and clip.tracks.vis.shape == (0, 5)
 
 
 # --- kmeans_pp ----------------------------------------------------------------
@@ -165,30 +222,31 @@ def test_kmeans_debug_monotone_sse():
 
 
 def test_condense_exact_p_distinct():
-    tracks = [static_track(0.0, 0.0), static_track(5.0, 5.0), static_track(9.0, 1.0)]
+    # output is ordered by frame-0 x, then y
+    tracks = static_tracks([(9.0, 1.0), (0.0, 5.0), (0.0, 0.0)])
     out = condense(tracks, P=3, seed=0)
-    assert sorted(t.start for t in out) == sorted(t.start for t in tracks)
+    assert starts_of(out) == [(0.0, 0.0), (0.0, 5.0), (9.0, 1.0)]
 
 
 def test_condense_single_track():
-    track = static_track(4.0, 4.0)
-    assert condense([track], P=3, seed=0) == [track]
+    track = static_tracks([(4.0, 4.0)])
+    assert rows_of(condense(track, P=3, seed=0)) == rows_of(track)
 
 
 def test_condense_three_blobs():
     rng = np.random.default_rng(11)
     blobs = [(5.0, 5.0), (50.0, 5.0), (25.0, 45.0)]
-    tracks = []
+    points = []
     for cx, cy in blobs:
         for _ in range(33):
             x, y = rng.normal([cx, cy], 0.5)
-            tracks.append(static_track(float(x), float(y)))
-    out = condense(tracks, P=3, seed=3)
+            points.append((float(x), float(y)))
+    out = condense(static_tracks(points), P=3, seed=3)
     assert len(out) == 3
     # each returned key point lies in a distinct blob
     homes = set()
-    for t in out:
-        dists = [np.hypot(t.start[0] - cx, t.start[1] - cy) for cx, cy in blobs]
+    for x, y in starts_of(out):
+        dists = [np.hypot(x - cx, y - cy) for cx, cy in blobs]
         home = int(np.argmin(dists))
         assert dists[home] < 3.0
         homes.add(home)
@@ -197,28 +255,29 @@ def test_condense_three_blobs():
 
 def test_condense_medoids_are_input_tracks():
     rng = np.random.default_rng(2)
-    tracks = [static_track(float(x), float(y)) for x, y in rng.random((20, 2)) * 10]
+    tracks = static_tracks(rng.random((20, 2)) * 10)
     out = condense(tracks, P=4, seed=9)
-    for t in out:
-        assert t in tracks
+    for row in rows_of(out):
+        assert row in rows_of(tracks)
+    assert starts_of(out) == sorted(starts_of(out))
 
 
 def test_condense_empty_error():
     with pytest.raises(ValueError):
-        condense([], P=3, seed=0)
+        condense(static_tracks(np.zeros((0, 2))), P=3, seed=0)
 
 
 def test_condense_permutation_stable_on_separated_blobs():
     rng = np.random.default_rng(21)
-    tracks = []
+    points = []
     for cx, cy in [(0.0, 0.0), (100.0, 0.0), (50.0, 100.0)]:
         for _ in range(10):
             x, y = rng.normal([cx, cy], 0.3)
-            tracks.append(static_track(float(x), float(y)))
-    base = {t.start for t in condense(tracks, P=3, seed=4)}
-    perm = list(tracks)
-    rng.shuffle(perm)
-    shuffled = {t.start for t in condense(perm, P=3, seed=4)}
+            points.append((float(x), float(y)))
+    tracks = static_tracks(points)
+    base = set(starts_of(condense(tracks, P=3, seed=4)))
+    perm = rng.permutation(len(tracks))
+    shuffled = set(starts_of(condense(tracks[perm], P=3, seed=4)))
     assert base == shuffled
 
 
@@ -226,43 +285,49 @@ def test_condense_permutation_stable_on_separated_blobs():
 
 
 def test_to_matrix_empty_keypoints():
-    matrix = to_matrix([], P=3, N=5, width=10, height=10, src_frames=4)
-    assert all(cell == (-1.0, -1.0) for row in matrix.coords for cell in row)
+    matrix = to_matrix(static_tracks(np.zeros((0, 2))), P=3, N=5, width=10, height=10)
+    assert np.all(matrix.coords == -1.0)
 
 
 def test_to_matrix_static_point():
-    track = static_track(5.0, 5.0, n=10)
-    matrix = to_matrix([track], P=2, N=10, width=10, height=10, src_frames=10)
-    assert all(cell == (0.5, 0.5) for cell in matrix.coords[0])
-    assert all(cell == (-1.0, -1.0) for cell in matrix.coords[1])
+    track = static_tracks([(5.0, 5.0)], n=10)
+    matrix = to_matrix(track, P=2, N=10, width=10, height=10)
+    assert all(cell == [0.5, 0.5] for cell in matrix.coords[0].tolist())
+    assert all(cell == [-1.0, -1.0] for cell in matrix.coords[1].tolist())
 
 
 def test_to_matrix_half_visible():
-    track = PointTrack(
-        positions=tuple((3.0, 4.0) for _ in range(100)),
-        visible=tuple(i < 50 for i in range(100)),
-    )
-    matrix = to_matrix([track], P=1, N=100, width=10, height=10, src_frames=100)
-    row = matrix.coords[0]
+    track = Tracks(xy=np.full((1, 100, 2), (3.0, 4.0)), vis=[[i < 50 for i in range(100)]])
+    matrix = to_matrix(track, P=1, N=100, width=10, height=10)
+    row = matrix.coords[0].tolist()
     # per-frame oracle: sample k reads source frame k here
     for k in range(100):
         if k < 50:
-            assert row[k] == (0.3, 0.4)
+            assert row[k] == [0.3, 0.4]
         else:
-            assert row[k] == (-1.0, -1.0)
+            assert row[k] == [-1.0, -1.0]
 
 
 def test_to_matrix_downsamples_by_floor():
-    positions = tuple((float(i), 0.0) for i in range(10))
-    track = PointTrack(positions=positions, visible=(True,) * 10)
-    matrix = to_matrix([track], P=1, N=5, width=10, height=10, src_frames=10)
-    xs = [cell[0] for cell in matrix.coords[0]]
+    track = Tracks(xy=[[(float(i), 0.0) for i in range(10)]], vis=np.ones((1, 10), dtype=bool))
+    matrix = to_matrix(track, P=1, N=5, width=10, height=10)
+    xs = matrix.coords[0, :, 0].tolist()
     assert xs == [0.0, 0.2, 0.4, 0.6, 0.8]
 
 
 def test_matrix_rejects_mixed_cells():
     with pytest.raises(ValueError, match="invalid cell"):
-        TrajectoryMatrix(points=1, frames=1, coords=(((-1.0, 0.5),),))
+        TrajectoryMatrix(points=1, frames=1, coords=np.array([[[-1.0, 0.5]]]))
+
+
+def test_matrix_json_checks_declared_shape():
+    obj = {"points": 1, "frames": 2, "coords": [[[0.5, 0.25], [-1.0, -1.0]]]}
+    assert TrajectoryMatrix.from_json(obj).to_json() == obj
+    for points, frames in [(2, 2), (1, 1), (2, 1)]:
+        with pytest.raises(ValueError, match="coords shape"):
+            TrajectoryMatrix.from_json({**obj, "points": points, "frames": frames})
+    with pytest.raises(ValueError):
+        TrajectoryMatrix.from_json({**obj, "coords": [[[0.5, 0.25], [-1.0]]]})
 
 
 # --- properties ------------------------------------------------------------------
@@ -277,23 +342,25 @@ coords = st.tuples(
 def random_tracks(draw):
     n_frames = draw(st.integers(1, 8))
     n_tracks = draw(st.integers(1, 6))
-    tracks = []
-    for _ in range(n_tracks):
-        positions = tuple(draw(coords) for _ in range(n_frames))
-        visible = tuple(draw(st.booleans()) for _ in range(n_frames))
-        tracks.append(PointTrack(positions=positions, visible=visible))
-    return tracks
+    xy = [[draw(coords) for _ in range(n_frames)] for _ in range(n_tracks)]
+    vis = [[draw(st.booleans()) for _ in range(n_frames)] for _ in range(n_tracks)]
+    return Tracks(xy=xy, vis=vis)
 
 
 @given(random_tracks(), st.integers(1, 4), st.integers(1, 6))
 @settings(max_examples=60, deadline=None)
 def test_sentinel_exclusivity_property(tracks, P, N):
     keep = tracks[: min(len(tracks), P)]
-    matrix = to_matrix(keep, P=P, N=N, width=64, height=48, src_frames=len(tracks[0]))
-    for row in matrix.coords:
-        for cell in row:
-            assert cell_is_valid(cell)
-            assert cell == (-1.0, -1.0) or (0 <= cell[0] <= 1 and 0 <= cell[1] <= 1)
+    matrix = to_matrix(keep, P=P, N=N, width=64, height=48)
+    for j, row in enumerate(matrix.coords.tolist()):
+        for k, (x, y) in enumerate(row):
+            assert (x, y) == (-1.0, -1.0) or (0 <= x <= 1 and 0 <= y <= 1)
+            # per-cell oracle: sample k reads source frame floor(k * F / N)
+            src = k * tracks.frames // N
+            if j < len(keep) and keep.vis[j, src]:
+                assert (x, y) == (keep.xy[j, src, 0] / 64, keep.xy[j, src, 1] / 48)
+            else:
+                assert (x, y) == (-1.0, -1.0)
 
 
 @given(random_tracks())
@@ -301,7 +368,20 @@ def test_sentinel_exclusivity_property(tracks, P, N):
 def test_full_mask_filter_is_visibility_filter(tracks):
     full = Mask.from_array(np.ones((48, 64), dtype=bool))
     kept = filter_tracks_by_mask(tracks, full)
-    assert kept == [t for t in tracks if t.visible[0]]
+    assert rows_of(kept) == [row for row in rows_of(tracks) if row[1][0]]
+
+
+@given(random_tracks(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_filter_matches_per_track_oracle(tracks, seed):
+    arr = np.random.default_rng(seed).random((48, 64)) < 0.5
+    kept = filter_tracks_by_mask(tracks, Mask.from_array(arr))
+    expected = [
+        (xy, vis)
+        for xy, vis in rows_of(tracks)
+        if vis[0] and arr[math.floor(xy[0][1]), math.floor(xy[0][0])]
+    ]
+    assert rows_of(kept) == expected
 
 
 def test_clip_tracks_json_round_trip():
@@ -310,6 +390,8 @@ def test_clip_tracks_json_round_trip():
         width=8,
         height=8,
         frames=3,
-        tracks=[static_track(1.0, 2.0, n=3)],
+        tracks=static_tracks([(1.0, 2.0)], n=3),
     )
-    assert ClipTracks.from_json(clip.to_json()) == clip
+    again = ClipTracks.from_json(clip.to_json())
+    assert again.to_json() == clip.to_json()
+    assert rows_of(again.tracks) == rows_of(clip.tracks)

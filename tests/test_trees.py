@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pite.trees import (
-    NounPhrase,
     ParseError,
     ParseTree,
     extract_lowest_np,
@@ -43,7 +42,6 @@ def test_fig3a_lowest_nps(fig3_trees):
     nps = extract_lowest_np(parse_bracketed(fig3_trees[0]))
     assert [np_.text for np_ in nps] == ["woman", "money", "a pen", "a white table"]
     # the enclosing "a pen on a white table" NP is excluded
-    assert all(np_.valid for np_ in nps)
     assert [np_.span for np_ in nps] == [(0, 1), (3, 4), (5, 7), (8, 11)]
 
 
@@ -178,9 +176,3 @@ def test_extraction_idempotent_on_np_subtree(src):
             inner = extract_lowest_np(node)
             assert len(inner) == 1
             assert inner[0].text == node.text()
-
-
-def test_invalidate_flag():
-    np_ = NounPhrase(text="front", span=(4, 5))
-    assert np_.valid
-    assert not np_.invalidate().valid
