@@ -112,7 +112,7 @@ def test_filter_left_half_mask():
     assert [x for x, _ in starts_of(kept)] == [1.0, 2.0, 4.0]
 
 
-def test_filter_pixel_cell_boundaries():
+def test_mask_contains_pixel_center():
     # a point belongs to the pixel cell [floor x, floor x + 1) x [floor y, floor y + 1)
     mask = Mask.from_array(np.array([[False, True], [False, False]]))
     tracks = static_tracks([(1.5, 0.5), (1.0, 0.0), (0.99, 0.5), (1.99, 0.99)])
@@ -126,6 +126,16 @@ def test_filter_pixel_cell_boundaries():
             filter_tracks_by_mask(static_tracks([(x, y)]), mask)
     # an invisible start is never looked up, so it may lie off the grid
     assert len(filter_tracks_by_mask(static_tracks([(5.0, 0.0)], visible=False), mask)) == 0
+
+
+def test_filter_ragged_tracks():
+    # the filter takes a Tracks, and a Tracks cannot hold tracks of different frame counts
+    with pytest.raises(ValueError, match=r"got \(1, 3, 2\) and \(1, 5\)"):
+        Tracks(xy=np.zeros((1, 3, 2)), vis=np.ones((1, 5), dtype=bool))
+    with pytest.raises(ValueError, match="shape"):
+        Tracks(xy=np.zeros((2, 3, 3)), vis=np.ones((2, 3), dtype=bool))
+    with pytest.raises(ValueError, match="finite"):
+        Tracks(xy=np.full((1, 3, 2), np.nan), vis=np.ones((1, 3), dtype=bool))
 
 
 def test_filter_dimension_mismatch():
