@@ -135,9 +135,13 @@ def cmd_condense_tracks(args) -> int:
         if args.masks:
             mask_path = Path(args.masks) / f"{clip.clip_id}.json"
             if mask_path.is_file():
-                selected = tracks.filter_tracks_by_mask(
-                    clip.tracks, tracks.load_mask(mask_path)
-                )
+                mask = tracks.load_mask(mask_path)
+                if (mask.width, mask.height) != (clip.width, clip.height):
+                    raise pipeline.DataError(
+                        f"{clip.clip_id}: mask {mask_path} is {mask.width}x{mask.height}, "
+                        f"clip is {clip.width}x{clip.height}"
+                    )
+                selected = tracks.filter_tracks_by_mask(clip.tracks, mask)
         if len(selected):
             selected = tracks.condense(
                 selected,

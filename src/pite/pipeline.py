@@ -60,7 +60,6 @@ class VideoManifest:
     duration: float
     width: int
     height: int
-    src_frames: int
     events: tuple[ManifestEvent, ...]
 
     def __post_init__(self):
@@ -82,7 +81,6 @@ class VideoManifest:
             duration=float(obj["duration"]),
             width=int(obj["width"]),
             height=int(obj["height"]),
-            src_frames=int(obj["src_frames"]),
             events=tuple(
                 ManifestEvent(caption=str(e["caption"]), start=float(e["start"]), end=float(e["end"]))
                 for e in obj["events"]
@@ -316,8 +314,10 @@ def run_pipeline(
 ) -> dict:
     """Annotate every video in the manifest; returns summary counts.
 
-    Writes one JSON record per video (JSONL, manifest order).  Per-video
-    failures are logged and the video skipped, unless ``strict``.
+    Writes one JSON record per video (JSONL, manifest order); each record
+    passes ``validate_record`` before it is written.  Per-video failures,
+    invalid records included, are logged and the video skipped, unless
+    ``strict``.
     """
     config = config or PipelineConfig()
     videos = load_manifest(manifest_path)
@@ -349,7 +349,9 @@ def run_pipeline(
     records = []
     for video, future in zip(videos, futures):
         try:
-            records.append(future.result())
+            record = future.result()
+            validate_record(record)
+            records.append(record)
         except Exception as exc:  # noqa: BLE001 - per-video isolation
             if strict:
                 raise

@@ -19,6 +19,11 @@ import numpy as np
 
 SENTINEL = -1.0  # both coordinates of an absent sample
 
+# kmeans_pp: seeded restarts, Lloyd iteration cap, center-movement tolerance
+RESTARTS = 10
+MAX_ITER = 100
+TOL = 1e-6
+
 
 @dataclass(frozen=True, eq=False)
 class Tracks:
@@ -151,12 +156,16 @@ def kmeans_pp(
     points: Sequence[tuple[float, float]],
     k: int,
     seed: int = 0,
-    restarts: int = 10,
-    max_iter: int = 100,
-    tol: float = 1e-6,
     debug: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """k-means with D^2 seeding, Lloyd iterations, and best-of-restarts by SSE.
+    """k-means with D^2 seeding, Lloyd iterations and single-point moves; best of restarts.
+
+    Each of ``RESTARTS`` runs seeds k centers by D^2 sampling and runs Lloyd
+    iterations (at most ``MAX_ITER``, stopping once no center moves by
+    ``TOL`` or more).  From that fixed point it alternates a single-point
+    reassignment sweep (``_reassign_pass``) with Lloyd iterations, for at
+    most 50 rounds, while the sweep moves a point and the SSE falls.  The
+    run with the lowest SSE wins; ties keep the earliest run.
 
     Returns (centers (k,2), assignments (n,), sse).  Deterministic for a given
     seed.  Raises ValueError when k exceeds the number of points.  With
@@ -173,9 +182,9 @@ def kmeans_pp(
 
     rng = np.random.default_rng(seed)
     best: tuple[np.ndarray, np.ndarray, float] | None = None
-    for _ in range(max(1, restarts)):
+    for _ in range(RESTARTS):
         centers = _seed_centers(pts, k, rng)
-        centers, assign, sse = _lloyd(pts, centers, max_iter, tol, debug)
+        centers, assign, sse = _lloyd(pts, centers, MAX_ITER, TOL, debug)
         # Lloyd fixed points are not always optima even on tiny inputs;
         # single-point reassignment passes are a strict descent beyond them
         for _round in range(50):
@@ -183,7 +192,7 @@ def kmeans_pp(
             if not moved:
                 break
             centers = _means(pts, assign, centers)
-            centers, assign, new_sse = _lloyd(pts, centers, max_iter, tol, debug)
+            centers, assign, new_sse = _lloyd(pts, centers, MAX_ITER, TOL, debug)
             if new_sse >= sse:
                 break
             sse = new_sse
@@ -246,41 +255,55 @@ def _means(pts: np.ndarray, assign: np.ndarray, fallback: np.ndarray) -> np.ndar
 
 
 def _reassign_pass(pts: np.ndarray, assign: np.ndarray, k: int) -> tuple[np.ndarray, bool]:
-    """One sweep of single-point moves that strictly reduce the SSE.
+    """One Hartigan-Wong sweep of single-point moves, each strictly reducing the SSE.
 
-    Moving x from cluster A (size na, mean ma) to B changes the SSE by
-    nb/(nb+1)*|x-mb|^2 - na/(na-1)*|x-ma|^2; empty targets cost nothing.
+    Points are visited in index order.  Moving x from cluster A (size na,
+    mean ma) to B != A changes the SSE by nb/(nb+1)*|x-mb|^2 - na/(na-1)*|x-ma|^2;
+    an empty target costs nothing and a point alone in its cluster stays.
+    A point moves to the target with the lowest change (lowest index on ties)
+    when that change is below -1e-12, and the move updates the cluster sums
+    before the next point is visited.
+
+    Every point before the first mover sees the clusters unchanged, so each
+    step scores all points still to visit against the current clusters at
+    once, applies the move of the first point that improves and resumes
+    after it.  The moves, their order and the arithmetic are those of a
+    point-by-point sweep.
     """
     assign = assign.copy()
     counts = np.bincount(assign, minlength=k).astype(float)
     sums = np.zeros((k, pts.shape[1]))
     np.add.at(sums, assign, pts)
     moved = False
-    for i in range(len(pts)):
-        a = assign[i]
-        if counts[a] <= 1:
-            continue
-        mean_a = sums[a] / counts[a]
-        gain = counts[a] / (counts[a] - 1) * float(np.sum((pts[i] - mean_a) ** 2))
-        best_delta, best_b = -1e-12, -1
-        for b in range(k):
-            if b == a:
-                continue
-            if counts[b] == 0:
-                cost = 0.0
-            else:
-                mean_b = sums[b] / counts[b]
-                cost = counts[b] / (counts[b] + 1) * float(np.sum((pts[i] - mean_b) ** 2))
-            delta = cost - gain
-            if delta < best_delta:
-                best_delta, best_b = delta, b
-        if best_b >= 0:
-            sums[a] -= pts[i]
-            counts[a] -= 1
-            sums[best_b] += pts[i]
-            counts[best_b] += 1
-            assign[i] = best_b
-            moved = True
+    start = 0
+    while start < len(pts):
+        rest, own = pts[start:], assign[start:]
+        rows = np.arange(len(rest))
+        # a singleton never moves, so an empty cluster stays empty with sums 0
+        means = sums / np.maximum(counts, 1)[:, None]
+        sq = np.sum((rest[:, None, :] - means[None]) ** 2, axis=2)
+        cost = counts / (counts + 1) * sq  # 0 for an empty target
+        own_count = counts[own]
+        movable = own_count > 1
+        gain = np.zeros(len(rest))
+        gain[movable] = (
+            own_count[movable] / (own_count[movable] - 1) * sq[rows[movable], own[movable]]
+        )
+        delta = cost - gain[:, None]
+        delta[rows, own] = np.inf
+        delta[~movable] = np.inf
+        movers = np.flatnonzero(delta.min(axis=1) < -1e-12)
+        if not movers.size:
+            break
+        row = movers[0]
+        i, a, b = start + row, own[row], int(np.argmin(delta[row]))
+        sums[a] -= pts[i]
+        counts[a] -= 1
+        sums[b] += pts[i]
+        counts[b] += 1
+        assign[i] = b
+        moved = True
+        start = i + 1
     return assign, moved
 
 
@@ -291,12 +314,13 @@ def _sse(pts: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> float:
 def condense(tracks: Tracks, P: int, seed: int = 0) -> Tracks:
     """Condense tracks to at most P key-point tracks.
 
-    First-frame positions are clustered into min(P, distinct-position-count)
-    clusters; each cluster is represented by its medoid track (the member
-    whose frame-0 point is nearest the cluster center, ties broken by lowest
-    input index).  The result is ordered by frame-0 position (x, then y;
-    equal positions keep cluster order) so output does not depend on input
-    order beyond the tie-break.
+    First-frame positions are clustered by ``kmeans_pp(starts, k, seed)``
+    with k = min(P, number of distinct first-frame positions); each nonempty
+    cluster is represented by its medoid track (the member whose frame-0
+    point is nearest the cluster center, ties broken by lowest input index).
+    The result is ordered by frame-0 position (x, then y; equal positions
+    keep cluster order) so output does not depend on input order beyond the
+    tie-break.
     """
     if not len(tracks):
         raise ValueError("condense requires at least one track")

@@ -136,9 +136,7 @@ def test_kmeans_within_one_percent_of_optimum():
     for trial in range(100):
         n = int(rng.integers(3, 9))
         points = rng.random((n, 2)) * 100
-        _, _, sse = kmeans_pp(
-            [tuple(p) for p in points], k=3, seed=trial, restarts=10
-        )
+        _, _, sse = kmeans_pp([tuple(p) for p in points], k=3, seed=trial)
         ok &= sse <= optimal_sse(points, 3) * 1.01 + 1e-9
     report("k-means++ within 1% of exhaustive optimum on 100 instances", ok, started, 60.0)
 

@@ -4,6 +4,7 @@ import pytest
 
 from pite.cli import main
 from pite.toymodel import TrainerConfig
+from pite.tracks import Mask, save_mask
 from pite.trainer import load_params, synthetic_dataset, save_samples
 
 
@@ -127,6 +128,23 @@ def test_condense_tracks_rejects_bad_clip(capsys, tmp_path):
     )
     assert code == 2
     assert "vid_bad:0" in err
+
+
+def test_condense_tracks_rejects_mask_of_another_size(capsys, toy_fixture_dir, tmp_path):
+    masks = tmp_path / "masks"
+    masks.mkdir()
+    save_mask(Mask(width=100, height=100, runs=(0, 100 * 100)), masks / "vid_dog:0.json")
+    code, _, err = run_cli(
+        capsys,
+        "condense-tracks",
+        "--tracks", str(toy_fixture_dir / "tracks" / "vid_dog.jsonl"),
+        "--masks", str(masks),
+        "--out", str(tmp_path / "out.jsonl"),
+    )
+    assert code == 2
+    assert "vid_dog:0" in err
+    assert "is 100x100, clip is 32x32" in err
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 def test_train_toy_and_grad_check(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -7,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pite import pipeline
+from pite.cli import main
 from pite.pipeline import (
     DataError,
     ManifestEvent,
@@ -46,11 +49,11 @@ def test_format_temporal():
 
 def test_manifest_validation():
     with pytest.raises(DataError, match="duration"):
-        VideoManifest("v", 0.0, 8, 8, 10, ())
+        VideoManifest("v", 0.0, 8, 8, ())
     with pytest.raises(DataError, match="outside"):
-        VideoManifest("v", 5.0, 8, 8, 10, (ManifestEvent("c", 2.0, 7.0),))
+        VideoManifest("v", 5.0, 8, 8, (ManifestEvent("c", 2.0, 7.0),))
     with pytest.raises(DataError, match="caption"):
-        VideoManifest("v", 5.0, 8, 8, 10, (ManifestEvent("", 1.0, 2.0),))
+        VideoManifest("v", 5.0, 8, 8, (ManifestEvent("", 1.0, 2.0),))
 
 
 def test_small_object_policy():
@@ -300,6 +303,19 @@ def test_pipeline_order_independent(toy_fixture_dir, tmp_path):
     assert sorted(out1.read_text().splitlines()) == sorted(out2.read_text().splitlines())
 
 
+def test_pipeline_ignores_manifest_src_frames(toy_fixture_dir, tmp_path):
+    # the source frame count of each clip comes from its track file
+    lines = (toy_fixture_dir / "manifest.jsonl").read_text().splitlines()
+    stripped = [json.loads(line) for line in lines]
+    assert all(video.pop("src_frames") for video in stripped)
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(json.dumps(video) + "\n" for video in stripped))
+    out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    run_pipeline(*fixture_args(toy_fixture_dir, out1), strict=True)
+    run_pipeline(manifest, *fixture_args(toy_fixture_dir, out2)[1:], strict=True)
+    assert out1.read_bytes() == out2.read_bytes()
+
+
 def test_pipeline_empty_manifest(tmp_path):
     manifest = tmp_path / "manifest.jsonl"
     manifest.write_text("")
@@ -331,6 +347,45 @@ def test_pipeline_skips_broken_video_unless_strict(toy_fixture_dir, tmp_path, ca
     assert summary["videos"] == 2  # broken video skipped
     with pytest.raises(DataError, match="missing track file"):
         run_pipeline(*args, strict=True)
+
+
+def test_pipeline_validates_records_before_writing(
+    toy_fixture_dir, tmp_path, monkeypatch, caplog, capsys
+):
+    annotate_video = pipeline.annotate_video
+
+    def bad_dog(video, *args):
+        record = annotate_video(video, *args)
+        if video.video_id == "vid_dog":
+            record["events"][0]["objects"][0]["trajectory"]["coords"][0][0] = [1.5, 0.5]
+        return record
+
+    monkeypatch.setattr(pipeline, "annotate_video", bad_dog)
+    out = tmp_path / "out.jsonl"
+    with caplog.at_level(logging.ERROR, logger="pite.pipeline"):
+        summary = run_pipeline(*fixture_args(toy_fixture_dir, out))
+    assert summary == {"videos": 1, "events": 2, "trajectories": 6}
+    assert [json.loads(line)["video_id"] for line in out.read_text().splitlines()] == [
+        "vid_money"
+    ]
+    assert "skipping video vid_dog" in caplog.text
+    assert "invalid cell (1.5, 0.5)" in caplog.text
+
+    with pytest.raises(DataError, match=r"vid_dog event 0: .*invalid cell"):
+        run_pipeline(*fixture_args(toy_fixture_dir, out), strict=True)
+    code = main(
+        [
+            "build-dataset",
+            "--manifest", str(toy_fixture_dir / "manifest.jsonl"),
+            "--trees", str(toy_fixture_dir / "trees.txt"),
+            "--masks", str(toy_fixture_dir / "masks"),
+            "--tracks", str(toy_fixture_dir / "tracks"),
+            "--out", str(out),
+            "--strict",
+        ]
+    )
+    assert code == 2
+    assert "vid_dog event 0" in capsys.readouterr().err
 
 
 def test_pipeline_tree_count_mismatch(toy_fixture_dir, tmp_path):

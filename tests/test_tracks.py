@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pite import tracks as tracks_module
 from pite.tracks import (
     ClipTracks,
     Mask,
     TrajectoryMatrix,
     Tracks,
+    _reassign_pass,
     condense,
     filter_tracks_by_mask,
     kmeans_pp,
@@ -50,6 +52,69 @@ def brute_force_sse(points: np.ndarray, k: int) -> float:
                 sse += float(np.sum((members - center) ** 2))
         best = min(best, sse)
     return best
+
+
+def serial_reassign_pass(pts: np.ndarray, assign: np.ndarray, k: int):
+    """Reference: the point-by-point Hartigan-Wong sweep that ``_reassign_pass`` replays."""
+    assign = assign.copy()
+    counts = np.bincount(assign, minlength=k).astype(float)
+    sums = np.zeros((k, pts.shape[1]))
+    np.add.at(sums, assign, pts)
+    moved = False
+    for i in range(len(pts)):
+        a = assign[i]
+        if counts[a] <= 1:
+            continue
+        mean_a = sums[a] / counts[a]
+        gain = counts[a] / (counts[a] - 1) * float(np.sum((pts[i] - mean_a) ** 2))
+        best_delta, best_b = -1e-12, -1
+        for b in range(k):
+            if b == a:
+                continue
+            if counts[b] == 0:
+                cost = 0.0
+            else:
+                mean_b = sums[b] / counts[b]
+                cost = counts[b] / (counts[b] + 1) * float(np.sum((pts[i] - mean_b) ** 2))
+            delta = cost - gain
+            if delta < best_delta:
+                best_delta, best_b = delta, b
+        if best_b >= 0:
+            sums[a] -= pts[i]
+            counts[a] -= 1
+            sums[best_b] += pts[i]
+            counts[best_b] += 1
+            assign[i] = best_b
+            moved = True
+    return assign, moved
+
+
+def sweep_case(rng: np.random.Generator, case: int):
+    """Points, k and a start assignment for sweep oracle case ``case``.
+
+    Cycles through Gaussian points, small integer grids (many ties and
+    duplicate points) and all-equal points, and through uniform starts,
+    starts with the last cluster empty and starts of singletons around one
+    big cluster.
+    """
+    n = int(rng.integers(1, 61))
+    k = int(rng.integers(1, 9))
+    kind, start = case % 3, case // 3 % 3
+    if kind == 0:
+        pts = rng.normal(size=(n, 2)) * rng.uniform(0.1, 10.0)
+    elif kind == 1:
+        pts = rng.integers(0, int(rng.integers(2, 5)), size=(n, 2)) * rng.choice([0.1, 1.0, 3.0])
+    else:
+        pts = np.repeat(rng.normal(size=(1, 2)), n, axis=0)
+    if start == 0:
+        assign = rng.integers(0, k, size=n)
+    elif start == 1:
+        assign = rng.integers(0, max(1, k - 1), size=n)
+    else:
+        assign = np.zeros(n, dtype=np.intp)
+        singles = rng.permutation(n)[: k - 1]
+        assign[singles] = np.arange(1, len(singles) + 1)
+    return pts.astype(float), k, assign
 
 
 # --- masks ------------------------------------------------------------------
@@ -217,7 +282,7 @@ def test_kmeans_within_one_percent_of_bruteforce():
     for trial in range(20):
         n = int(rng.integers(3, 9))
         pts = rng.random((n, 2)) * 10
-        _, _, sse = kmeans_pp([tuple(p) for p in pts], k=3, seed=trial, restarts=10)
+        _, _, sse = kmeans_pp([tuple(p) for p in pts], k=3, seed=trial)
         optimum = brute_force_sse(pts, 3)
         assert sse <= optimum * 1.01 + 1e-9
 
@@ -226,6 +291,46 @@ def test_kmeans_debug_monotone_sse():
     rng = np.random.default_rng(7)
     pts = [tuple(p) for p in rng.random((30, 2))]
     kmeans_pp(pts, k=4, seed=0, debug=True)  # asserts internally
+
+
+def test_reassign_pass_matches_serial_sweep():
+    rng = np.random.default_rng(2026)
+    moves = 0
+    for case in range(900):
+        pts, k, start = sweep_case(rng, case)
+        assign, moved = _reassign_pass(pts, start, k)
+        want_assign, want_moved = serial_reassign_pass(pts, start, k)
+        assert np.array_equal(assign, want_assign), case
+        assert moved == want_moved, case
+        moves += int(np.sum(assign != start))
+    assert moves > 900  # the cases exercise many moves, not just fixed points
+
+
+def test_reassign_pass_applies_first_improving_move():
+    # Point 0 improves by joining cluster 0 (delta -2/3), which stops point 4,
+    # the point that would improve most (delta -2), from joining cluster 1.
+    # A sweep that applied the best move first would move point 4 instead.
+    pts = np.array([[2.0, 0.0], [5.0, 0.0], [0.0, 0.0], [3.0, 0.0], [2.0, 0.0]])
+    start = np.array([1, 0, 1, 0, 0])
+    assign, moved = _reassign_pass(pts, start, 2)
+    assert moved
+    assert assign.tolist() == [0, 0, 1, 0, 0]
+    assert assign.tolist() == serial_reassign_pass(pts, start, 2)[0].tolist()
+
+
+def test_kmeans_matches_serial_sweep(monkeypatch):
+    rng = np.random.default_rng(77)
+    cases = []
+    for case in range(150):
+        pts, k, _ = sweep_case(rng, case)
+        cases.append((pts, min(k, len(pts)), case))
+    got = [kmeans_pp([tuple(p) for p in pts], k, seed=seed) for pts, k, seed in cases]
+    monkeypatch.setattr(tracks_module, "_reassign_pass", serial_reassign_pass)
+    for (pts, k, seed), (centers, assign, sse) in zip(cases, got):
+        want_centers, want_assign, want_sse = kmeans_pp([tuple(p) for p in pts], k, seed=seed)
+        assert np.array_equal(centers, want_centers), seed
+        assert np.array_equal(assign, want_assign), seed
+        assert sse == want_sse, seed
 
 
 # --- condense -----------------------------------------------------------------
