@@ -7,6 +7,7 @@ Library surface:
     toymodel   surrogate alignment model, packed-batch loss and gradient pass
     trainer    staged gradient-descent training and data plumbing
     metrics    temporal grounding and dense captioning scores
+    jsonl      JSON-lines reading and the DataError input-error type
     cli        the `pite` command
 """
 
@@ -23,7 +24,6 @@ from .metrics import (
 from .pipeline import (
     EventAnnotation,
     PipelineConfig,
-    SmallObjectPolicy,
     VideoManifest,
     annotate_event,
     format_temporal,

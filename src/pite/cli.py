@@ -17,6 +17,7 @@ import tempfile
 from pathlib import Path
 
 from . import metrics, pipeline, tracks, trainer, trees, toymodel
+from .jsonl import DataError, read_jsonl
 
 log = logging.getLogger("pite")
 
@@ -137,7 +138,7 @@ def cmd_condense_tracks(args) -> int:
             if mask_path.is_file():
                 mask = tracks.load_mask(mask_path)
                 if (mask.width, mask.height) != (clip.width, clip.height):
-                    raise pipeline.DataError(
+                    raise DataError(
                         f"{clip.clip_id}: mask {mask_path} is {mask.width}x{mask.height}, "
                         f"clip is {clip.width}x{clip.height}"
                     )
@@ -192,7 +193,7 @@ def _load_trainer_config(path: str | None, seed: int | None) -> toymodel.Trainer
 
 def cmd_train_toy(args) -> int:
     cfg = _load_trainer_config(args.config, args.seed)
-    data = trainer.load_samples(args.data)
+    data = trainer.load_samples(args.data, cfg)
     if args.params_in:
         params = trainer.load_params(args.params_in)
     else:
@@ -246,30 +247,38 @@ def cmd_grad_check(args) -> int:
     return 0 if ok else 2
 
 
-def _load_eval_events(path: str) -> dict[str, list[dict]]:
-    videos: dict[str, list[dict]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            videos[str(record["video_id"])] = record["events"]
-    return videos
+def _paired_events(pred_path: str, gt_path: str) -> list[tuple[str, list, list | None]]:
+    """(video id, ground-truth events, predicted events or None) in video id order.
+
+    Logs one line counting the ground-truth videos with no prediction.
+    """
+    video = lambda record: (str(record["video_id"]), record["events"])
+    preds = dict(read_jsonl(pred_path, video))
+    gts = dict(read_jsonl(gt_path, video))
+    missing = len(gts.keys() - preds.keys())
+    if missing:
+        log.warning(
+            "%d of %d videos have no prediction; their events score as misses",
+            missing,
+            len(gts),
+        )
+    return [(video_id, gts[video_id], preds.get(video_id)) for video_id in sorted(gts)]
 
 
 def cmd_eval_grounding(args) -> int:
-    preds = _load_eval_events(args.pred)
-    gts = _load_eval_events(args.gt)
     pred_segments, gt_segments = [], []
-    for video_id, gt_events in sorted(gts.items()):
-        pred_events = preds.get(video_id)
-        if pred_events is None or len(pred_events) != len(gt_events):
-            raise pipeline.DataError(
-                f"{video_id}: predictions do not align with ground truth events"
+    for video_id, gt_events, pred_events in _paired_events(args.pred, args.gt):
+        if pred_events is None:
+            pred_events = [None] * len(gt_events)
+        elif len(pred_events) != len(gt_events):
+            raise DataError(
+                f"{video_id}: {len(pred_events)} predicted events for "
+                f"{len(gt_events)} ground truth events"
             )
         for p, g in zip(pred_events, gt_events):
-            pred_segments.append(metrics.TimeSegment(float(p["start"]), float(p["end"])))
+            pred_segments.append(
+                None if p is None else metrics.TimeSegment(float(p["start"]), float(p["end"]))
+            )
             gt_segments.append(metrics.TimeSegment(float(g["start"]), float(g["end"])))
     scores = metrics.grounding_scores(pred_segments, gt_segments)
     result = {f"R@{m}": 100.0 * v for m, v in scores["r_at"].items()}
@@ -289,13 +298,12 @@ def _captioned(events: list[dict]) -> list[metrics.CaptionedEvent]:
 
 
 def cmd_eval_dense(args) -> int:
-    preds = _load_eval_events(args.pred)
-    gts = _load_eval_events(args.gt)
-    corpus = [[str(e["caption"])] for events in gts.values() for e in events]
+    videos = _paired_events(args.pred, args.gt)
+    corpus = [[str(e["caption"])] for _, gt_events, _ in videos for e in gt_events]
     idf = metrics.build_idf(corpus)
 
     def cider_metric(cand: str, ref: str) -> float:
-        return metrics.cider(cand, [ref], corpus, idf=idf)
+        return metrics.cider(cand, [ref], idf)
 
     if args.scorer == "cider":
         soda_scorer = lambda cand, ref: cider_metric(cand, ref) / 10.0
@@ -303,9 +311,9 @@ def cmd_eval_dense(args) -> int:
         soda_scorer = metrics.meteor_lite
 
     soda_vals, cider_vals, meteor_vals = [], [], []
-    for video_id, gt_events in sorted(gts.items()):
+    for _, gt_events, pred_events in videos:
         gt_cap = _captioned(gt_events)
-        pred_cap = _captioned(preds.get(video_id, []))
+        pred_cap = _captioned(pred_events or [])
         soda_vals.append(metrics.soda_c(pred_cap, gt_cap, scorer=soda_scorer))
         cider_vals.append(
             metrics.iou_bucketed_caption_scores(pred_cap, gt_cap, metric=cider_metric)
@@ -404,14 +412,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"usage error: {exc}\n")
         parser.print_usage(sys.stderr)
         return 1
-    except (
-        pipeline.DataError,
-        trees.ParseError,
-        ValueError,
-        KeyError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -1,0 +1,35 @@
+"""JSON-lines input and the error type for unusable input data.
+
+Every JSONL file the toolkit reads (manifests, track clips, training
+samples, evaluation records) goes through ``read_jsonl``, so a bad record
+is reported the same way everywhere: ``<path>:<line>: <Type>: <message>``.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Callable, Iterator, TypeVar
+
+T = TypeVar("T")
+
+
+class DataError(ValueError):
+    """Unusable input data (missing files, mismatched dimensions, bad schema)."""
+
+
+def read_jsonl(path: str | Path, parse: Callable[[object], T]) -> Iterator[T]:
+    """Yield ``parse(record)`` for each non-blank line of ``path``.
+
+    A line that is not JSON, or whose record ``parse`` rejects, raises
+    DataError naming the file and the 1-based line number.
+    """
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, 1):
+            if not line.strip():
+                continue
+            try:
+                item = parse(json.loads(line))
+            except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{path}:{lineno}: {type(exc).__name__}: {exc}") from exc
+            yield item

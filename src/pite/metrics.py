@@ -14,6 +14,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+GROUNDING_THRESHOLDS = (0.3, 0.5, 0.7)  # Recall@1 IoU thresholds
+CAPTION_IOU_THRESHOLDS = (0.3, 0.5, 0.7, 0.9)  # iou_bucketed_caption_scores
+CIDER_MAX_N = 4  # CIDEr n-gram orders 1..4
+
 
 @dataclass(frozen=True)
 class TimeSegment:
@@ -56,18 +60,19 @@ def temporal_iou(a: TimeSegment, b: TimeSegment) -> float:
 
 
 def grounding_scores(
-    preds: Sequence[TimeSegment],
-    gts: Sequence[TimeSegment],
-    thresholds: Sequence[float] = (0.3, 0.5, 0.7),
+    preds: Sequence[TimeSegment | None], gts: Sequence[TimeSegment]
 ) -> dict:
-    """Recall@1 at each IoU threshold plus mean IoU over index-aligned pairs."""
+    """Recall@1 at each of ``GROUNDING_THRESHOLDS`` plus mean IoU over index-aligned pairs.
+
+    A ``None`` prediction is a miss: its IoU is 0.
+    """
     if len(preds) != len(gts):
         raise ValueError(f"{len(preds)} predictions vs {len(gts)} ground truths")
     if not gts:
-        return {"r_at": {m: 0.0 for m in thresholds}, "miou": 0.0}
-    ious = [temporal_iou(p, g) for p, g in zip(preds, gts)]
+        return {"r_at": {m: 0.0 for m in GROUNDING_THRESHOLDS}, "miou": 0.0}
+    ious = [0.0 if p is None else temporal_iou(p, g) for p, g in zip(preds, gts)]
     return {
-        "r_at": {m: sum(v >= m for v in ious) / len(ious) for m in thresholds},
+        "r_at": {m: sum(v >= m for v in ious) / len(ious) for m in GROUNDING_THRESHOLDS},
         "miou": sum(ious) / len(ious),
     }
 
@@ -93,13 +98,13 @@ def _cosine(a: Counter, b: Counter) -> float:
     return dot / (na * nb)
 
 
-def build_idf(corpus: Sequence[Sequence[str]], max_n: int = 4) -> dict[int, dict]:
+def build_idf(corpus: Sequence[Sequence[str]]) -> dict[int, dict]:
     """Per-n IDF over reference sets: idf(g) = log(|corpus| / df(g)), df clipped to 1."""
     n_docs = len(corpus)
     if n_docs == 0:
         raise ValueError("corpus must be nonempty")
-    idf: dict[int, dict] = {n: {} for n in range(1, max_n + 1)}
-    for n in range(1, max_n + 1):
+    idf: dict[int, dict] = {}
+    for n in range(1, CIDER_MAX_N + 1):
         df: Counter = Counter()
         for refs in corpus:
             seen = set()
@@ -110,31 +115,23 @@ def build_idf(corpus: Sequence[Sequence[str]], max_n: int = 4) -> dict[int, dict
     return idf
 
 
-def cider(
-    candidate: str,
-    refs: Sequence[str],
-    corpus: Sequence[Sequence[str]],
-    max_n: int = 4,
-    idf: dict[int, dict] | None = None,
-) -> float:
-    """TF-IDF n-gram consensus (n=1..max_n), averaged over refs and n, scaled by 10.
+def cider(candidate: str, refs: Sequence[str], idf: Mapping[int, Mapping]) -> float:
+    """TF-IDF n-gram consensus (n=1..CIDER_MAX_N), averaged over refs and n, scaled by 10.
 
-    ``corpus`` is the list of reference sets supplying document frequencies;
-    pass a precomputed ``idf`` (from build_idf) to amortize it across calls.
+    ``idf`` is ``build_idf`` of the reference sets supplying document
+    frequencies.
     """
     cand_tokens = tokenize(candidate)
     if not cand_tokens or not refs:
         return 0.0
-    if idf is None:
-        idf = build_idf(corpus, max_n)
     total = 0.0
-    for n in range(1, max_n + 1):
+    for n in range(1, CIDER_MAX_N + 1):
         cand_vec = _tfidf_vector(cand_tokens, n, idf[n])
         sims = [
             _cosine(cand_vec, _tfidf_vector(tokenize(ref), n, idf[n])) for ref in refs
         ]
         total += sum(sims) / len(sims)
-    return 10.0 * total / max_n
+    return 10.0 * total / CIDER_MAX_N
 
 
 # --- METEOR (exact-match variant) ---------------------------------------------
@@ -229,19 +226,18 @@ def iou_bucketed_caption_scores(
     preds: Sequence[CaptionedEvent],
     gts: Sequence[CaptionedEvent],
     metric: Callable[[str, str], float],
-    thresholds: Sequence[float] = (0.3, 0.5, 0.7, 0.9),
 ) -> float:
     """Average caption score over IoU-thresholded greedy matchings.
 
-    Per threshold, each ground truth (in order) is matched to the unmatched
-    prediction with the highest IoU >= threshold (prediction ties by lowest
-    index); unmatched ground truths score 0.  The per-threshold means are
-    averaged.
+    Per threshold of ``CAPTION_IOU_THRESHOLDS``, each ground truth (in
+    order) is matched to the unmatched prediction with the highest
+    IoU >= threshold (prediction ties by lowest index); unmatched ground
+    truths score 0.  The per-threshold means are averaged.
     """
     if not gts:
         return 0.0
     per_threshold = []
-    for threshold in thresholds:
+    for threshold in CAPTION_IOU_THRESHOLDS:
         used: set[int] = set()
         total = 0.0
         for gt in gts:

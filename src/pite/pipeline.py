@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .jsonl import DataError, read_jsonl
 from .tracks import (
     Mask,
     Tracks,
@@ -41,10 +42,6 @@ from .tracks import (
 from .trees import ParseTree, extract_lowest_np, parse_bracketed
 
 log = logging.getLogger("pite.pipeline")
-
-
-class DataError(ValueError):
-    """Unusable input data (missing files, mismatched dimensions, bad schema)."""
 
 
 @dataclass(frozen=True)
@@ -88,31 +85,25 @@ class VideoManifest:
         )
 
 
-@dataclass(frozen=True)
-class SmallObjectPolicy:
-    """Objects whose mask covers less than this fraction of the frame are dropped."""
-
-    min_area_fraction: float = 0.0005
-
-    def __post_init__(self):
-        if not 0 <= self.min_area_fraction < 1:
-            raise ValueError("min_area_fraction must be in [0, 1)")
-
-    def keep(self, mask: Mask) -> bool:
-        return mask.area() >= self.min_area_fraction * mask.width * mask.height
-
-
 @dataclass
 class PipelineConfig:
+    """Pipeline options; an out-of-range value raises ValueError at construction."""
+
     frames: int = 100  # N
     points: int = 3  # P
-    min_area_fraction: float = 0.0005
+    min_area_fraction: float = 0.0005  # masks covering a smaller share of the frame are dropped
     seed: int = 0
     jobs: int = 1
 
-    @property
-    def policy(self) -> SmallObjectPolicy:
-        return SmallObjectPolicy(self.min_area_fraction)
+    def __post_init__(self):
+        if self.frames < 1:
+            raise ValueError(f"frames must be >= 1, got {self.frames}")
+        if self.points < 1:
+            raise ValueError(f"points must be >= 1, got {self.points}")
+        if not 0 <= self.min_area_fraction < 1:
+            raise ValueError(
+                f"min_area_fraction must be in [0, 1), got {self.min_area_fraction}"
+            )
 
 
 @dataclass
@@ -192,10 +183,10 @@ def annotate_event(
 
     ``masks`` maps NP surface text to its first-frame mask; a missing entry
     means the phrase was rejected as an invalid referring expression.
-    Phrases whose mask fails the small-object policy, or with no track
-    starting inside the mask, carry no trajectory and are dropped.
+    Phrases whose mask covers less than ``config.min_area_fraction`` of the
+    frame, or with no track starting inside the mask, carry no trajectory
+    and are dropped.
     """
-    policy = config.policy
     start_frame = timestamp_to_frame(event.start, duration, config.frames)
     end_frame = timestamp_to_frame(event.end, duration, config.frames)
     annotation = EventAnnotation(
@@ -214,7 +205,7 @@ def annotate_event(
                 f"{clip_id}: mask for {phrase.text!r} is {mask.width}x{mask.height}, "
                 f"clip is {width}x{height}"
             )
-        if not policy.keep(mask):
+        if mask.area() < config.min_area_fraction * width * height:
             log.debug("%s: mask for %r below area threshold", clip_id, phrase.text)
             continue
         selected = filter_tracks_by_mask(tracks, mask)
@@ -235,13 +226,7 @@ def annotate_event(
 
 
 def load_manifest(path: str | Path) -> list[VideoManifest]:
-    videos = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                videos.append(VideoManifest.from_json(json.loads(line)))
-    return videos
+    return list(read_jsonl(path, VideoManifest.from_json))
 
 
 def load_event_masks(masks_dir: Path, video_id: str, event_idx: int) -> dict[str, Mask]:

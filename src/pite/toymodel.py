@@ -37,8 +37,6 @@ ARRAY_NAMES = (
     "traj_b",
 )
 
-FROZEN_ALWAYS = ("backbone_w", "backbone_b")
-
 TRAINABLE_BY_STAGE = {
     1: ("adapter", "embeddings", "vocab_map", "loc_w", "loc_b"),
     2: ("embeddings", "vocab_map", "traj_w", "traj_b"),

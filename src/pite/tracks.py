@@ -17,6 +17,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .jsonl import read_jsonl
+
 SENTINEL = -1.0  # both coordinates of an absent sample
 
 # kmeans_pp: seeded restarts, Lloyd iteration cap, center-movement tolerance
@@ -184,7 +186,7 @@ def kmeans_pp(
     best: tuple[np.ndarray, np.ndarray, float] | None = None
     for _ in range(RESTARTS):
         centers = _seed_centers(pts, k, rng)
-        centers, assign, sse = _lloyd(pts, centers, MAX_ITER, TOL, debug)
+        centers, assign, sse = _lloyd(pts, centers, debug)
         # Lloyd fixed points are not always optima even on tiny inputs;
         # single-point reassignment passes are a strict descent beyond them
         for _round in range(50):
@@ -192,7 +194,7 @@ def kmeans_pp(
             if not moved:
                 break
             centers = _means(pts, assign, centers)
-            centers, assign, new_sse = _lloyd(pts, centers, MAX_ITER, TOL, debug)
+            centers, assign, new_sse = _lloyd(pts, centers, debug)
             if new_sse >= sse:
                 break
             sse = new_sse
@@ -222,11 +224,11 @@ def _seed_centers(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 
 
 def _lloyd(
-    pts: np.ndarray, centers: np.ndarray, max_iter: int, tol: float, debug: bool
+    pts: np.ndarray, centers: np.ndarray, debug: bool
 ) -> tuple[np.ndarray, np.ndarray, float]:
     prev_sse = np.inf
     assign = _assign(pts, centers)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         new_centers = _means(pts, assign, centers)
         move = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max()
         centers = new_centers
@@ -235,7 +237,7 @@ def _lloyd(
             sse = _sse(pts, centers, assign)
             assert sse <= prev_sse + 1e-9 * max(1.0, prev_sse if np.isfinite(prev_sse) else 1.0)
             prev_sse = sse
-        if move < tol:
+        if move < TOL:
             break
     return centers, assign, _sse(pts, centers, assign)
 
@@ -246,11 +248,20 @@ def _assign(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def _means(pts: np.ndarray, assign: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """Cluster means; an empty cluster keeps its ``fallback`` row.
+
+    ``bincount`` adds each cluster's members in index order and divides
+    once, so each row equals ``mean(axis=0)`` over the members bit for bit.
+    """
+    k = fallback.shape[0]
+    counts = np.bincount(assign, minlength=k)
+    sums = np.stack(
+        [np.bincount(assign, weights=pts[:, d], minlength=k) for d in range(pts.shape[1])],
+        axis=1,
+    )
     centers = fallback.copy()
-    for j in range(fallback.shape[0]):
-        members = pts[assign == j]
-        if len(members):
-            centers[j] = members.mean(axis=0)
+    filled = counts > 0
+    centers[filled] = sums[filled] / counts[filled, None]
     return centers
 
 
@@ -373,12 +384,11 @@ def _exact_array(rows: list, shape: tuple[int, ...], dtype) -> np.ndarray:
 
 @dataclass
 class ClipTracks:
-    """One tracked clip: dimensions, frame count, and its point tracks."""
+    """One tracked clip: dimensions and its point tracks."""
 
     clip_id: str
     width: int
     height: int
-    frames: int
     tracks: Tracks
 
     @classmethod
@@ -398,30 +408,13 @@ class ClipTracks:
             clip_id=clip_id,
             width=int(obj["width"]),
             height=int(obj["height"]),
-            frames=frames,
             tracks=tracks,
         )
 
-    def to_json(self) -> dict:
-        return {
-            "clip_id": self.clip_id,
-            "width": self.width,
-            "height": self.height,
-            "frames": self.frames,
-            "tracks": [
-                {"xy": xy, "vis": vis}
-                for xy, vis in zip(self.tracks.xy.tolist(), self.tracks.vis.tolist())
-            ],
-        }
-
 
 def iter_clip_tracks(path: str | Path) -> Iterator[ClipTracks]:
-    """Read a JSONL track file, one clip per line."""
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield ClipTracks.from_json(json.loads(line))
+    """Read a JSONL track file, one clip per line; a bad clip raises DataError."""
+    yield from read_jsonl(path, ClipTracks.from_json)
 
 
 def load_mask(path: str | Path) -> Mask:

@@ -30,6 +30,12 @@ from .toymodel import (
     stage_loss,
     tile_init,
 )
+from .jsonl import read_jsonl
+
+# synthetic_dataset: share of absent trajectory cells and of supervised tokens
+SENTINEL_RATE = 0.25
+SUPERVISED_RATE = 0.8
+RECORD_FRAMES = 4  # visual feature rows synthesized per samples_from_records sample
 
 
 def train(
@@ -82,8 +88,6 @@ def synthetic_dataset(
     seed: int,
     length: int = 6,
     n_frames: int = 4,
-    sentinel_rate: float = 0.25,
-    supervised_rate: float = 0.8,
     distinct_tokens: bool = False,
 ) -> list[TrainingSample]:
     """Seeded samples matching the stage's target schema.
@@ -101,7 +105,7 @@ def synthetic_dataset(
     teacher = rng.normal(size=(2, cfg.d_v))
     loc_drift = rng.uniform(-0.1, 0.1, size=(length, 2))
     traj_drift = rng.uniform(-0.15, 0.15, size=(P, N, 2))
-    sentinel_mask = rng.random((P, N)) < sentinel_rate
+    sentinel_mask = rng.random((P, N)) < SENTINEL_RATE
     out = []
     for _ in range(n_samples):
         frames = rng.normal(size=(n_frames, cfg.d_v))
@@ -109,7 +113,7 @@ def synthetic_dataset(
             tokens = rng.permutation(cfg.vocab)[:length]
         else:
             tokens = rng.integers(0, cfg.vocab, size=length)
-        supervised = rng.random(length) < supervised_rate
+        supervised = rng.random(length) < SUPERVISED_RATE
         if stage in (1, 2) and not supervised.any():
             supervised[int(rng.integers(length))] = True
         base = 1.0 / (1.0 + np.exp(-teacher @ frames.mean(axis=0)))
@@ -144,9 +148,7 @@ def stable_token_id(word: str, vocab: int) -> int:
     return zlib.crc32(word.encode("utf-8")) % vocab
 
 
-def samples_from_records(
-    records: Iterable[dict], cfg: TrainerConfig, n_frames: int = 4
-) -> list[TrainingSample]:
+def samples_from_records(records: Iterable[dict], cfg: TrainerConfig) -> list[TrainingSample]:
     """Build stage-2 samples from annotation pipeline output records.
 
     Tokens hash the formatted text; tokens inside a noun phrase span carry
@@ -177,7 +179,7 @@ def samples_from_records(
                     traj_targets[t] = matrix
             samples.append(
                 TrainingSample(
-                    frames=rng.normal(size=(n_frames, cfg.d_v)),
+                    frames=rng.normal(size=(RECORD_FRAMES, cfg.d_v)),
                     tokens=tokens,
                     supervised=supervised,
                     traj_targets=traj_targets,
@@ -190,66 +192,54 @@ def samples_from_records(
 
 
 def sample_to_json(sample: TrainingSample) -> dict:
+    """JSON form; target rows of unsupervised tokens are written as null."""
     obj = {
         "frames": sample.frames.tolist(),
         "tokens": sample.tokens.tolist(),
         "supervised": [bool(b) for b in sample.supervised],
     }
-    if sample.loc_targets is not None:
-        obj["loc_targets"] = [
-            row.tolist() if sup else None
-            for row, sup in zip(sample.loc_targets, sample.supervised)
-        ]
-    if sample.traj_targets is not None:
-        obj["traj_targets"] = [
-            row.tolist() if sup else None
-            for row, sup in zip(sample.traj_targets, sample.supervised)
-        ]
+    for name in ("loc_targets", "traj_targets"):
+        targets = getattr(sample, name)
+        if targets is not None:
+            obj[name] = [
+                row.tolist() if sup else None for row, sup in zip(targets, sample.supervised)
+            ]
     return obj
 
 
-def sample_from_json(obj: dict) -> TrainingSample:
-    tokens = obj["tokens"]
+def sample_from_json(obj: dict, cfg: TrainerConfig) -> TrainingSample:
+    """Inverse of ``sample_to_json``: null target rows become zeros of ``cfg``'s geometry.
+
+    Raises ValueError when the rows do not align with the tokens, a row's
+    presence disagrees with its token's supervision, or a present row has
+    another shape.
+    """
     supervised = [bool(b) for b in obj["supervised"]]
-    loc_targets = None
-    traj_targets = None
-    if "loc_targets" in obj:
-        rows = obj["loc_targets"]
-        _check_target_presence(rows, supervised, "loc_targets")
-        loc_targets = np.array([r if r is not None else [0.0, 0.0] for r in rows])
-    if "traj_targets" in obj:
-        rows = obj["traj_targets"]
-        _check_target_presence(rows, supervised, "traj_targets")
-        shaped = [np.asarray(r, dtype=float) for r in rows if r is not None]
-        shape = shaped[0].shape
-        traj_targets = np.array(
-            [np.asarray(r, dtype=float) if r is not None else np.zeros(shape) for r in rows]
-        )
+    targets = {}
+    for name, shape in (("loc_targets", (2,)), ("traj_targets", (cfg.points, cfg.frames, 2))):
+        if name not in obj:
+            continue
+        if len(obj[name]) != len(supervised):
+            raise ValueError(f"{len(obj[name])} {name} rows for {len(supervised)} tokens")
+        rows = []
+        for row, sup in zip(obj[name], supervised):
+            if row is not None and not sup:
+                raise ValueError(f"{name} present for an unsupervised token")
+            if row is None and sup:
+                raise ValueError(f"supervised token missing its {name} entry")
+            arr = np.zeros(shape) if row is None else np.asarray(row, dtype=float)
+            if arr.shape != shape:
+                raise ValueError(f"{name} row has shape {arr.shape}, expected {shape}")
+            rows.append(arr)
+        targets[name] = np.array(rows)
     return TrainingSample(
-        frames=obj["frames"],
-        tokens=tokens,
-        supervised=supervised,
-        loc_targets=loc_targets,
-        traj_targets=traj_targets,
+        frames=obj["frames"], tokens=obj["tokens"], supervised=supervised, **targets
     )
 
 
-def _check_target_presence(rows, supervised, what):
-    for row, sup in zip(rows, supervised):
-        if row is not None and not sup:
-            raise ValueError(f"{what} present for an unsupervised token")
-        if row is None and sup:
-            raise ValueError(f"supervised token missing its {what} entry")
-
-
-def load_samples(path: str | Path) -> list[TrainingSample]:
-    samples = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                samples.append(sample_from_json(json.loads(line)))
-    return samples
+def load_samples(path: str | Path, cfg: TrainerConfig) -> list[TrainingSample]:
+    """Read a samples file written by ``save_samples``; a bad line raises DataError."""
+    return list(read_jsonl(path, lambda obj: sample_from_json(obj, cfg)))
 
 
 def save_samples(samples: Sequence[TrainingSample], path: str | Path) -> None:

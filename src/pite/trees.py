@@ -136,23 +136,23 @@ def iter_trees(lines: Iterable[str]) -> Iterator[ParseTree]:
             yield parse_bracketed(line)
 
 
-def extract_lowest_np(tree: ParseTree, tag: str = "NP") -> list[NounPhrase]:
+def extract_lowest_np(tree: ParseTree) -> list[NounPhrase]:
     """Return the lowest-layer noun phrases of ``tree``.
 
-    A lowest-layer NP is a node labeled exactly ``tag`` (leaves do not count)
-    with no ``tag``-labeled constituent below it.  Results come back in
+    A lowest-layer NP is a node labeled exactly ``NP`` (leaves do not count)
+    with no ``NP``-labeled constituent below it.  Results come back in
     left-to-right span order.
     """
 
     def has_np_below(node: ParseTree) -> bool:
         return any(
-            child.label == tag and not child.is_leaf() or has_np_below(child)
+            child.label == "NP" and not child.is_leaf() or has_np_below(child)
             for child in node.children
         )
 
     out: list[NounPhrase] = []
     for node in tree.iter_nodes():
-        if node.is_leaf() or node.label != tag:
+        if node.is_leaf() or node.label != "NP":
             continue
         if has_np_below(node):
             continue

@@ -14,6 +14,7 @@ from pite.cli import main as cli_main
 from pite.metrics import (
     CaptionedEvent,
     TimeSegment,
+    build_idf,
     cider,
     grounding_scores,
     soda_c,
@@ -173,7 +174,7 @@ def test_metric_oracles():
     ok &= abs(soda_c(events, events, scorer=lambda a, b: 1.0) - 1.0) < 1e-9
 
     corpus = [["a big dog runs past"], ["two people shake hands firmly"]]
-    ok &= abs(cider("a big dog runs past", ["a big dog runs past"], corpus) - 10.0) < 1e-9
+    ok &= abs(cider("a big dog runs past", ["a big dog runs past"], build_idf(corpus)) - 10.0) < 1e-9
 
     rng = np.random.default_rng(31)
     words = ["red", "dog", "runs", "cat", "sits"]

@@ -1,11 +1,12 @@
 import json
+import logging
 
 import pytest
 
 from pite.cli import main
 from pite.toymodel import TrainerConfig
 from pite.tracks import Mask, save_mask
-from pite.trainer import load_params, synthetic_dataset, save_samples
+from pite.trainer import load_params, samples_from_records, synthetic_dataset, save_samples
 
 
 def run_cli(capsys, *argv):
@@ -147,6 +148,111 @@ def test_condense_tracks_rejects_mask_of_another_size(capsys, toy_fixture_dir, t
     assert not (tmp_path / "out.jsonl").exists()
 
 
+def toy_build_args(toy_fixture_dir, out, manifest=None):
+    return [
+        "build-dataset",
+        "--manifest", str(manifest or toy_fixture_dir / "manifest.jsonl"),
+        "--trees", str(toy_fixture_dir / "trees.txt"),
+        "--masks", str(toy_fixture_dir / "masks"),
+        "--tracks", str(toy_fixture_dir / "tracks"),
+        "--out", str(out),
+    ]
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--min-area", "1.5", "min_area_fraction"), ("--points", "0", "points"), ("--frames", "0", "frames")],
+)
+def test_build_dataset_rejects_out_of_range_option(capsys, toy_fixture_dir, tmp_path, flag, value, field):
+    out = tmp_path / "out.jsonl"
+    code, _, err = run_cli(capsys, *toy_build_args(toy_fixture_dir, out), flag, value)
+    assert code == 2
+    assert field in err
+    assert not out.exists()
+
+
+def test_train_toy_on_sample_without_supervised_token(capsys, tmp_path):
+    cfg = TrainerConfig(d_v=4, d=8, vocab=12, points=2, frames=3, lr=1.0, steps=3, seed=2)
+    coords = [[[0.5, 0.5]] * cfg.frames] * cfg.points
+    records = [
+        {
+            "video_id": "v",
+            "events": [
+                {
+                    "formatted_text": "a dog runs, from 0 to 2",
+                    "objects": [
+                        {"np": {"text": "a dog", "span": [0, 2]}, "trajectory": {"coords": coords}}
+                    ],
+                },
+                # no kept object: every traj_targets row is written as null
+                {"formatted_text": "a ghost, from 1 to 2", "objects": []},
+            ],
+        }
+    ]
+    data_path = tmp_path / "stage2.jsonl"
+    save_samples(samples_from_records(records, cfg), data_path)
+    assert json.loads(data_path.read_text().splitlines()[1])["traj_targets"] == [None] * 6
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(cfg.to_json()))
+    code, out, err = run_cli(
+        capsys,
+        "train-toy", "--stage", "2", "--data", str(data_path),
+        "--config", str(config_path), "--out", str(tmp_path / "params.json"),
+    )
+    assert code == 0, err
+    assert json.loads(out)["stage"] == 2
+
+
+def with_bad_line(src, dst, lineno, line):
+    lines = src.read_text().splitlines()
+    lines[lineno - 1] = line
+    dst.write_text("\n".join(lines) + "\n")
+
+
+def test_bad_jsonl_line_names_file_and_line(capsys, toy_fixture_dir, tmp_path):
+    # manifest: a blank line first, so the record without "duration" is on line 3
+    manifest = tmp_path / "manifest.jsonl"
+    lines = (toy_fixture_dir / "manifest.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    del record["duration"]
+    manifest.write_text("\n".join(["", lines[0], json.dumps(record)]) + "\n")
+    code, _, err = run_cli(
+        capsys, *toy_build_args(toy_fixture_dir, tmp_path / "out.jsonl", manifest)
+    )
+    assert code == 2
+    assert f"{manifest}:3: KeyError: 'duration'" in err
+
+    tracks = tmp_path / "vid_money.jsonl"
+    with_bad_line(toy_fixture_dir / "tracks" / "vid_money.jsonl", tracks, 2, "{not json")
+    code, _, err = run_cli(
+        capsys, "condense-tracks", "--tracks", str(tracks), "--out", str(tmp_path / "c.jsonl")
+    )
+    assert code == 2
+    assert f"{tracks}:2: JSONDecodeError" in err
+
+    cfg = TrainerConfig(d_v=4, d=8, vocab=12, points=2, frames=3, steps=2)
+    samples = tmp_path / "stage2.jsonl"
+    save_samples(synthetic_dataset(2, 3, cfg, seed=8), samples)
+    bad = json.loads(samples.read_text().splitlines()[1])
+    bad["supervised"] = [False] * len(bad["supervised"])
+    with_bad_line(samples, samples, 2, json.dumps(bad))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(cfg.to_json()))
+    code, _, err = run_cli(
+        capsys, "train-toy", "--stage", "2", "--data", str(samples),
+        "--config", str(config_path), "--out", str(tmp_path / "params.json"),
+    )
+    assert code == 2
+    assert f"{samples}:2: ValueError: traj_targets present for an unsupervised token" in err
+
+    pred, gt = write_eval_files(tmp_path, [{"start": 0, "end": 1, "caption": "a"}] * 2, [])
+    gt.write_text(json.dumps({"video_id": "v", "events": []}) + "\n" + json.dumps({"events": []}) + "\n")
+    for command in ("eval-dense", "eval-grounding"):
+        code, _, err = run_cli(capsys, command, "--pred", str(pred), "--gt", str(gt))
+        assert code == 2
+        assert f"{gt}:2: KeyError: 'video_id'" in err
+
+
 def test_train_toy_and_grad_check(capsys, tmp_path):
     cfg = TrainerConfig(d_v=4, d=8, vocab=12, points=2, frames=3, lr=1.0, steps=4, seed=2)
     data_path = tmp_path / "stage2.jsonl"
@@ -255,6 +361,46 @@ def test_eval_dense_missing_pred_video_scores_zero(capsys, tmp_path):
     assert code == 0
     scores = json.loads(out)
     assert scores == {"SODA_c": 0.0, "CIDEr": 0.0, "METEOR": 0.0}
+
+
+def test_eval_scores_video_without_prediction_as_miss(capsys, tmp_path, caplog):
+    first = [
+        {"start": 0.0, "end": 10.0, "caption": "a big dog runs fast"},
+        {"start": 20.0, "end": 30.0, "caption": "two people shake hands firmly"},
+    ]
+    second = [{"start": 5.0, "end": 15.0, "caption": "a red car opens its door"}]
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(json.dumps({"video_id": "a", "events": first}) + "\n")
+    gt = tmp_path / "gt.jsonl"
+    gt.write_text(
+        json.dumps({"video_id": "a", "events": first}) + "\n"
+        + json.dumps({"video_id": "b", "events": second}) + "\n"
+    )
+    gt_a = tmp_path / "gt_a.jsonl"
+    gt_a.write_text(pred.read_text())
+
+    with caplog.at_level(logging.WARNING, logger="pite"):
+        code, out, _ = run_cli(capsys, "eval-grounding", "--pred", str(pred), "--gt", str(gt))
+    assert code == 0
+    scores = json.loads(out)
+    # events of "a" have IoU 1, the one event of "b" IoU 0
+    assert scores["mIoU"] == pytest.approx(200.0 / 3)
+    assert scores["R@0.3"] == scores["R@0.5"] == scores["R@0.7"] == pytest.approx(200.0 / 3)
+    assert "1 of 2 videos have no prediction" in caplog.text
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="pite"):
+        code, out, _ = run_cli(capsys, "eval-dense", "--pred", str(pred), "--gt", str(gt))
+    assert code == 0
+    assert "1 of 2 videos have no prediction" in caplog.text
+    # "b" scores 0, so each video-averaged score is half that of "a" alone;
+    # CIDEr's document frequencies come from every ground-truth video
+    code, out_a, _ = run_cli(capsys, "eval-dense", "--pred", str(pred), "--gt", str(gt_a))
+    assert code == 0
+    both, alone = json.loads(out), json.loads(out_a)
+    assert both["SODA_c"] == pytest.approx(alone["SODA_c"] / 2)
+    assert both["METEOR"] == pytest.approx(alone["METEOR"] / 2)
+    assert 0 < both["CIDEr"] < alone["CIDEr"]
 
 
 def test_ablate_points_cli(capsys, toy_fixture_dir, tmp_path):

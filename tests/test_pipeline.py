@@ -14,7 +14,6 @@ from pite.pipeline import (
     DataError,
     ManifestEvent,
     PipelineConfig,
-    SmallObjectPolicy,
     VideoManifest,
     annotate_event,
     format_temporal,
@@ -57,13 +56,36 @@ def test_manifest_validation():
 
 
 def test_small_object_policy():
-    policy = SmallObjectPolicy(min_area_fraction=0.05)
+    config = PipelineConfig(frames=10, points=2, min_area_fraction=0.05)
     small = Mask.from_array(np.pad(np.ones((1, 1), dtype=bool), ((0, 9), (0, 9))))
     big = Mask.from_array(np.pad(np.ones((5, 5), dtype=bool), ((0, 5), (0, 5))))
-    assert not policy.keep(small)
-    assert policy.keep(big)
+
+    def keep(mask):
+        annotation = annotate_event(
+            ManifestEvent(caption="a dog", start=0.0, end=1.0),
+            parse_bracketed("(TOP (NP a dog))"),
+            {"a dog": mask},
+            tracks_at([(0.5, 0.5)]),
+            config,
+            duration=10.0,
+            width=10,
+            height=10,
+        )
+        return bool(annotation.objects)
+
+    assert not keep(small)
+    assert keep(big)
     with pytest.raises(ValueError):
-        SmallObjectPolicy(min_area_fraction=1.0)
+        PipelineConfig(min_area_fraction=1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("frames", 0), ("points", 0), ("min_area_fraction", -0.1), ("min_area_fraction", 1.5)],
+)
+def test_pipeline_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        PipelineConfig(**{field: value})
 
 
 def test_np_slug():

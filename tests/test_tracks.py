@@ -12,6 +12,7 @@ from pite.tracks import (
     Mask,
     TrajectoryMatrix,
     Tracks,
+    _means,
     _reassign_pass,
     condense,
     filter_tracks_by_mask,
@@ -87,6 +88,16 @@ def serial_reassign_pass(pts: np.ndarray, assign: np.ndarray, k: int):
             assign[i] = best_b
             moved = True
     return assign, moved
+
+
+def loop_means(pts: np.ndarray, assign: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """Reference for ``_means``: one masked ``mean`` per cluster."""
+    centers = fallback.copy()
+    for j in range(fallback.shape[0]):
+        members = pts[assign == j]
+        if len(members):
+            centers[j] = members.mean(axis=0)
+    return centers
 
 
 def sweep_case(rng: np.random.Generator, case: int):
@@ -333,6 +344,17 @@ def test_kmeans_matches_serial_sweep(monkeypatch):
         assert sse == want_sse, seed
 
 
+def test_means_matches_per_cluster_loop():
+    rng = np.random.default_rng(91)
+    for case in range(900):
+        pts, k, assign = sweep_case(rng, case)
+        if case % 4 == 3:  # large clusters, where another summation order would show
+            pts = rng.uniform(0.0, 640.0, size=(400, 2))
+            assign = rng.integers(0, k, size=400)
+        fallback = rng.normal(size=(k, 2))
+        assert np.array_equal(_means(pts, assign, fallback), loop_means(pts, assign, fallback)), case
+
+
 # --- condense -----------------------------------------------------------------
 
 
@@ -497,16 +519,3 @@ def test_filter_matches_per_track_oracle(tracks, seed):
         if vis[0] and arr[math.floor(xy[0][1]), math.floor(xy[0][0])]
     ]
     assert rows_of(kept) == expected
-
-
-def test_clip_tracks_json_round_trip():
-    clip = ClipTracks(
-        clip_id="v:0",
-        width=8,
-        height=8,
-        frames=3,
-        tracks=static_tracks([(1.0, 2.0)], n=3),
-    )
-    again = ClipTracks.from_json(clip.to_json())
-    assert again.to_json() == clip.to_json()
-    assert rows_of(again.tracks) == rows_of(clip.tracks)

@@ -124,7 +124,7 @@ def test_stage3_overfit_decodes_target_sequences():
 @pytest.mark.parametrize("stage", [1, 2, 3])
 def test_sample_json_round_trip(stage):
     for sample in synthetic_dataset(stage, 3, CFG, seed=13):
-        back = sample_from_json(sample_to_json(sample))
+        back = sample_from_json(sample_to_json(sample), CFG)
         assert np.array_equal(back.tokens, sample.tokens)
         assert np.array_equal(back.supervised, sample.supervised)
         np.testing.assert_allclose(back.frames, sample.frames)
@@ -145,19 +145,43 @@ def test_sample_json_rejects_inconsistent_supervision():
     obj = sample_to_json(sample)
     obj["supervised"] = [False] * len(obj["supervised"])
     with pytest.raises(ValueError, match="unsupervised"):
-        sample_from_json(obj)
+        sample_from_json(obj, CFG)
     obj2 = sample_to_json(sample)
     obj2["loc_targets"] = [None] * len(obj2["loc_targets"])
     obj2["supervised"] = [True] * len(obj2["supervised"])
     with pytest.raises(ValueError, match="missing"):
-        sample_from_json(obj2)
+        sample_from_json(obj2, CFG)
+
+
+def test_sample_json_rejects_rows_that_do_not_fit_config():
+    obj = sample_to_json(synthetic_dataset(2, 1, CFG, seed=1)[0])
+    swapped = TrainerConfig(**{**CFG.to_json(), "points": CFG.frames, "frames": CFG.points})
+    with pytest.raises(ValueError, match=r"traj_targets row has shape \(2, 3, 2\), expected \(3, 2, 2\)"):
+        sample_from_json(obj, swapped)
+    short = dict(obj, traj_targets=obj["traj_targets"][:-1])
+    with pytest.raises(ValueError, match="rows for"):
+        sample_from_json(short, CFG)
+    obj = sample_to_json(synthetic_dataset(1, 1, CFG, seed=1)[0])
+    obj["loc_targets"] = [[0.5] * 3 if sup else None for sup in obj["supervised"]]
+    with pytest.raises(ValueError, match=r"loc_targets row has shape \(3,\)"):
+        sample_from_json(obj, CFG)
+
+
+def test_load_samples_fills_null_rows_from_config(tmp_path):
+    sample = synthetic_dataset(2, 1, CFG, seed=1)[0]
+    sample.supervised[:] = False  # every traj_targets row is written as null
+    path = tmp_path / "samples.jsonl"
+    save_samples([sample], path)
+    back = load_samples(path, CFG)[0]
+    assert back.traj_targets.shape == (len(sample.tokens), CFG.points, CFG.frames, 2)
+    assert not back.traj_targets.any()
 
 
 def test_samples_file_round_trip(tmp_path):
     data = synthetic_dataset(2, 4, CFG, seed=3)
     path = tmp_path / "samples.jsonl"
     save_samples(data, path)
-    back = load_samples(path)
+    back = load_samples(path, CFG)
     assert len(back) == 4
     for a, b in zip(back, data):
         np.testing.assert_allclose(a.traj_targets, b.traj_targets)
