@@ -9,12 +9,14 @@ or verification error.  PITE_SEED overrides --seed everywhere.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 from . import metrics, pipeline, tracks, trainer, trees, toymodel
 from .jsonl import DataError, read_jsonl
@@ -247,12 +249,27 @@ def cmd_grad_check(args) -> int:
     return 0 if ok else 2
 
 
-def _paired_events(pred_path: str, gt_path: str) -> list[tuple[str, list, list | None]]:
+def _segment(event) -> metrics.TimeSegment:
+    return metrics.TimeSegment(float(event["start"]), float(event["end"]))
+
+
+def _captioned_event(event) -> metrics.CaptionedEvent:
+    return metrics.CaptionedEvent(segment=_segment(event), caption=event["caption"])
+
+
+def _paired_events(
+    pred_path: str, gt_path: str, parse_event: Callable[[dict], object]
+) -> list[tuple[str, list, list | None]]:
     """(video id, ground-truth events, predicted events or None) in video id order.
 
-    Logs one line counting the ground-truth videos with no prediction.
+    Each event goes through ``parse_event`` as its line is read, so a bad
+    event fails naming its file and line.  Logs one line counting the
+    ground-truth videos with no prediction.
     """
-    video = lambda record: (str(record["video_id"]), record["events"])
+    video = lambda record: (
+        str(record["video_id"]),
+        [parse_event(event) for event in record["events"]],
+    )
     preds = dict(read_jsonl(pred_path, video))
     gts = dict(read_jsonl(gt_path, video))
     missing = len(gts.keys() - preds.keys())
@@ -267,7 +284,7 @@ def _paired_events(pred_path: str, gt_path: str) -> list[tuple[str, list, list |
 
 def cmd_eval_grounding(args) -> int:
     pred_segments, gt_segments = [], []
-    for video_id, gt_events, pred_events in _paired_events(args.pred, args.gt):
+    for video_id, gt_events, pred_events in _paired_events(args.pred, args.gt, _segment):
         if pred_events is None:
             pred_events = [None] * len(gt_events)
         elif len(pred_events) != len(gt_events):
@@ -275,11 +292,8 @@ def cmd_eval_grounding(args) -> int:
                 f"{video_id}: {len(pred_events)} predicted events for "
                 f"{len(gt_events)} ground truth events"
             )
-        for p, g in zip(pred_events, gt_events):
-            pred_segments.append(
-                None if p is None else metrics.TimeSegment(float(p["start"]), float(p["end"]))
-            )
-            gt_segments.append(metrics.TimeSegment(float(g["start"]), float(g["end"])))
+        pred_segments.extend(pred_events)
+        gt_segments.extend(gt_events)
     scores = metrics.grounding_scores(pred_segments, gt_segments)
     result = {f"R@{m}": 100.0 * v for m, v in scores["r_at"].items()}
     result["mIoU"] = 100.0 * scores["miou"]
@@ -287,41 +301,29 @@ def cmd_eval_grounding(args) -> int:
     return 0
 
 
-def _captioned(events: list[dict]) -> list[metrics.CaptionedEvent]:
-    return [
-        metrics.CaptionedEvent(
-            segment=metrics.TimeSegment(float(e["start"]), float(e["end"])),
-            caption=str(e["caption"]),
-        )
-        for e in events
-    ]
-
-
 def cmd_eval_dense(args) -> int:
-    videos = _paired_events(args.pred, args.gt)
-    corpus = [[str(e["caption"])] for _, gt_events, _ in videos for e in gt_events]
-    idf = metrics.build_idf(corpus)
-
-    def cider_metric(cand: str, ref: str) -> float:
-        return metrics.cider(cand, [ref], idf)
-
-    if args.scorer == "cider":
-        soda_scorer = lambda cand, ref: cider_metric(cand, ref) / 10.0
-    else:
-        soda_scorer = metrics.meteor_lite
+    videos = _paired_events(args.pred, args.gt, _captioned_event)
+    idf = metrics.build_idf([[e.caption] for _, gt_events, _ in videos for e in gt_events])
 
     soda_vals, cider_vals, meteor_vals = [], [], []
     for _, gt_events, pred_events in videos:
-        gt_cap = _captioned(gt_events)
-        pred_cap = _captioned(pred_events or [])
-        soda_vals.append(metrics.soda_c(pred_cap, gt_cap, scorer=soda_scorer))
+        pred_events = pred_events or []
+        # each pair is scored once per video and shared by SODA and every
+        # IoU threshold; the memos start empty per video, since captions do
+        # not repeat across videos and run-long memos would only grow
+        idf.clear_vectors()
+        cider_metric = functools.cache(lambda cand, ref: metrics.cider(cand, [ref], idf))
+        meteor_metric = functools.cache(metrics.meteor_lite)
+        if args.scorer == "cider":
+            soda_scorer = lambda cand, ref: cider_metric(cand, ref) / 10.0
+        else:
+            soda_scorer = meteor_metric
+        soda_vals.append(metrics.soda_c(pred_events, gt_events, scorer=soda_scorer))
         cider_vals.append(
-            metrics.iou_bucketed_caption_scores(pred_cap, gt_cap, metric=cider_metric)
+            metrics.iou_bucketed_caption_scores(pred_events, gt_events, metric=cider_metric)
         )
         meteor_vals.append(
-            metrics.iou_bucketed_caption_scores(
-                pred_cap, gt_cap, metric=metrics.meteor_lite
-            )
+            metrics.iou_bucketed_caption_scores(pred_events, gt_events, metric=meteor_metric)
         )
 
     def mean(vals):

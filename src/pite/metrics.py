@@ -25,6 +25,8 @@ class TimeSegment:
     end: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.end)):
+            raise ValueError(f"segment bounds must be finite, got {self.start}, {self.end}")
         if self.start > self.end:
             raise ValueError(f"segment start {self.start} > end {self.end}")
 
@@ -38,8 +40,8 @@ class CaptionedEvent:
     caption: str
 
     def __post_init__(self):
-        if not self.caption:
-            raise ValueError("caption must be nonempty")
+        if not isinstance(self.caption, str) or not self.caption:
+            raise ValueError(f"caption must be a nonempty string, got {self.caption!r}")
 
 
 _PUNCT = re.compile(r"[^\w\s]", re.UNICODE)
@@ -81,54 +83,80 @@ def grounding_scores(
 
 
 def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    """n-gram tuples of ``tokens`` and their counts, in order of first occurrence."""
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
-def _tfidf_vector(tokens: Sequence[str], n: int, idf: Mapping[tuple, float]) -> Counter:
-    counts = _ngram_counts(tokens, n)
-    return Counter({g: tf * idf.get(g, 0.0) for g, tf in counts.items()})
-
-
-def _cosine(a: Counter, b: Counter) -> float:
-    na = math.sqrt(sum(v * v for v in a.values()))
-    nb = math.sqrt(sum(v * v for v in b.values()))
+def _cosine(a: Mapping, na: float, b: Mapping, nb: float) -> float:
+    """Cosine of two sparse vectors given their norms ``na`` and ``nb``."""
     if na == 0 or nb == 0:
         return 0.0
     dot = sum(v * b[g] for g, v in a.items() if g in b)
     return dot / (na * nb)
 
 
-def build_idf(corpus: Sequence[Sequence[str]]) -> dict[int, dict]:
+class Idf:
+    """Per-n IDF tables of a reference corpus and a memo of caption vectors.
+
+    ``vectors(caption)`` tokenizes a caption once and keeps, for each n, its
+    TF-IDF vector and that vector's L2 norm.  The memo lives as long as the
+    object, or until ``clear_vectors``.
+    """
+
+    def __init__(self, tables: dict[int, dict]):
+        self.tables = tables  # n -> {n-gram: idf}
+        self._vectors: dict[str, list[tuple[dict, float]]] = {}
+
+    def vectors(self, caption: str) -> list[tuple[dict, float]]:
+        """``(vector, norm)`` for n = 1..CIDER_MAX_N; an empty list for a token-free caption."""
+        memo = self._vectors.get(caption)
+        if memo is None:
+            tokens = tokenize(caption)
+            memo = []
+            if tokens:
+                for n in range(1, CIDER_MAX_N + 1):
+                    table = self.tables[n]
+                    vec = {g: tf * table.get(g, 0.0) for g, tf in _ngram_counts(tokens, n).items()}
+                    memo.append((vec, math.sqrt(sum(v * v for v in vec.values()))))
+            self._vectors[caption] = memo
+        return memo
+
+    def clear_vectors(self) -> None:
+        self._vectors.clear()
+
+
+def build_idf(corpus: Sequence[Sequence[str]]) -> Idf:
     """Per-n IDF over reference sets: idf(g) = log(|corpus| / df(g)), df clipped to 1."""
     n_docs = len(corpus)
     if n_docs == 0:
         raise ValueError("corpus must be nonempty")
-    idf: dict[int, dict] = {}
+    token_sets = [[tokenize(ref) for ref in refs] for refs in corpus]
+    tables: dict[int, dict] = {}
     for n in range(1, CIDER_MAX_N + 1):
         df: Counter = Counter()
-        for refs in corpus:
+        for refs in token_sets:
             seen = set()
-            for ref in refs:
-                seen.update(_ngram_counts(tokenize(ref), n))
+            for tokens in refs:
+                seen.update(_ngram_counts(tokens, n))
             df.update(seen)
-        idf[n] = {g: math.log(n_docs / max(1.0, c)) for g, c in df.items()}
-    return idf
+        tables[n] = {g: math.log(n_docs / max(1.0, c)) for g, c in df.items()}
+    return Idf(tables)
 
 
-def cider(candidate: str, refs: Sequence[str], idf: Mapping[int, Mapping]) -> float:
+def cider(candidate: str, refs: Sequence[str], idf: Idf) -> float:
     """TF-IDF n-gram consensus (n=1..CIDER_MAX_N), averaged over refs and n, scaled by 10.
 
     ``idf`` is ``build_idf`` of the reference sets supplying document
-    frequencies.
+    frequencies; the caption vectors come from its memo.
     """
-    cand_tokens = tokenize(candidate)
-    if not cand_tokens or not refs:
+    cand = idf.vectors(candidate)
+    if not cand or not refs:
         return 0.0
+    ref_vectors = [idf.vectors(ref) for ref in refs]
     total = 0.0
-    for n in range(1, CIDER_MAX_N + 1):
-        cand_vec = _tfidf_vector(cand_tokens, n, idf[n])
+    for n, (cand_vec, cand_norm) in enumerate(cand):
         sims = [
-            _cosine(cand_vec, _tfidf_vector(tokenize(ref), n, idf[n])) for ref in refs
+            _cosine(cand_vec, cand_norm, *ref[n]) if ref else 0.0 for ref in ref_vectors
         ]
         total += sum(sims) / len(sims)
     return 10.0 * total / CIDER_MAX_N
@@ -140,8 +168,10 @@ def cider(candidate: str, refs: Sequence[str], idf: Mapping[int, Mapping]) -> fl
 def meteor_lite(candidate: str, ref: str) -> float:
     """Unigram exact-match METEOR: F_mean = 10PR/(R+9P) with a chunk penalty.
 
-    Alignment is greedy fewest-chunks: candidate tokens match unmatched
-    reference occurrences, preferring the continuation of the current chunk.
+    Alignment is greedy, left to right over the candidate: each candidate
+    token takes the reference position right after the previous match when
+    that position holds the same token and is unused, else the first unused
+    occurrence.  This need not give the fewest chunks.
     """
     cand = tokenize(candidate)
     rtok = tokenize(ref)
@@ -191,20 +221,20 @@ def soda_c(
 
     Dynamic programming finds the temporally order-preserving one-to-one
     matching maximizing the sum of IoU(pred, gt) * scorer(captions); the
-    result is the harmonic mean of sum/|preds| and sum/|gts|.
+    result is the harmonic mean of sum/|preds| and sum/|gts|.  ``scorer``
+    runs only on pairs that overlap (IoU > 0); the others contribute 0.
     """
     if not preds or not gts:
         return 0.0
     preds = sorted(preds, key=lambda e: (e.segment.start, e.segment.end))
     gts = sorted(gts, key=lambda e: (e.segment.start, e.segment.end))
     n, m = len(preds), len(gts)
-    score = [
-        [
-            temporal_iou(p.segment, g.segment) * scorer(p.caption, g.caption)
-            for g in gts
-        ]
-        for p in preds
-    ]
+    score = [[0.0] * m for _ in range(n)]
+    for i, p in enumerate(preds):
+        for j, g in enumerate(gts):
+            iou = temporal_iou(p.segment, g.segment)
+            if iou > 0:
+                score[i][j] = iou * scorer(p.caption, g.caption)
     # dp[i][j]: best total over preds[:i] x gts[:j]
     dp = [[0.0] * (m + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
@@ -236,17 +266,17 @@ def iou_bucketed_caption_scores(
     """
     if not gts:
         return 0.0
+    ious = [[temporal_iou(pred.segment, gt.segment) for pred in preds] for gt in gts]
     per_threshold = []
     for threshold in CAPTION_IOU_THRESHOLDS:
         used: set[int] = set()
         total = 0.0
-        for gt in gts:
+        for gt, gt_ious in zip(gts, ious):
             best_iou = -1.0
             best_idx = None
-            for idx, pred in enumerate(preds):
+            for idx, iou in enumerate(gt_ious):
                 if idx in used:
                     continue
-                iou = temporal_iou(pred.segment, gt.segment)
                 if iou >= threshold and iou > best_iou:
                     best_iou = iou
                     best_idx = idx

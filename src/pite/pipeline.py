@@ -104,6 +104,8 @@ class PipelineConfig:
             raise ValueError(
                 f"min_area_fraction must be in [0, 1), got {self.min_area_fraction}"
             )
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
 @dataclass
@@ -326,7 +328,7 @@ def run_pipeline(
     masks_dir = Path(masks_dir)
     tracks_dir = Path(tracks_dir)
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, config.jobs)) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=config.jobs) as pool:
         futures = [
             pool.submit(annotate_video, video, trees, masks_dir, tracks_dir, config)
             for video, trees in zip(videos, trees_per_video)

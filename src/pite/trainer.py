@@ -267,8 +267,8 @@ def params_from_json(obj: dict) -> ToyModelParams:
 
 
 def save_params(params: ToyModelParams, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(params_to_json(params), handle)
+    # json.dumps runs the C encoder; json.dump to a file takes the pure-Python one
+    Path(path).write_text(json.dumps(params_to_json(params)), encoding="utf-8")
 
 
 def load_params(path: str | Path) -> ToyModelParams:

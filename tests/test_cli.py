@@ -1,8 +1,10 @@
 import json
 import logging
 
+import numpy as np
 import pytest
 
+from pite import metrics
 from pite.cli import main
 from pite.toymodel import TrainerConfig
 from pite.tracks import Mask, save_mask
@@ -161,7 +163,13 @@ def toy_build_args(toy_fixture_dir, out, manifest=None):
 
 @pytest.mark.parametrize(
     "flag, value, field",
-    [("--min-area", "1.5", "min_area_fraction"), ("--points", "0", "points"), ("--frames", "0", "frames")],
+    [
+        ("--min-area", "1.5", "min_area_fraction"),
+        ("--points", "0", "points"),
+        ("--frames", "0", "frames"),
+        ("--jobs", "0", "jobs"),
+        ("--jobs", "-3", "jobs"),
+    ],
 )
 def test_build_dataset_rejects_out_of_range_option(capsys, toy_fixture_dir, tmp_path, flag, value, field):
     out = tmp_path / "out.jsonl"
@@ -342,6 +350,95 @@ def test_eval_dense_cli_perfect(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["SODA_c"] == pytest.approx(100.0, abs=1e-6)
+
+
+EVAL_COMMANDS = ("eval-grounding", "eval-dense")
+
+
+@pytest.mark.parametrize(
+    "event, commands, message",
+    [
+        ({"end": 1, "caption": "a"}, EVAL_COMMANDS, "KeyError: 'start'"),
+        ({"start": "soon", "end": 1, "caption": "a"}, EVAL_COMMANDS, "ValueError"),
+        ({"start": None, "end": 1, "caption": "a"}, EVAL_COMMANDS, "TypeError"),
+        ({"start": 2, "end": 1, "caption": "a"}, EVAL_COMMANDS, "segment start 2.0 > end 1.0"),
+        ({"start": float("nan"), "end": 1, "caption": "a"}, EVAL_COMMANDS, "must be finite"),
+        ({"start": 0, "end": 1, "caption": ""}, ("eval-dense",), "nonempty string"),
+        ({"start": 0, "end": 1, "caption": None}, ("eval-dense",), "nonempty string"),
+        ({"start": 0, "end": 1}, ("eval-dense",), "KeyError: 'caption'"),
+    ],
+)
+def test_eval_bad_event_names_file_and_line(capsys, tmp_path, event, commands, message):
+    good = {"start": 0, "end": 1, "caption": "a dog"}
+    pred, gt = write_eval_files(tmp_path, [good], [good])
+    gt.write_text(
+        json.dumps({"video_id": "u", "events": [good]}) + "\n"
+        + json.dumps({"video_id": "v", "events": [good, event]}) + "\n"
+    )
+    for command in commands:
+        code, out, err = run_cli(capsys, command, "--pred", str(pred), "--gt", str(gt))
+        assert code == 2
+        assert out == ""
+        assert f"{gt}:2: " in err and message in err
+
+
+def test_eval_grounding_ignores_caption(capsys, tmp_path):
+    events = [{"start": 0, "end": 4}, {"start": 5, "end": 9, "caption": ""}]
+    pred, gt = write_eval_files(tmp_path, events, events)
+    code, out, _ = run_cli(capsys, "eval-grounding", "--pred", str(pred), "--gt", str(gt))
+    assert code == 0
+    assert json.loads(out)["mIoU"] == 100.0
+
+
+def test_eval_dense_matches_unmemoised_scoring(capsys, tmp_path):
+    # eval-dense scores each pair once per video; scoring every pair afresh,
+    # with a new IDF memo per call, must give the same floats
+    rng = np.random.default_rng(3)
+    words = ["a", "dog", "man", "runs", "jumps", "over", "the", "red", "fence", "ball"]
+
+    def events(k):
+        out = []
+        for _ in range(k):
+            a = float(rng.uniform(0, 30))
+            caption = " ".join(rng.choice(words, size=int(rng.integers(2, 7))))
+            out.append({"start": a, "end": a + float(rng.uniform(1, 10)), "caption": caption})
+        return out
+
+    gts = {f"v{i}": events(int(rng.integers(1, 6))) for i in range(6)}
+    preds = {v: events(int(rng.integers(1, 6))) for v in gts if v != "v3"}
+    pred, gt = tmp_path / "pred.jsonl", tmp_path / "gt.jsonl"
+    for path, videos in ((pred, preds), (gt, gts)):
+        path.write_text(
+            "".join(json.dumps({"video_id": v, "events": e}) + "\n" for v, e in videos.items())
+        )
+
+    def captioned(evs):
+        return [
+            metrics.CaptionedEvent(metrics.TimeSegment(e["start"], e["end"]), e["caption"])
+            for e in evs
+        ]
+
+    corpus = [[e["caption"]] for v in sorted(gts) for e in gts[v]]
+    fresh_cider = lambda cand, ref: metrics.cider(cand, [ref], metrics.build_idf(corpus))
+    for scorer, soda_scorer in (
+        ("meteor", metrics.meteor_lite),
+        ("cider", lambda cand, ref: fresh_cider(cand, ref) / 10.0),
+    ):
+        soda, cider, meteor = [], [], []
+        for v in sorted(gts):
+            p, g = captioned(preds.get(v, [])), captioned(gts[v])
+            soda.append(metrics.soda_c(p, g, scorer=soda_scorer))
+            cider.append(metrics.iou_bucketed_caption_scores(p, g, metric=fresh_cider))
+            meteor.append(metrics.iou_bucketed_caption_scores(p, g, metric=metrics.meteor_lite))
+        code, out, _ = run_cli(
+            capsys, "eval-dense", "--pred", str(pred), "--gt", str(gt), "--scorer", scorer
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "SODA_c": 100.0 * (sum(soda) / len(soda)),
+            "CIDEr": 10.0 * (sum(cider) / len(cider)),
+            "METEOR": 100.0 * (sum(meteor) / len(meteor)),
+        }
 
 
 def test_eval_dense_missing_pred_video_scores_zero(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -147,6 +148,79 @@ def test_cider_case_invariance(text):
     assert up == pytest.approx(lo, abs=1e-12)
 
 
+def reference_idf(corpus):
+    """Oracle: per-n IDF tables, each reference tokenized once per n."""
+    tables = {}
+    for n in range(1, 5):
+        df = Counter()
+        for refs in corpus:
+            seen = set()
+            for ref in refs:
+                tokens = tokenize(ref)
+                seen.update(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+            df.update(seen)
+        tables[n] = {g: math.log(len(corpus) / max(1.0, c)) for g, c in df.items()}
+    return tables
+
+
+def reference_cider(candidate, refs, idf_tables):
+    """Oracle: CIDEr rebuilding every TF-IDF vector and norm on each call."""
+
+    def vector(tokens, n):
+        counts = Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+        return Counter({g: tf * idf_tables[n].get(g, 0.0) for g, tf in counts.items()})
+
+    def cosine(a, b):
+        na = math.sqrt(sum(v * v for v in a.values()))
+        nb = math.sqrt(sum(v * v for v in b.values()))
+        if na == 0 or nb == 0:
+            return 0.0
+        return sum(v * b[g] for g, v in a.items() if g in b) / (na * nb)
+
+    cand_tokens = tokenize(candidate)
+    if not cand_tokens or not refs:
+        return 0.0
+    total = 0.0
+    for n in range(1, 5):
+        cand_vec = vector(cand_tokens, n)
+        sims = [cosine(cand_vec, vector(tokenize(ref), n)) for ref in refs]
+        total += sum(sims) / len(sims)
+    return 10.0 * total / 4
+
+
+def test_cider_matches_reference_bit_for_bit():
+    # one memoising Idf per corpus serves every call, so repeated captions
+    # read their vectors back from the memo
+    rng = np.random.default_rng(5)
+    words = ["a", "dog", "runs", "the", "red", "ball", "Dog", "runs!", "far"]
+    unseen = ["zebra", "quietly", "violet"]  # never in a reference: n-grams missing from the IDF
+    token_free = ["", "...", "?! ,"]
+
+    def caption(pool):
+        if rng.random() < 0.1:
+            return str(rng.choice(token_free))
+        return " ".join(rng.choice(pool, size=int(rng.integers(1, 9))))
+
+    for _ in range(40):
+        corpus = [
+            [caption(words) for _ in range(int(rng.integers(1, 4)))]
+            for _ in range(int(rng.integers(1, 7)))
+        ]
+        refs_pool = [ref for refs in corpus for ref in refs]
+        idf, tables = build_idf(corpus), reference_idf(corpus)
+        assert idf.tables == tables
+        for _ in range(15):
+            if rng.random() < 0.7:
+                candidate = caption(words + unseen)
+            else:
+                candidate = str(rng.choice(refs_pool))
+            refs = [str(r) for r in rng.choice(refs_pool, size=int(rng.integers(1, 4)))]
+            assert cider(candidate, refs, idf) == reference_cider(candidate, refs, tables)
+        idf.clear_vectors()
+        first = refs_pool[0]
+        assert cider(first, refs_pool, idf) == reference_cider(first, refs_pool, tables)
+
+
 # --- METEOR ------------------------------------------------------------------------
 
 
@@ -253,6 +327,32 @@ def test_soda_matches_bruteforce_random():
         got = soda_c(preds, gts)
         want = brute_force_soda(preds, gts, meteor_lite)
         assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_soda_scores_only_overlapping_pairs():
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        def rand_events(prefix, k):
+            out = []
+            for i in range(k):
+                a = float(rng.uniform(0, 20))
+                out.append(ev(a, a + float(rng.uniform(0.1, 4)), f"{prefix}{i} dog runs"))
+            return out
+
+        preds = rand_events("p", int(rng.integers(1, 6)))
+        gts = rand_events("g", int(rng.integers(1, 6)))
+        segments = {e.caption: e.segment for e in preds + gts}
+        seen = []
+
+        def scorer(cand, ref):
+            seen.append(temporal_iou(segments[cand], segments[ref]))
+            return meteor_lite(cand, ref)
+
+        got = soda_c(preds, gts, scorer=scorer)
+        assert all(iou > 0 for iou in seen)
+        overlapping = sum(temporal_iou(p.segment, g.segment) > 0 for p in preds for g in gts)
+        assert len(seen) == overlapping
+        assert got == pytest.approx(brute_force_soda(preds, gts, meteor_lite), abs=1e-9)
 
 
 interval = st.tuples(st.floats(0, 10), st.floats(0.1, 4)).map(

@@ -81,7 +81,14 @@ def test_small_object_policy():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("frames", 0), ("points", 0), ("min_area_fraction", -0.1), ("min_area_fraction", 1.5)],
+    [
+        ("frames", 0),
+        ("points", 0),
+        ("min_area_fraction", -0.1),
+        ("min_area_fraction", 1.5),
+        ("jobs", 0),
+        ("jobs", -3),
+    ],
 )
 def test_pipeline_config_rejects_out_of_range(field, value):
     with pytest.raises(ValueError, match=field):
