@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import metrics, pipeline, tracks, trainer, trees, toymodel
-from .jsonl import DataError, read_jsonl
+from .jsonl import DataError, read_jsonl, unique
 
 log = logging.getLogger("pite")
 
@@ -60,7 +60,10 @@ def build_parser() -> _Parser:
     p.add_argument("--min-area", type=float, default=0.0005)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="annotate in N forked worker processes; the output is the same for every N",
+    )
 
     p = sub.add_parser("train-toy", help="train the surrogate model for one stage")
     p.add_argument("--stage", type=int, choices=(1, 2, 3), required=True)
@@ -263,15 +266,15 @@ def _paired_events(
     """(video id, ground-truth events, predicted events or None) in video id order.
 
     Each event goes through ``parse_event`` as its line is read, so a bad
-    event fails naming its file and line.  Logs one line counting the
-    ground-truth videos with no prediction.
+    event fails naming its file and line, and so does a repeated video id.
+    Logs one line counting the ground-truth videos with no prediction.
     """
     video = lambda record: (
         str(record["video_id"]),
         [parse_event(event) for event in record["events"]],
     )
-    preds = dict(read_jsonl(pred_path, video))
-    gts = dict(read_jsonl(gt_path, video))
+    preds = dict(read_jsonl(pred_path, unique(video, "video_id")))
+    gts = dict(read_jsonl(gt_path, unique(video, "video_id")))
     missing = len(gts.keys() - preds.keys())
     if missing:
         log.warning(

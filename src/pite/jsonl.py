@@ -33,3 +33,22 @@ def read_jsonl(path: str | Path, parse: Callable[[object], T]) -> Iterator[T]:
             except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: {type(exc).__name__}: {exc}") from exc
             yield item
+
+
+def unique(parse: Callable[[object], T], field: str) -> Callable[[object], T]:
+    """Wrap a ``read_jsonl`` parse callback so a repeated ``str(record[field])`` is an error.
+
+    The repeat raises ValueError inside the callback, so ``read_jsonl`` names
+    the line of the second occurrence.
+    """
+    seen: set[str] = set()
+
+    def parse_unique(record: object) -> T:
+        item = parse(record)
+        value = str(record[field])
+        if value in seen:
+            raise ValueError(f"repeated {field} {value!r}")
+        seen.add(value)
+        return item
+
+    return parse_unique

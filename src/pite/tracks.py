@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .jsonl import read_jsonl
+from .jsonl import read_jsonl, unique
 
 SENTINEL = -1.0  # both coordinates of an absent sample
 
@@ -413,8 +413,8 @@ class ClipTracks:
 
 
 def iter_clip_tracks(path: str | Path) -> Iterator[ClipTracks]:
-    """Read a JSONL track file, one clip per line; a bad clip raises DataError."""
-    yield from read_jsonl(path, ClipTracks.from_json)
+    """Read a JSONL track file, one clip per line; a bad or repeated clip raises DataError."""
+    yield from read_jsonl(path, unique(ClipTracks.from_json, "clip_id"))
 
 
 def load_mask(path: str | Path) -> Mask:

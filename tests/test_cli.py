@@ -1,5 +1,6 @@
 import json
 import logging
+import shutil
 
 import numpy as np
 import pytest
@@ -261,6 +262,47 @@ def test_bad_jsonl_line_names_file_and_line(capsys, toy_fixture_dir, tmp_path):
         assert f"{gt}:2: KeyError: 'video_id'" in err
 
 
+def test_build_dataset_rejects_repeated_manifest_video(capsys, toy_fixture_dir, tmp_path):
+    lines = (toy_fixture_dir / "manifest.jsonl").read_text().splitlines()
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("\n".join([lines[0], lines[1], lines[0]]) + "\n")
+    tree_lines = (toy_fixture_dir / "trees.txt").read_text().splitlines()
+    trees = tmp_path / "trees.txt"
+    money_events = len(json.loads(lines[0])["events"])
+    trees.write_text("\n".join(tree_lines + tree_lines[:money_events]) + "\n")
+    args = toy_build_args(toy_fixture_dir, tmp_path / "out.jsonl", manifest)
+    args[args.index("--trees") + 1] = str(trees)
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert f"{manifest}:3: ValueError: repeated video_id 'vid_money'" in err
+
+
+def test_repeated_clip_id_names_file_and_line(capsys, caplog, toy_fixture_dir, tmp_path):
+    tracks_dir = tmp_path / "tracks"
+    shutil.copytree(toy_fixture_dir / "tracks", tracks_dir)
+    clips = tracks_dir / "vid_money.jsonl"
+    lines = clips.read_text().splitlines()
+    clips.write_text("\n".join(lines + lines[:1]) + "\n")
+    message = f"{clips}:3: ValueError: repeated clip_id 'vid_money:0'"
+    args = toy_build_args(toy_fixture_dir, tmp_path / "out.jsonl")
+    args[args.index("--tracks") + 1] = str(tracks_dir)
+
+    code, _, err = run_cli(capsys, *args, "--strict")
+    assert code == 2
+    assert message in err
+    with caplog.at_level(logging.ERROR, logger="pite.pipeline"):
+        code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert json.loads(out)["videos"] == 1
+    assert f"skipping video vid_money: {message}" in caplog.text
+    code, _, err = run_cli(
+        capsys, "condense-tracks", "--tracks", str(clips), "--out", str(tmp_path / "c.jsonl")
+    )
+    assert code == 2
+    assert message in err
+
+
 def test_train_toy_and_grad_check(capsys, tmp_path):
     cfg = TrainerConfig(d_v=4, d=8, vocab=12, points=2, frames=3, lr=1.0, steps=4, seed=2)
     data_path = tmp_path / "stage2.jsonl"
@@ -380,6 +422,23 @@ def test_eval_bad_event_names_file_and_line(capsys, tmp_path, event, commands, m
         assert code == 2
         assert out == ""
         assert f"{gt}:2: " in err and message in err
+
+
+@pytest.mark.parametrize("repeated", ["gt", "pred"])
+def test_eval_rejects_repeated_video_id(capsys, tmp_path, repeated):
+    first = {"start": 0, "end": 1, "caption": "a dog"}
+    second = {"start": 5, "end": 9, "caption": "a cat"}
+    pred, gt = write_eval_files(tmp_path, [first], [first])
+    path = {"gt": gt, "pred": pred}[repeated]
+    path.write_text(
+        json.dumps({"video_id": "v", "events": [first]}) + "\n"
+        + json.dumps({"video_id": "v", "events": [second]}) + "\n"
+    )
+    for command in EVAL_COMMANDS:
+        code, out, err = run_cli(capsys, command, "--pred", str(pred), "--gt", str(gt))
+        assert code == 2
+        assert out == ""
+        assert f"{path}:2: ValueError: repeated video_id 'v'" in err
 
 
 def test_eval_grounding_ignores_caption(capsys, tmp_path):

@@ -1,8 +1,12 @@
+import concurrent.futures
 import json
 import logging
 import os
+import shutil
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +308,130 @@ def test_pipeline_parallel_matches_serial(toy_fixture_dir, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_pipeline_jobs_match_with_failing_video(toy_fixture_dir, tmp_path, monkeypatch, caplog):
+    # forked workers see the patched annotate_video; skips are logged in this process
+    monkeypatch.setattr(pipeline, "annotate_video", bad_dog)
+    outputs, strict_errors = set(), set()
+    for jobs in (1, 2, 4):
+        out = tmp_path / f"jobs{jobs}.jsonl"
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="pite.pipeline"):
+            summary = run_pipeline(*fixture_args(toy_fixture_dir, out), PipelineConfig(jobs=jobs))
+        assert summary == {"videos": 1, "events": 2, "trajectories": 6}
+        assert "skipping video vid_dog: vid_dog event 0: " in caplog.text
+        outputs.add(out.read_bytes())
+        with pytest.raises(DataError, match="vid_dog event 0") as failure:
+            run_pipeline(
+                *fixture_args(toy_fixture_dir, tmp_path / "strict.jsonl"),
+                PipelineConfig(jobs=jobs),
+                strict=True,
+            )
+        strict_errors.add((type(failure.value), str(failure.value)))
+    assert len(outputs) == 1 and len(strict_errors) == 1
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_pipeline_strict_failure_keeps_existing_output(toy_fixture_dir, tmp_path, monkeypatch, jobs):
+    monkeypatch.setattr(pipeline, "annotate_video", bad_dog)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "dataset.jsonl"
+    out.write_bytes(b"an earlier run\n")
+    with pytest.raises(DataError, match="vid_dog event 0"):
+        run_pipeline(*fixture_args(toy_fixture_dir, out), PipelineConfig(jobs=jobs), strict=True)
+    assert out.read_bytes() == b"an earlier run\n"
+    assert list(out_dir.iterdir()) == [out]
+
+
+def test_pipeline_writes_through_symlink_and_into_pipe(toy_fixture_dir, tmp_path):
+    expected = tmp_path / "expected.jsonl"
+    run_pipeline(*fixture_args(toy_fixture_dir, expected), strict=True)
+
+    target = tmp_path / "target.jsonl"
+    target.write_text("an earlier run\n")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    run_pipeline(*fixture_args(toy_fixture_dir, link), strict=True)
+    assert link.is_symlink() and target.read_bytes() == expected.read_bytes()
+
+    # a pipe (or a device such as /dev/null) is written in place, never replaced
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    run_pipeline(*fixture_args(toy_fixture_dir, fifo), strict=True)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [expected.read_bytes()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "expected.jsonl", "fifo", "link.jsonl", "target.jsonl"
+    ]
+
+
+def replicated_fixture(toy_fixture_dir, dest, copies):
+    """The toy fixture with every video repeated ``copies`` times under new ids."""
+    videos = [
+        json.loads(line) for line in (toy_fixture_dir / "manifest.jsonl").read_text().splitlines()
+    ]
+    tree_lines = iter((toy_fixture_dir / "trees.txt").read_text().splitlines())
+    chunks = [[next(tree_lines) for _ in video["events"]] for video in videos]
+    manifest, trees = [], []
+    (dest / "tracks").mkdir(parents=True)
+    for copy in range(copies):
+        for video, chunk in zip(videos, chunks):
+            video_id = f"{video['video_id']}_{copy}"
+            manifest.append(json.dumps({**video, "video_id": video_id}))
+            trees += chunk
+            clips = (toy_fixture_dir / "tracks" / f"{video['video_id']}.jsonl").read_text()
+            (dest / "tracks" / f"{video_id}.jsonl").write_text(
+                clips.replace(f'"{video["video_id"]}:', f'"{video_id}:')
+            )
+            shutil.copytree(toy_fixture_dir / "masks" / video["video_id"], dest / "masks" / video_id)
+    (dest / "manifest.jsonl").write_text("\n".join(manifest) + "\n")
+    (dest / "trees.txt").write_text("\n".join(trees) + "\n")
+    return (dest / "manifest.jsonl", dest / "trees.txt", dest / "masks", dest / "tracks")
+
+
+def test_pipeline_bounds_videos_in_flight(toy_fixture_dir, tmp_path, monkeypatch):
+    inputs = replicated_fixture(toy_fixture_dir, tmp_path / "in", copies=5)
+    executors = []
+
+    class RecordingExecutor(concurrent.futures.ThreadPoolExecutor):
+        """Stands in for the process pool; counts futures submitted and not yet read."""
+
+        def __init__(self, max_workers, mp_context):
+            super().__init__(max_workers)
+            self.workers, self.start_method = max_workers, mp_context.get_start_method()
+            self.unread = self.peak_unread = 0
+            executors.append(self)
+
+        def submit(self, fn, *args):
+            future = super().submit(fn, *args)
+            self.unread += 1
+            self.peak_unread = max(self.peak_unread, self.unread)
+            result = future.result
+
+            def read(timeout=None):
+                self.unread -= 1
+                return result(timeout)
+
+            future.result = read
+            return future
+
+    serial = tmp_path / "serial.jsonl"
+    assert run_pipeline(*inputs, serial, strict=True)["videos"] == 10
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    out = tmp_path / "jobs2.jsonl"
+    run_pipeline(*inputs, out, PipelineConfig(jobs=2), strict=True)
+    [executor] = executors
+    assert (executor.workers, executor.start_method) == (2, "fork")
+    assert executor.peak_unread == 2 * 2
+    assert executor.unread == 0
+    assert out.read_bytes() == serial.read_bytes()
+
+
 def test_pipeline_order_independent(toy_fixture_dir, tmp_path):
     # reverse the manifest (and the tree lines with it): same records, permuted
     manifest_lines = (toy_fixture_dir / "manifest.jsonl").read_text().splitlines()
@@ -378,17 +506,20 @@ def test_pipeline_skips_broken_video_unless_strict(toy_fixture_dir, tmp_path, ca
         run_pipeline(*args, strict=True)
 
 
+ANNOTATE_VIDEO = pipeline.annotate_video
+
+
+def bad_dog(video, *args):
+    """``annotate_video``, but vid_dog's record has a cell outside the frame."""
+    record = ANNOTATE_VIDEO(video, *args)
+    if video.video_id == "vid_dog":
+        record["events"][0]["objects"][0]["trajectory"]["coords"][0][0] = [1.5, 0.5]
+    return record
+
+
 def test_pipeline_validates_records_before_writing(
     toy_fixture_dir, tmp_path, monkeypatch, caplog, capsys
 ):
-    annotate_video = pipeline.annotate_video
-
-    def bad_dog(video, *args):
-        record = annotate_video(video, *args)
-        if video.video_id == "vid_dog":
-            record["events"][0]["objects"][0]["trajectory"]["coords"][0][0] = [1.5, 0.5]
-        return record
-
     monkeypatch.setattr(pipeline, "annotate_video", bad_dog)
     out = tmp_path / "out.jsonl"
     with caplog.at_level(logging.ERROR, logger="pite.pipeline"):
