@@ -67,9 +67,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train-toy", help="train the surrogate model for one stage")
     p.add_argument("--stage", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("--data", required=True, help="training samples (JSONL)")
+    p.add_argument("--data", required=True, help="training samples (.npz from save_samples)")
     p.add_argument("--config", help="TrainerConfig JSON file")
-    p.add_argument("--out", required=True, help="output parameter file (JSON)")
+    p.add_argument("--out", required=True, help="output parameter file (.npz, at exactly this name)")
     p.add_argument("--params-in", help="continue from this parameter file")
     p.add_argument("--curve", help="loss curve CSV (default: <out>.curve.csv)")
     p.add_argument(

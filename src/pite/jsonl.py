@@ -1,8 +1,8 @@
 """JSON-lines input and the error type for unusable input data.
 
-Every JSONL file the toolkit reads (manifests, track clips, training
-samples, evaluation records) goes through ``read_jsonl``, so a bad record
-is reported the same way everywhere: ``<path>:<line>: <Type>: <message>``.
+Every JSONL file the toolkit reads (manifests, track clips, evaluation
+records) goes through ``read_jsonl``, so a bad record is reported the same
+way everywhere: ``<path>:<line>: <Type>: <message>``.
 """
 
 from __future__ import annotations

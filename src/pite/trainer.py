@@ -11,7 +11,7 @@ given seed.
 from __future__ import annotations
 
 import csv
-import json
+import zipfile
 import zlib
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -30,7 +30,7 @@ from .toymodel import (
     stage_loss,
     tile_init,
 )
-from .jsonl import read_jsonl
+from .jsonl import DataError
 
 # synthetic_dataset: share of absent trajectory cells and of supervised tokens
 SENTINEL_RATE = 0.25
@@ -189,91 +189,132 @@ def samples_from_records(records: Iterable[dict], cfg: TrainerConfig) -> list[Tr
 
 
 # --- serialization -------------------------------------------------------------
+#
+# Both trainer files are uncompressed .npz archives.  A samples file packs its
+# samples end to end: ``tokens`` and ``supervised`` concatenated with the
+# per-sample ``lengths``, ``frames`` concatenated with ``frame_counts``, and
+# only the supervised rows of ``loc_targets`` / ``traj_targets``.
+
+TARGET_ARRAYS = ("loc_targets", "traj_targets")  # supervised rows only
+SAMPLE_ARRAYS = {  # array -> (accepted dtype kinds, dimensions)
+    "tokens": ("iuf", 1), "supervised": ("b", 1), "lengths": ("iu", 1), "frame_counts": ("iu", 1),
+    "frames": ("f", 2), "loc_targets": ("f", 2), "traj_targets": ("f", 4),
+}
 
 
-def sample_to_json(sample: TrainingSample) -> dict:
-    """JSON form; target rows of unsupervised tokens are written as null."""
-    obj = {
-        "frames": sample.frames.tolist(),
-        "tokens": sample.tokens.tolist(),
-        "supervised": [bool(b) for b in sample.supervised],
-    }
-    for name in ("loc_targets", "traj_targets"):
-        targets = getattr(sample, name)
-        if targets is not None:
-            obj[name] = [
-                row.tolist() if sup else None for row, sup in zip(targets, sample.supervised)
-            ]
-    return obj
+def _save_npz(path: str | Path, arrays: dict) -> None:
+    # np.savez appends ".npz" to a path that lacks it; a handle writes exactly ``path``
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
 
 
-def sample_from_json(obj: dict, cfg: TrainerConfig) -> TrainingSample:
-    """Inverse of ``sample_to_json``: null target rows become zeros of ``cfg``'s geometry.
+def _load_npz(path: str | Path, spec: dict[str, tuple], optional: Sequence[str] = ()) -> dict:
+    """The arrays named in ``spec``; any other file content raises DataError naming ``path``.
 
-    Raises ValueError when the rows do not align with the tokens, a row's
-    presence disagrees with its token's supervision, or a present row has
-    another shape.
+    ``spec`` maps each name to its accepted dtype kinds and its number of
+    dimensions (None for any).
     """
-    supervised = [bool(b) for b in obj["supervised"]]
-    targets = {}
-    for name, shape in (("loc_targets", (2,)), ("traj_targets", (cfg.points, cfg.frames, 2))):
-        if name not in obj:
-            continue
-        if len(obj[name]) != len(supervised):
-            raise ValueError(f"{len(obj[name])} {name} rows for {len(supervised)} tokens")
-        rows = []
-        for row, sup in zip(obj[name], supervised):
-            if row is not None and not sup:
-                raise ValueError(f"{name} present for an unsupervised token")
-            if row is None and sup:
-                raise ValueError(f"supervised token missing its {name} entry")
-            arr = np.zeros(shape) if row is None else np.asarray(row, dtype=float)
-            if arr.shape != shape:
-                raise ValueError(f"{name} row has shape {arr.shape}, expected {shape}")
-            rows.append(arr)
-        targets[name] = np.array(rows)
-    return TrainingSample(
-        frames=obj["frames"], tokens=obj["tokens"], supervised=supervised, **targets
-    )
-
-
-def load_samples(path: str | Path, cfg: TrainerConfig) -> list[TrainingSample]:
-    """Read a samples file written by ``save_samples``; a bad line raises DataError."""
-    return list(read_jsonl(path, lambda obj: sample_from_json(obj, cfg)))
+    with open(path, "rb") as handle:
+        if handle.read(4) != b"PK\x03\x04":
+            raise DataError(f"{path}: not an .npz archive")
+        handle.seek(0)
+        try:
+            with np.load(handle, allow_pickle=False) as archive:
+                arrays = {name: archive[name] for name in spec if name in archive.files}
+        except (EOFError, OSError, ValueError, zipfile.BadZipFile) as exc:
+            raise DataError(f"{path}: damaged .npz archive ({type(exc).__name__})") from None
+    for name, (kinds, ndim) in spec.items():
+        arr = arrays.get(name)
+        if arr is None and name not in optional:
+            raise DataError(f"{path}: no {name!r} array")
+        if arr is not None and (arr.dtype.kind not in kinds or ndim not in (None, arr.ndim)):
+            raise DataError(f"{path}: {name!r} is a {arr.ndim}-D {arr.dtype} array")
+    return arrays
 
 
 def save_samples(samples: Sequence[TrainingSample], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for sample in samples:
-            handle.write(json.dumps(sample_to_json(sample)) + "\n")
+    """Pack ``samples`` into one .npz file; a target kind must be on every sample or none."""
+    arrays = {
+        name: np.concatenate([getattr(s, name) for s in samples])
+        for name in ("tokens", "supervised", "frames")
+    }
+    arrays["lengths"] = np.array([len(s.tokens) for s in samples])
+    arrays["frame_counts"] = np.array([len(s.frames) for s in samples])
+    for name in TARGET_ARRAYS:
+        rows = [getattr(s, name)[s.supervised] for s in samples if getattr(s, name) is not None]
+        if len(rows) not in (0, len(samples)):
+            raise ValueError(f"{name} on some samples only")
+        if rows:
+            arrays[name] = np.concatenate(rows)
+    _save_npz(path, arrays)
 
 
-def params_to_json(params: ToyModelParams) -> dict:
-    arrays = {}
-    for name in ARRAY_NAMES:
-        arr = getattr(params, name)
-        arrays[name] = {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
-    return {"points": params.points, "traj_frames": params.traj_frames, "arrays": arrays}
+def load_samples(path: str | Path, cfg: TrainerConfig) -> list[TrainingSample]:
+    """Split a file written by ``save_samples`` back into per-sample views.
 
+    Unsupervised target rows load as zeros of ``cfg``'s geometry, ``(2,)``
+    for ``loc_targets`` and ``(points, frames, 2)`` for ``traj_targets``.
+    Arrays that do not fit together or do not fit ``cfg`` raise DataError
+    ``<path>: sample <i>: ...`` naming the first sample they break.
+    """
+    a = _load_npz(path, SAMPLE_ARRAYS, optional=TARGET_ARRAYS)
+    lengths, frame_counts = a["lengths"], a["frame_counts"]
+    if not len(lengths) or len(frame_counts) != len(lengths):
+        raise DataError(f"{path}: {len(lengths)} lengths and {len(frame_counts)} frame_counts")
 
-def params_from_json(obj: dict) -> ToyModelParams:
-    kwargs = {}
-    for name in ARRAY_NAMES:
-        entry = obj["arrays"][name]
-        kwargs[name] = np.array(entry["data"], dtype=float).reshape(entry["shape"])
-    return ToyModelParams(
-        **kwargs, points=int(obj["points"]), traj_frames=int(obj["traj_frames"])
-    )
+    def fail(i, message):
+        raise DataError(f"{path}: sample {i}: {message}")
+
+    def split(name, rows, counts):
+        """Views of ``counts`` rows each; a total other than ``len(rows)`` fails a sample."""
+        ends = np.cumsum(counts)
+        if ends[-1] != len(rows):
+            i = min(int(np.searchsorted(ends, len(rows), side="right")), len(ends) - 1)
+            fail(i, f"{name} end at row {ends[i]}, the file holds {len(rows)}")
+        return np.split(rows, ends[:-1])
+
+    for name, counts in (("tokens", lengths), ("frames", frame_counts)):
+        for i in np.flatnonzero(counts < 1)[:1]:
+            fail(i, f"{counts[i]} {name}, expected at least 1")
+    columns = [
+        split("tokens", a["tokens"], lengths),
+        split("supervised", a["supervised"], lengths),
+        split("frames", a["frames"], frame_counts),
+    ]
+    n_supervised = [int(s.sum()) for s in columns[1]]
+    geometry = {"loc_targets": (2,), "traj_targets": (cfg.points, cfg.frames, 2)}
+    targets = {name: split(f"{name} rows", a[name], n_supervised) for name in geometry if name in a}
+    samples = []
+    for i, (tokens, supervised, frames) in enumerate(zip(*columns)):
+        bad = ~((tokens >= 0) & (tokens < cfg.vocab) & (tokens == np.floor(tokens)))
+        if bad.any():
+            fail(i, f"token {tokens[bad][0]} is not an integer in [0, {cfg.vocab})")
+        if frames.shape[1:] != (cfg.d_v,):
+            fail(i, f"frames have shape {frames.shape}, expected (n, {cfg.d_v})")
+        full = {}
+        for name, rows in targets.items():
+            if rows[i].shape[1:] != geometry[name]:
+                fail(i, f"{name} rows have shape {rows[i].shape[1:]}, expected {geometry[name]}")
+            full[name] = np.zeros((len(tokens), *geometry[name]))
+            full[name][supervised] = rows[i]
+        samples.append(TrainingSample(frames, tokens, supervised, **full))
+    return samples
 
 
 def save_params(params: ToyModelParams, path: str | Path) -> None:
-    # json.dumps runs the C encoder; json.dump to a file takes the pure-Python one
-    Path(path).write_text(json.dumps(params_to_json(params)), encoding="utf-8")
+    """Write one array per ``ARRAY_NAMES`` entry plus ``points`` and ``traj_frames``."""
+    arrays = {name: getattr(params, name) for name in ARRAY_NAMES}
+    _save_npz(path, dict(arrays, points=params.points, traj_frames=params.traj_frames))
 
 
 def load_params(path: str | Path) -> ToyModelParams:
-    with open(path, encoding="utf-8") as handle:
-        return params_from_json(json.load(handle))
+    spec = dict.fromkeys(ARRAY_NAMES, ("f", None))
+    a = _load_npz(path, dict(spec, points=("iu", 0), traj_frames=("iu", 0)))
+    return ToyModelParams(
+        **{name: a[name] for name in ARRAY_NAMES},
+        points=int(a["points"]),
+        traj_frames=int(a["traj_frames"]),
+    )
 
 
 def write_loss_curve(
@@ -297,12 +338,8 @@ __all__ = [
     "synthetic_dataset",
     "samples_from_records",
     "stable_token_id",
-    "sample_to_json",
-    "sample_from_json",
     "load_samples",
     "save_samples",
-    "params_to_json",
-    "params_from_json",
     "save_params",
     "load_params",
     "write_loss_curve",

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 import shutil
 
 import numpy as np
@@ -7,9 +8,15 @@ import pytest
 
 from pite import metrics
 from pite.cli import main
-from pite.toymodel import TrainerConfig
+from pite.toymodel import ARRAY_NAMES, TrainerConfig, init_params
 from pite.tracks import Mask, save_mask
-from pite.trainer import load_params, samples_from_records, synthetic_dataset, save_samples
+from pite.trainer import (
+    load_params,
+    samples_from_records,
+    save_params,
+    save_samples,
+    synthetic_dataset,
+)
 
 
 def run_cli(capsys, *argv):
@@ -193,14 +200,16 @@ def test_train_toy_on_sample_without_supervised_token(capsys, tmp_path):
                         {"np": {"text": "a dog", "span": [0, 2]}, "trajectory": {"coords": coords}}
                     ],
                 },
-                # no kept object: every traj_targets row is written as null
+                # no kept object: no traj_targets row is stored
                 {"formatted_text": "a ghost, from 1 to 2", "objects": []},
             ],
         }
     ]
-    data_path = tmp_path / "stage2.jsonl"
+    data_path = tmp_path / "stage2.npz"
     save_samples(samples_from_records(records, cfg), data_path)
-    assert json.loads(data_path.read_text().splitlines()[1])["traj_targets"] == [None] * 6
+    with np.load(data_path) as archive:
+        assert list(archive["lengths"]) == [7, 6]
+        assert len(archive["traj_targets"]) == 2  # "a dog" only
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(cfg.to_json()))
     code, out, err = run_cli(
@@ -239,27 +248,82 @@ def test_bad_jsonl_line_names_file_and_line(capsys, toy_fixture_dir, tmp_path):
     assert code == 2
     assert f"{tracks}:2: JSONDecodeError" in err
 
-    cfg = TrainerConfig(d_v=4, d=8, vocab=12, points=2, frames=3, steps=2)
-    samples = tmp_path / "stage2.jsonl"
-    save_samples(synthetic_dataset(2, 3, cfg, seed=8), samples)
-    bad = json.loads(samples.read_text().splitlines()[1])
-    bad["supervised"] = [False] * len(bad["supervised"])
-    with_bad_line(samples, samples, 2, json.dumps(bad))
-    config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(cfg.to_json()))
-    code, _, err = run_cli(
-        capsys, "train-toy", "--stage", "2", "--data", str(samples),
-        "--config", str(config_path), "--out", str(tmp_path / "params.json"),
-    )
-    assert code == 2
-    assert f"{samples}:2: ValueError: traj_targets present for an unsupervised token" in err
-
     pred, gt = write_eval_files(tmp_path, [{"start": 0, "end": 1, "caption": "a"}] * 2, [])
     gt.write_text(json.dumps({"video_id": "v", "events": []}) + "\n" + json.dumps({"events": []}) + "\n")
     for command in ("eval-dense", "eval-grounding"):
         code, _, err = run_cli(capsys, command, "--pred", str(pred), "--gt", str(gt))
         assert code == 2
         assert f"{gt}:2: KeyError: 'video_id'" in err
+
+
+STAGE2_CFG = TrainerConfig(d_v=4, d=8, vocab=12, points=2, frames=3, steps=2)
+
+
+def train_toy_stage2(capsys, tmp_path, samples, *extra):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(STAGE2_CFG.to_json()))
+    return run_cli(
+        capsys, "train-toy", "--stage", "2", "--data", str(samples),
+        "--config", str(config_path), "--out", str(tmp_path / "params.json"), *extra,
+    )
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda a: {"tokens": np.where(np.arange(18) == 8, 12, a["tokens"])},
+         r"sample 1: token 12 is not an integer in \[0, 12\)"),
+        (lambda a: {"frames": a["frames"][:, :3]},
+         r"sample 0: frames have shape \(4, 3\), expected \(n, 4\)"),
+        (lambda a: {"supervised": a["supervised"] & (np.arange(18) < 6)},
+         r"sample 2: traj_targets rows end at row \d+, the file holds \d+"),
+    ],
+    ids=["token-vocab", "frame-width", "supervision"],
+)
+def test_bad_samples_file_names_file_and_sample(capsys, tmp_path, rewrite_npz, change, message):
+    samples = tmp_path / "stage2.npz"
+    save_samples(synthetic_dataset(2, 3, STAGE2_CFG, seed=8), samples)
+    with np.load(samples) as archive:
+        assert list(archive["lengths"]) == [6, 6, 6]
+        arrays = dict(archive)
+    rewrite_npz(samples, **change(arrays))
+    code, out, err = train_toy_stage2(capsys, tmp_path, samples)
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(f"error: {re.escape(str(samples))}: {message}\n", err)
+
+
+def old_json_params(path, cfg):
+    params = init_params(cfg)
+    arrays = {
+        name: {"shape": list(getattr(params, name).shape), "data": getattr(params, name).ravel().tolist()}
+        for name in ARRAY_NAMES
+    }
+    path.write_text(json.dumps({"points": cfg.points, "traj_frames": cfg.frames, "arrays": arrays}))
+
+
+@pytest.mark.parametrize("flag", ["--data", "--params-in"])
+@pytest.mark.parametrize("damage", ["old-json", "truncated", "missing-array"])
+def test_unreadable_trainer_file_exits_2_naming_it(capsys, tmp_path, rewrite_npz, flag, damage):
+    samples, params = tmp_path / "stage2.npz", tmp_path / "params1.json"
+    save_samples(synthetic_dataset(2, 3, STAGE2_CFG, seed=8), samples)
+    save_params(init_params(STAGE2_CFG), params)
+    bad = samples if flag == "--data" else params
+    if damage == "old-json":
+        old_json_params(bad, STAGE2_CFG)
+        message = "not an .npz archive"
+    elif damage == "truncated":
+        bad.write_bytes(bad.read_bytes()[:-100])
+        message = r"damaged .npz archive \(BadZipFile\)"
+    else:
+        key = "frames" if flag == "--data" else "traj_w"
+        rewrite_npz(bad, **{key: None})
+        message = f"no '{key}' array"
+    code, out, err = train_toy_stage2(capsys, tmp_path, samples, "--params-in", str(params))
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(f"error: {re.escape(str(bad))}: {message}\n", err)
+    assert "pickle" not in err
 
 
 def test_build_dataset_rejects_repeated_manifest_video(capsys, toy_fixture_dir, tmp_path):
@@ -305,7 +369,7 @@ def test_repeated_clip_id_names_file_and_line(capsys, caplog, toy_fixture_dir, t
 
 def test_train_toy_and_grad_check(capsys, tmp_path):
     cfg = TrainerConfig(d_v=4, d=8, vocab=12, points=2, frames=3, lr=1.0, steps=4, seed=2)
-    data_path = tmp_path / "stage2.jsonl"
+    data_path = tmp_path / "stage2.npz"
     save_samples(synthetic_dataset(2, 4, cfg, seed=8), data_path)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(cfg.to_json()))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -9,14 +11,11 @@ from pite.toymodel import (
     pack_batch,
     stage_loss,
 )
+from pite.jsonl import DataError
 from pite.trainer import (
     load_params,
     load_samples,
-    params_from_json,
-    params_to_json,
     run_stage,
-    sample_from_json,
-    sample_to_json,
     samples_from_records,
     save_params,
     save_samples,
@@ -122,55 +121,57 @@ def test_stage3_overfit_decodes_target_sequences():
 
 
 @pytest.mark.parametrize("stage", [1, 2, 3])
-def test_sample_json_round_trip(stage):
-    for sample in synthetic_dataset(stage, 3, CFG, seed=13):
-        back = sample_from_json(sample_to_json(sample), CFG)
-        assert np.array_equal(back.tokens, sample.tokens)
-        assert np.array_equal(back.supervised, sample.supervised)
-        np.testing.assert_allclose(back.frames, sample.frames)
-        if stage == 1:
-            np.testing.assert_allclose(
-                back.loc_targets[sample.supervised],
-                sample.loc_targets[sample.supervised],
-            )
-        if stage == 2:
-            np.testing.assert_allclose(
-                back.traj_targets[sample.supervised],
-                sample.traj_targets[sample.supervised],
-            )
+def test_sample_file_round_trip_is_bit_exact(stage, tmp_path):
+    data = synthetic_dataset(stage, 3, CFG, seed=13)
+    path = tmp_path / "samples.npz"
+    save_samples(data, path)
+    for sample, back in zip(data, load_samples(path, CFG), strict=True):
+        for name in ("frames", "tokens", "supervised", "loc_targets", "traj_targets"):
+            want, got = getattr(sample, name), getattr(back, name)
+            assert (want is None and got is None) or np.array_equal(got, want), name
+        assert back.tokens.dtype == sample.tokens.dtype and back.supervised.dtype == bool
 
 
-def test_sample_json_rejects_inconsistent_supervision():
-    sample = synthetic_dataset(1, 1, CFG, seed=1)[0]
-    obj = sample_to_json(sample)
-    obj["supervised"] = [False] * len(obj["supervised"])
-    with pytest.raises(ValueError, match="unsupervised"):
-        sample_from_json(obj, CFG)
-    obj2 = sample_to_json(sample)
-    obj2["loc_targets"] = [None] * len(obj2["loc_targets"])
-    obj2["supervised"] = [True] * len(obj2["supervised"])
-    with pytest.raises(ValueError, match="missing"):
-        sample_from_json(obj2, CFG)
+def test_load_samples_rejects_target_row_count(tmp_path, rewrite_npz):
+    path = tmp_path / "samples.npz"
+    save_samples(synthetic_dataset(1, 2, CFG, seed=1), path)
+    with np.load(path) as archive:
+        supervised, lengths = archive["supervised"], archive["lengths"]
+    # rows stored for tokens that are not supervised
+    rewrite_npz(path, supervised=np.zeros_like(supervised))
+    with pytest.raises(DataError, match=rf"^{path}: sample 1: loc_targets rows end at row 0, the file holds \d+$"):
+        load_samples(path, CFG)
+    # supervised tokens without their stored row
+    rewrite_npz(path, supervised=np.ones_like(supervised))
+    with pytest.raises(DataError, match=rf"sample 1: loc_targets rows end at row {lengths.sum()}, the file"):
+        load_samples(path, CFG)
 
 
-def test_sample_json_rejects_rows_that_do_not_fit_config():
-    obj = sample_to_json(synthetic_dataset(2, 1, CFG, seed=1)[0])
+def test_load_samples_rejects_rows_that_do_not_fit_config(tmp_path, rewrite_npz):
+    path = tmp_path / "samples.npz"
+    save_samples(synthetic_dataset(2, 1, CFG, seed=1), path)
     swapped = TrainerConfig(**{**CFG.to_json(), "points": CFG.frames, "frames": CFG.points})
-    with pytest.raises(ValueError, match=r"traj_targets row has shape \(2, 3, 2\), expected \(3, 2, 2\)"):
-        sample_from_json(obj, swapped)
-    short = dict(obj, traj_targets=obj["traj_targets"][:-1])
-    with pytest.raises(ValueError, match="rows for"):
-        sample_from_json(short, CFG)
-    obj = sample_to_json(synthetic_dataset(1, 1, CFG, seed=1)[0])
-    obj["loc_targets"] = [[0.5] * 3 if sup else None for sup in obj["supervised"]]
-    with pytest.raises(ValueError, match=r"loc_targets row has shape \(3,\)"):
-        sample_from_json(obj, CFG)
+    with pytest.raises(DataError, match=r"sample 0: traj_targets rows have shape \(2, 3, 2\), expected \(3, 2, 2\)"):
+        load_samples(path, swapped)
+    with np.load(path) as archive:
+        rows = archive["traj_targets"]
+    rewrite_npz(path, traj_targets=rows[:-1])
+    with pytest.raises(DataError, match=f"sample 0: traj_targets rows end at row {len(rows)}, the file holds {len(rows) - 1}"):
+        load_samples(path, CFG)
+    save_samples(synthetic_dataset(1, 1, CFG, seed=1), path)
+    with np.load(path) as archive:
+        rows = archive["loc_targets"]
+    rewrite_npz(path, loc_targets=np.full((len(rows), 3), 0.5))
+    with pytest.raises(DataError, match=r"loc_targets rows have shape \(3,\), expected \(2,\)"):
+        load_samples(path, CFG)
 
 
 def test_load_samples_fills_null_rows_from_config(tmp_path):
+    """Unsupervised rows are not stored and load as zeros of the config's geometry."""
     sample = synthetic_dataset(2, 1, CFG, seed=1)[0]
-    sample.supervised[:] = False  # every traj_targets row is written as null
-    path = tmp_path / "samples.jsonl"
+    sample.supervised[:] = False  # no traj_targets row is written
+    sample.traj_targets[:] = 0.5
+    path = tmp_path / "samples.npz"
     save_samples([sample], path)
     back = load_samples(path, CFG)[0]
     assert back.traj_targets.shape == (len(sample.tokens), CFG.points, CFG.frames, 2)
@@ -179,25 +180,102 @@ def test_load_samples_fills_null_rows_from_config(tmp_path):
 
 def test_samples_file_round_trip(tmp_path):
     data = synthetic_dataset(2, 4, CFG, seed=3)
-    path = tmp_path / "samples.jsonl"
+    path = tmp_path / "samples.npz"
     save_samples(data, path)
     back = load_samples(path, CFG)
     assert len(back) == 4
     for a, b in zip(back, data):
-        np.testing.assert_allclose(a.traj_targets, b.traj_targets)
+        assert np.array_equal(a.traj_targets, b.traj_targets)
+
+
+def token_at_6(value):
+    """Set the first token of the second sample (samples of 6 tokens)."""
+
+    def change(arrays):
+        tokens = arrays["tokens"].astype(type(value))
+        tokens[6] = value
+        return {"tokens": tokens}
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (token_at_6(-1), r"sample 1: token -1 is not an integer in \[0, 12\)"),
+        (token_at_6(2.7), r"sample 1: token 2.7 is not an integer in \[0, 12\)"),
+        (token_at_6(12), r"sample 1: token 12 is not an integer in \[0, 12\)"),
+        (
+            lambda a: {"frames": a["frames"][:8], "frame_counts": np.array([4, 0, 4])},
+            r"sample 1: 0 frames, expected at least 1",
+        ),
+        (
+            lambda a: {"frames": np.zeros((12, CFG.d_v + 1))},
+            r"sample 0: frames have shape \(4, 5\), expected \(n, 4\)",
+        ),
+        (
+            lambda a: {"lengths": a["lengths"] + [0, 0, 1]},
+            r"sample 2: tokens end at row 19, the file holds 18",
+        ),
+        (
+            lambda a: {"lengths": a["lengths"] - [0, 0, 1]},
+            r"sample 2: tokens end at row 17, the file holds 18",
+        ),
+        (lambda a: {"tokens": a["tokens"].astype(str)}, r"'tokens' is a 1-D <U21 array"),
+        (lambda a: {"frame_counts": a["frame_counts"][:2]}, r"3 lengths and 2 frame_counts"),
+    ],
+    ids=[
+        "token-1", "token2.7", "token-vocab", "no-frames", "frame-width", "long", "short",
+        "token-dtype", "frame-counts",
+    ],
+)
+def test_load_samples_checks_samples_against_config(tmp_path, rewrite_npz, change, message):
+    path = tmp_path / "samples.npz"
+    save_samples(synthetic_dataset(3, 3, CFG, seed=1), path)  # 3 samples, 6 tokens, 4 frames
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    rewrite_npz(path, **change(arrays))
+    with pytest.raises(DataError, match=f"^{path}: {message}$"):
+        load_samples(path, CFG)
+
+
+def test_save_samples_rejects_targets_on_some_samples_only(tmp_path):
+    data = synthetic_dataset(1, 2, CFG, seed=0)
+    data[1].loc_targets = None
+    with pytest.raises(ValueError, match="loc_targets on some samples only"):
+        save_samples(data, tmp_path / "samples.npz")
 
 
 def test_params_file_round_trip(tmp_path):
     params = init_params(CFG)
-    path = tmp_path / "params.json"
+    path = tmp_path / "params.npz"
     save_params(params, path)
     back = load_params(path)
     for name in ARRAY_NAMES:
         assert np.array_equal(getattr(back, name), getattr(params, name))
     assert (back.points, back.traj_frames) == (CFG.points, CFG.frames)
-    obj = params_to_json(params)
-    assert obj["arrays"]["traj_w"]["shape"] == [2 * CFG.points * CFG.frames, CFG.d]
-    assert params_from_json(obj).check_shapes(CFG) is None
+    with np.load(path) as archive:
+        assert archive["traj_w"].shape == (2 * CFG.points * CFG.frames, CFG.d)
+    assert back.check_shapes(CFG) is None
+
+
+def test_trainer_files_repeat_byte_for_byte(tmp_path, monkeypatch):
+    params = init_params(CFG)
+    samples = synthetic_dataset(2, 3, CFG, seed=4)
+    for save, obj in ((save_params, params), (save_samples, samples)):
+        save(obj, tmp_path / "a")
+        with monkeypatch.context() as m:  # zip members carry a date; a day later must not matter
+            later = time.time() + 86400
+            m.setattr(time, "time", lambda: later)
+            save(obj, tmp_path / "b")
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+
+def test_save_params_writes_exactly_the_given_name(tmp_path):
+    save_params(init_params(CFG), str(tmp_path / "x.json"))
+    save_samples(synthetic_dataset(1, 1, CFG, seed=0), str(tmp_path / "s.jsonl"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.jsonl", "x.json"]
+    assert load_params(tmp_path / "x.json").points == CFG.points
 
 
 def test_loss_curve_csv(tmp_path):
