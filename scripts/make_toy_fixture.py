@@ -34,7 +34,6 @@ VIDEOS = [
         "duration": 10.0,
         "width": 64,
         "height": 48,
-        "src_frames": 240,
         "events": [
             {
                 "caption": "woman is counting money with a pen on a white table",
@@ -49,7 +48,6 @@ VIDEOS = [
         "duration": 8.0,
         "width": 32,
         "height": 32,
-        "src_frames": 192,
         "events": [{"caption": "a dog runs", "start": 1.0, "end": 7.0}],
     },
 ]

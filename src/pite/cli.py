@@ -200,10 +200,9 @@ def cmd_train_toy(args) -> int:
     cfg = _load_trainer_config(args.config, args.seed)
     data = trainer.load_samples(args.data, cfg)
     if args.params_in:
-        params = trainer.load_params(args.params_in)
+        params = trainer.load_params(args.params_in, cfg)
     else:
         params = toymodel.init_params(cfg)
-    params.check_shapes(cfg)
     params, curve, grad_norms = trainer.run_stage(
         params, data, args.stage, cfg, tile=not args.no_tile_init
     )

@@ -73,9 +73,6 @@ class TrainerConfig:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return cls(**known)
 
-    def to_json(self) -> dict:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
 
 @dataclass
 class ToyModelParams:
@@ -150,13 +147,6 @@ class TrainingSample:
             raise ValueError("stage 1 sample requires loc_targets")
         if stage == 2 and self.traj_targets is None:
             raise ValueError("stage 2 sample requires traj_targets")
-
-
-class ForwardOutput(NamedTuple):
-    hidden: np.ndarray  # (L, d)
-    logits: np.ndarray  # (L, V)
-    locs: np.ndarray  # (L, 2)
-    trajs: np.ndarray  # (L, P, N, 2)
 
 
 class PackedBatch(NamedTuple):
@@ -248,22 +238,6 @@ def _hidden(params: ToyModelParams, batch: PackedBatch) -> np.ndarray:
     return np.tanh(act, out=act)
 
 
-def forward(params: ToyModelParams, frames, tokens) -> ForwardOutput:
-    """Run the surrogate model over one sample; deterministic."""
-    frames = np.asarray(frames, dtype=float)
-    if frames.ndim != 2 or frames.shape[1] != params.adapter.shape[1]:
-        raise ValueError(
-            f"frames shape {frames.shape} incompatible with adapter {params.adapter.shape}"
-        )
-    sample = TrainingSample(frames=frames, tokens=tokens, supervised=np.zeros(np.shape(tokens)))
-    H = _hidden(params, pack_batch([sample], stage=3))
-    logits = H @ params.vocab_map.T
-    locs = H @ params.loc_w.T + params.loc_b
-    flat = H @ params.traj_w.T + params.traj_b
-    trajs = flat.reshape(len(H), params.points, params.traj_frames, 2)
-    return ForwardOutput(hidden=H, logits=logits, locs=locs, trajs=trajs)
-
-
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise log-probabilities, shifted by the row maximum for stability."""
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -276,16 +250,6 @@ def label_smoothed_ce(logp: np.ndarray, targets: np.ndarray, eps: float) -> np.n
     nll = -logp[np.arange(len(targets)), targets]
     uniform = -logp.mean(axis=1)
     return (1.0 - eps) * nll + eps * uniform
-
-
-def smoothed_ce_floor(vocab: int, eps: float) -> float:
-    """Entropy of the smoothed target: the analytic minimum of label_smoothed_ce."""
-    q_target = 1.0 - eps + eps / vocab
-    q_other = eps / vocab
-    floor = -q_target * np.log(q_target)
-    if vocab > 1 and q_other > 0:
-        floor -= (vocab - 1) * q_other * np.log(q_other)
-    return float(floor)
 
 
 def _head_scale(params: ToyModelParams, stage: int, lam: float) -> float:
@@ -421,15 +385,3 @@ def grad_check(
             worst = max(worst, err)
     return worst
 
-
-def greedy_decode(params: ToyModelParams, frames, length: int) -> np.ndarray:
-    """Free-running argmax decode of ``length`` tokens from the visual input.
-
-    Row i of the forward pass depends only on tokens before i (and on the
-    fixed length), so the undecided suffix can stay zero-padded.
-    """
-    tokens = np.zeros(length, dtype=int)
-    for i in range(length):
-        out = forward(params, frames, tokens)
-        tokens[i] = int(np.argmax(out.logits[i]))
-    return tokens

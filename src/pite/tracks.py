@@ -158,7 +158,6 @@ def kmeans_pp(
     points: Sequence[tuple[float, float]],
     k: int,
     seed: int = 0,
-    debug: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """k-means with D^2 seeding, Lloyd iterations and single-point moves; best of restarts.
 
@@ -170,8 +169,7 @@ def kmeans_pp(
     run with the lowest SSE wins; ties keep the earliest run.
 
     Returns (centers (k,2), assignments (n,), sse).  Deterministic for a given
-    seed.  Raises ValueError when k exceeds the number of points.  With
-    ``debug`` the per-iteration SSE monotonicity is asserted.
+    seed.  Raises ValueError when k exceeds the number of points.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -186,7 +184,7 @@ def kmeans_pp(
     best: tuple[np.ndarray, np.ndarray, float] | None = None
     for _ in range(RESTARTS):
         centers = _seed_centers(pts, k, rng)
-        centers, assign, sse = _lloyd(pts, centers, debug)
+        centers, assign, sse = _lloyd(pts, centers)
         # Lloyd fixed points are not always optima even on tiny inputs;
         # single-point reassignment passes are a strict descent beyond them
         for _round in range(50):
@@ -194,7 +192,7 @@ def kmeans_pp(
             if not moved:
                 break
             centers = _means(pts, assign, centers)
-            centers, assign, new_sse = _lloyd(pts, centers, debug)
+            centers, assign, new_sse = _lloyd(pts, centers)
             if new_sse >= sse:
                 break
             sse = new_sse
@@ -223,20 +221,13 @@ def _seed_centers(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def _lloyd(
-    pts: np.ndarray, centers: np.ndarray, debug: bool
-) -> tuple[np.ndarray, np.ndarray, float]:
-    prev_sse = np.inf
+def _lloyd(pts: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     assign = _assign(pts, centers)
     for _ in range(MAX_ITER):
         new_centers = _means(pts, assign, centers)
         move = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max()
         centers = new_centers
         assign = _assign(pts, centers)
-        if debug:
-            sse = _sse(pts, centers, assign)
-            assert sse <= prev_sse + 1e-9 * max(1.0, prev_sse if np.isfinite(prev_sse) else 1.0)
-            prev_sse = sse
         if move < TOL:
             break
     return centers, assign, _sse(pts, centers, assign)

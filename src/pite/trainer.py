@@ -25,7 +25,6 @@ from .toymodel import (
     TrainerConfig,
     TrainingSample,
     gradients,
-    init_params,
     pack_batch,
     stage_loss,
     tile_init,
@@ -254,8 +253,9 @@ def load_samples(path: str | Path, cfg: TrainerConfig) -> list[TrainingSample]:
 
     Unsupervised target rows load as zeros of ``cfg``'s geometry, ``(2,)``
     for ``loc_targets`` and ``(points, frames, 2)`` for ``traj_targets``.
-    Arrays that do not fit together or do not fit ``cfg`` raise DataError
-    ``<path>: sample <i>: ...`` naming the first sample they break.
+    Stored counts that do not add up to the stored rows raise DataError
+    ``<path>: ...``; a sample that does not fit ``cfg`` raises DataError
+    ``<path>: sample <i>: ...`` naming the first such sample.
     """
     a = _load_npz(path, SAMPLE_ARRAYS, optional=TARGET_ARRAYS)
     lengths, frame_counts = a["lengths"], a["frame_counts"]
@@ -265,25 +265,28 @@ def load_samples(path: str | Path, cfg: TrainerConfig) -> list[TrainingSample]:
     def fail(i, message):
         raise DataError(f"{path}: sample {i}: {message}")
 
-    def split(name, rows, counts):
-        """Views of ``counts`` rows each; a total other than ``len(rows)`` fails a sample."""
+    def split(rows, counts, counted, noun):
+        """Views of ``counts`` rows each; a sum other than ``len(rows)`` fails the file."""
         ends = np.cumsum(counts)
         if ends[-1] != len(rows):
-            i = min(int(np.searchsorted(ends, len(rows), side="right")), len(ends) - 1)
-            fail(i, f"{name} end at row {ends[i]}, the file holds {len(rows)}")
+            raise DataError(f"{path}: {counted} {ends[-1]} {noun}, the file holds {len(rows)}")
         return np.split(rows, ends[:-1])
 
     for name, counts in (("tokens", lengths), ("frames", frame_counts)):
         for i in np.flatnonzero(counts < 1)[:1]:
             fail(i, f"{counts[i]} {name}, expected at least 1")
     columns = [
-        split("tokens", a["tokens"], lengths),
-        split("supervised", a["supervised"], lengths),
-        split("frames", a["frames"], frame_counts),
+        split(a["tokens"], lengths, "lengths add up to", "tokens"),
+        split(a["supervised"], lengths, "lengths add up to", "supervised flags"),
+        split(a["frames"], frame_counts, "frame_counts add up to", "frames"),
     ]
     n_supervised = [int(s.sum()) for s in columns[1]]
     geometry = {"loc_targets": (2,), "traj_targets": (cfg.points, cfg.frames, 2)}
-    targets = {name: split(f"{name} rows", a[name], n_supervised) for name in geometry if name in a}
+    targets = {
+        name: split(a[name], n_supervised, "supervised flags mark", f"{name} rows")
+        for name in geometry
+        if name in a
+    }
     samples = []
     for i, (tokens, supervised, frames) in enumerate(zip(*columns)):
         bad = ~((tokens >= 0) & (tokens < cfg.vocab) & (tokens == np.floor(tokens)))
@@ -307,14 +310,20 @@ def save_params(params: ToyModelParams, path: str | Path) -> None:
     _save_npz(path, dict(arrays, points=params.points, traj_frames=params.traj_frames))
 
 
-def load_params(path: str | Path) -> ToyModelParams:
+def load_params(path: str | Path, cfg: TrainerConfig) -> ToyModelParams:
+    """Parameters saved by ``save_params``; arrays that do not fit ``cfg`` raise DataError."""
     spec = dict.fromkeys(ARRAY_NAMES, ("f", None))
     a = _load_npz(path, dict(spec, points=("iu", 0), traj_frames=("iu", 0)))
-    return ToyModelParams(
+    params = ToyModelParams(
         **{name: a[name] for name in ARRAY_NAMES},
         points=int(a["points"]),
         traj_frames=int(a["traj_frames"]),
     )
+    try:
+        params.check_shapes(cfg)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return params
 
 
 def write_loss_curve(
@@ -328,20 +337,3 @@ def write_loss_curve(
             norm = repr(grad_norms[step]) if step < len(grad_norms) else ""
             writer.writerow([step, repr(loss), norm])
 
-
-__all__ = [
-    "TrainerConfig",
-    "ToyModelParams",
-    "TrainingSample",
-    "train",
-    "run_stage",
-    "synthetic_dataset",
-    "samples_from_records",
-    "stable_token_id",
-    "load_samples",
-    "save_samples",
-    "save_params",
-    "load_params",
-    "write_loss_curve",
-    "init_params",
-]

@@ -51,13 +51,6 @@ class ParseTree:
         for child in self.children:
             yield from child.iter_nodes()
 
-    def serialize(self) -> str:
-        """Canonical single-space bracketed form; round-trips through parse."""
-        if self.is_leaf():
-            return self.token if self.token is not None else ""
-        inner = " ".join(c.serialize() for c in self.children)
-        return f"({self.label} {inner})"
-
 
 @dataclass(frozen=True)
 class NounPhrase:

@@ -3,6 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pite.toymodel import TrainingSample, _hidden, pack_batch
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -32,3 +34,22 @@ def rewrite_npz():
             np.savez(handle, **{k: v for k, v in merged.items() if v is not None})
 
     return rewrite
+
+
+@pytest.fixture
+def greedy_decode():
+    """Free-running argmax decode: ``decode(params, frames, length)`` -> tokens.
+
+    Row i of the packed pass depends only on the tokens before it (and on
+    the fixed length), so the undecided suffix can stay zero-padded.
+    """
+
+    def decode(params, frames, length):
+        tokens = np.zeros(length, dtype=int)
+        for i in range(length):
+            sample = TrainingSample(frames, tokens.copy(), np.zeros(length, dtype=bool))
+            logits = _hidden(params, pack_batch([sample], 3)) @ params.vocab_map.T
+            tokens[i] = int(np.argmax(logits[i]))
+        return tokens
+
+    return decode

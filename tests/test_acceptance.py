@@ -6,7 +6,11 @@ lines and timings.
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -23,13 +27,17 @@ from pite.metrics import (
 from pite.pipeline import PipelineConfig, run_pipeline, validate_record
 from pite.toymodel import (
     TrainerConfig,
-    forward,
+    TrainingSample,
+    _hidden,
     grad_check,
     init_params,
+    pack_batch,
     tile_init,
 )
 from pite.tracks import kmeans_pp
-from pite.trainer import run_stage, synthetic_dataset
+from pite.trainer import synthetic_dataset
+
+ROOT = Path(__file__).resolve().parents[1]
 from pite.trees import extract_lowest_np, parse_bracketed
 
 
@@ -64,13 +72,15 @@ def test_tiling_initialization_bit_for_bit():
             ok &= np.array_equal(tiled.traj_w[2 * m : 2 * m + 2], params.loc_w)
             ok &= np.array_equal(tiled.traj_b[2 * m : 2 * m + 2], params.loc_b)
         rng = np.random.default_rng(seed + 70)
-        frames = rng.normal(size=(3, cfg.d_v))
-        tokens = rng.integers(0, cfg.vocab, size=5)
-        out = forward(tiled, frames, tokens)
-        want = np.broadcast_to(
-            out.locs[:, None, None, :], (5, cfg.points, cfg.frames, 2)
+        sample = TrainingSample(
+            frames=rng.normal(size=(3, cfg.d_v)),
+            tokens=rng.integers(0, cfg.vocab, size=5),
+            supervised=np.zeros(5),
         )
-        ok &= np.array_equal(out.trajs, want)
+        H = _hidden(tiled, pack_batch([sample], 3))
+        locs = H @ tiled.loc_w.T + tiled.loc_b
+        trajs = (H @ tiled.traj_w.T + tiled.traj_b).reshape(5, cfg.points, cfg.frames, 2)
+        ok &= np.array_equal(trajs, np.broadcast_to(locs[:, None, None, :], trajs.shape))
     report("tiling init copies the location head and forces equal slices", ok, started, 1.0)
 
 
@@ -93,20 +103,24 @@ def test_gradient_checks_all_stages():
     )
 
 
-def test_stage2_overfit_experiment():
+def test_stage2_overfit_experiment(tmp_path):
     started = time.perf_counter()
-    cfg = TrainerConfig(
-        d_v=16, d=32, vocab=64, points=3, frames=20,
-        lam=1.0, smoothing=0.0, lr=4.0, steps=1000, seed=7,
-    )
-    data = synthetic_dataset(2, 50, cfg, seed=123)
-    _, curve, _ = run_stage(init_params(cfg), data, 2, cfg)
-    ratio = curve[-1] / curve[0]
-    _, curve_again, _ = run_stage(init_params(cfg), data, 2, cfg)
-    ok = ratio <= 0.10 and curve == curve_again
+    script = ROOT / "scripts" / "stage2_overfit.py"
+    for name in ("a.csv", "b.csv"):
+        done = subprocess.run(
+            [sys.executable, str(script), "--curve", str(tmp_path / name)],
+            check=True,
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+    run = json.loads(done.stdout)
+    ratio = run["ratio"]
+    ok = (run["samples"], run["steps"]) == (50, 1000) and ratio <= 0.10
+    ok &= (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     report(
-        f"stage-2 overfit: 50 samples, 1000 steps, loss {curve[0]:.3f} -> "
-        f"{curve[-1]:.3f} (ratio {ratio:.3f}), deterministic",
+        f"stage-2 overfit: 50 samples, 1000 steps, loss {run['initial_loss']:.3f} -> "
+        f"{run['final_loss']:.3f} (ratio {ratio:.3f}), deterministic",
         ok,
         started,
         120.0,

@@ -2,6 +2,7 @@ import json
 import logging
 import re
 import shutil
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -211,7 +212,7 @@ def test_train_toy_on_sample_without_supervised_token(capsys, tmp_path):
         assert list(archive["lengths"]) == [7, 6]
         assert len(archive["traj_targets"]) == 2  # "a dog" only
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(cfg.to_json()))
+    config_path.write_text(json.dumps(asdict(cfg)))
     code, out, err = run_cli(
         capsys,
         "train-toy", "--stage", "2", "--data", str(data_path),
@@ -261,7 +262,7 @@ STAGE2_CFG = TrainerConfig(d_v=4, d=8, vocab=12, points=2, frames=3, steps=2)
 
 def train_toy_stage2(capsys, tmp_path, samples, *extra):
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(STAGE2_CFG.to_json()))
+    config_path.write_text(json.dumps(asdict(STAGE2_CFG)))
     return run_cli(
         capsys, "train-toy", "--stage", "2", "--data", str(samples),
         "--config", str(config_path), "--out", str(tmp_path / "params.json"), *extra,
@@ -276,7 +277,7 @@ def train_toy_stage2(capsys, tmp_path, samples, *extra):
         (lambda a: {"frames": a["frames"][:, :3]},
          r"sample 0: frames have shape \(4, 3\), expected \(n, 4\)"),
         (lambda a: {"supervised": a["supervised"] & (np.arange(18) < 6)},
-         r"sample 2: traj_targets rows end at row \d+, the file holds \d+"),
+         r"supervised flags mark \d+ traj_targets rows, the file holds \d+"),
     ],
     ids=["token-vocab", "frame-width", "supervision"],
 )
@@ -326,6 +327,16 @@ def test_unreadable_trainer_file_exits_2_naming_it(capsys, tmp_path, rewrite_npz
     assert "pickle" not in err
 
 
+def test_params_of_another_geometry_exit_2_naming_the_file(capsys, tmp_path):
+    samples, params = tmp_path / "stage2.npz", tmp_path / "params1.npz"
+    save_samples(synthetic_dataset(2, 3, STAGE2_CFG, seed=8), samples)
+    save_params(init_params(replace(STAGE2_CFG, frames=4)), params)
+    code, out, err = train_toy_stage2(capsys, tmp_path, samples, "--params-in", str(params))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {params}: traj_w has shape (16, 8), expected (12, 8)\n"
+
+
 def test_build_dataset_rejects_repeated_manifest_video(capsys, toy_fixture_dir, tmp_path):
     lines = (toy_fixture_dir / "manifest.jsonl").read_text().splitlines()
     manifest = tmp_path / "manifest.jsonl"
@@ -372,7 +383,7 @@ def test_train_toy_and_grad_check(capsys, tmp_path):
     data_path = tmp_path / "stage2.npz"
     save_samples(synthetic_dataset(2, 4, cfg, seed=8), data_path)
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(cfg.to_json()))
+    config_path.write_text(json.dumps(asdict(cfg)))
     out_path = tmp_path / "params.json"
     code, out, _ = run_cli(
         capsys,
@@ -385,7 +396,7 @@ def test_train_toy_and_grad_check(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["final_loss"] < report["initial_loss"]
-    params = load_params(out_path)
+    params = load_params(out_path, cfg)
     assert params.points == 2
     curve_lines = (tmp_path / "params.curve.csv").read_text().splitlines()
     assert curve_lines[0] == "step,loss,grad_norm"

@@ -461,12 +461,12 @@ def test_pipeline_order_independent(toy_fixture_dir, tmp_path):
 
 
 def test_pipeline_ignores_manifest_src_frames(toy_fixture_dir, tmp_path):
-    # the source frame count of each clip comes from its track file
+    # the source frame count of each clip comes from its track file, so a
+    # manifest key that disagrees with it (240 and 192 there) changes nothing
     lines = (toy_fixture_dir / "manifest.jsonl").read_text().splitlines()
-    stripped = [json.loads(line) for line in lines]
-    assert all(video.pop("src_frames") for video in stripped)
+    videos = [{**json.loads(line), "src_frames": 1000} for line in lines]
     manifest = tmp_path / "manifest.jsonl"
-    manifest.write_text("".join(json.dumps(video) + "\n" for video in stripped))
+    manifest.write_text("".join(json.dumps(video) + "\n" for video in videos))
     out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     run_pipeline(*fixture_args(toy_fixture_dir, out1), strict=True)
     run_pipeline(manifest, *fixture_args(toy_fixture_dir, out2)[1:], strict=True)

@@ -1,21 +1,20 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from pite.toymodel import (
     TRAINABLE_BY_STAGE,
-    ForwardOutput,
     TrainerConfig,
     TrainingSample,
+    _hidden,
     stage_loss,
-    forward,
     grad_check,
     gradients,
-    greedy_decode,
     init_params,
     label_smoothed_ce,
     log_softmax,
     pack_batch,
-    smoothed_ce_floor,
     tile_init,
 )
 
@@ -52,6 +51,22 @@ def sample_grads(params, sample, stage, lam, smoothing):
     return gradients(params, pack_batch([sample], stage), stage, lam, smoothing)[1]
 
 
+class Outputs(NamedTuple):
+    hidden: np.ndarray  # (L, d)
+    logits: np.ndarray  # (L, V)
+    locs: np.ndarray  # (L, 2)
+    trajs: np.ndarray  # (L, P, N, 2)
+
+
+def heads(params, frames, tokens) -> Outputs:
+    """Every head applied to the packed pass's hidden states of one sample."""
+    sample = TrainingSample(frames=frames, tokens=tokens, supervised=np.zeros(len(tokens)))
+    H = _hidden(params, pack_batch([sample], 3))
+    flat = H @ params.traj_w.T + params.traj_b
+    trajs = flat.reshape(len(H), params.points, params.traj_frames, 2)
+    return Outputs(H, H @ params.vocab_map.T, H @ params.loc_w.T + params.loc_b, trajs)
+
+
 # --- independent straight-line oracle ----------------------------------------
 
 
@@ -73,7 +88,7 @@ def oracle_forward(params, frames, tokens):
         locs.append(params.loc_w @ h + params.loc_b)
         flat = params.traj_w @ h + params.traj_b
         trajs.append(flat.reshape(params.points, params.traj_frames, 2))
-    return ForwardOutput(
+    return Outputs(
         hidden=np.array(hidden),
         logits=np.array(logits),
         locs=np.array(locs),
@@ -105,12 +120,12 @@ def oracle_loss(params, sample, stage, lam, eps):
     return total / L
 
 
-# --- forward ------------------------------------------------------------------
+# --- hidden states and heads -----------------------------------------------------
 
 
 def test_forward_shapes():
     params = init_params(SMALL)
-    out = forward(params, np.zeros((1, SMALL.d_v)), [3])
+    out = heads(params, np.zeros((1, SMALL.d_v)), [3])
     assert out.hidden.shape == (1, SMALL.d)
     assert out.logits.shape == (1, SMALL.vocab)
     assert out.locs.shape == (1, 2)
@@ -120,7 +135,7 @@ def test_forward_shapes():
 def test_forward_matches_oracle():
     params = init_params(SMALL, seed=3)
     sample = make_sample(SMALL, seed=4, stage=2)
-    got = forward(params, sample.frames, sample.tokens)
+    got = heads(params, sample.frames, sample.tokens)
     want = oracle_forward(params, sample.frames, sample.tokens)
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, atol=1e-12)
@@ -129,8 +144,8 @@ def test_forward_matches_oracle():
 def test_forward_deterministic():
     params = init_params(SMALL, seed=8)
     sample = make_sample(SMALL, seed=9, stage=1)
-    a = forward(params, sample.frames, sample.tokens)
-    b = forward(params, sample.frames, sample.tokens)
+    a = heads(params, sample.frames, sample.tokens)
+    b = heads(params, sample.frames, sample.tokens)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
 
@@ -141,23 +156,25 @@ def test_forward_token_content_symmetry():
     params.adapter[...] = 0.0
     params.embeddings[...] = 0.0
     frames = np.random.default_rng(0).normal(size=(2, SMALL.d_v))
-    a = forward(params, frames, [1, 2, 3, 4])
-    b = forward(params, frames, [9, 0, 5, 5])
+    a = heads(params, frames, [1, 2, 3, 4])
+    b = heads(params, frames, [9, 0, 5, 5])
     np.testing.assert_array_equal(a.hidden, b.hidden)
     np.testing.assert_array_equal(a.logits, b.logits)
     # additionally zeroing the position column makes all rows identical
     params.backbone_w[:, -1] = 0.0
-    c = forward(params, frames, [1, 2, 3, 4])
+    c = heads(params, frames, [1, 2, 3, 4])
     assert np.all(c.hidden == c.hidden[0])
     assert np.all(c.logits == c.logits[0])
 
 
-def test_forward_rejects_bad_shapes():
-    params = init_params(SMALL)
-    with pytest.raises(ValueError):
-        forward(params, np.zeros((2, SMALL.d_v + 1)), [0])
-    with pytest.raises(ValueError):
-        forward(params, np.zeros((2, SMALL.d_v)), [])
+def test_training_sample_rejects_bad_tokens():
+    frames = np.zeros((2, SMALL.d_v))
+    with pytest.raises(ValueError, match="nonempty 1-D"):
+        TrainingSample(frames=frames, tokens=[], supervised=[])
+    with pytest.raises(ValueError, match="nonempty 1-D"):
+        TrainingSample(frames=frames, tokens=[[0, 1]], supervised=[[False, False]])
+    with pytest.raises(ValueError, match="align"):
+        TrainingSample(frames=frames, tokens=[0, 1], supervised=[False])
 
 
 # --- losses ---------------------------------------------------------------------
@@ -256,6 +273,16 @@ def test_losses_match_oracle(stage):
         assert got == pytest.approx(oracle_loss(params, sample, stage, lam, eps), rel=1e-12)
 
 
+def smoothed_ce_floor(vocab: int, eps: float) -> float:
+    """Entropy of the smoothed target: the analytic minimum of label_smoothed_ce."""
+    q_target = 1.0 - eps + eps / vocab
+    q_other = eps / vocab
+    floor = -q_target * np.log(q_target)
+    if vocab > 1 and q_other > 0:
+        floor -= (vocab - 1) * q_other * np.log(q_other)
+    return float(floor)
+
+
 def test_ce_floor_property():
     rng = np.random.default_rng(17)
     for _ in range(30):
@@ -300,7 +327,7 @@ def test_tile_init_forces_trajectory_equal_location():
         cfg = TrainerConfig(d_v=4, d=6, vocab=9, points=2, frames=3, seed=seed)
         params = tile_init(init_params(cfg, seed=seed))
         sample = make_sample(cfg, seed=seed + 100, stage=2)
-        out = forward(params, sample.frames, sample.tokens)
+        out = heads(params, sample.frames, sample.tokens)
         want = np.broadcast_to(
             out.locs[:, None, None, :], (len(sample.tokens), cfg.points, cfg.frames, 2)
         )
@@ -414,10 +441,10 @@ def test_pack_batch_rejects_empty_and_unknown_stage():
         pack_batch([make_sample(SMALL, seed=0, stage=3)], 4)
 
 
-def test_decode_uses_prefix_only():
+def test_decode_uses_prefix_only(greedy_decode):
     params = init_params(SMALL, seed=11)
     frames = np.random.default_rng(1).normal(size=(2, SMALL.d_v))
     tokens = greedy_decode(params, frames, length=4)
     # teacher forcing on the decoded sequence reproduces it
-    out = forward(params, frames, tokens)
+    out = heads(params, frames, tokens)
     assert np.array_equal(np.argmax(out.logits, axis=1), tokens)

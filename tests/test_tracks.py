@@ -12,8 +12,12 @@ from pite.tracks import (
     Mask,
     TrajectoryMatrix,
     Tracks,
+    _assign,
+    _lloyd,
     _means,
     _reassign_pass,
+    _seed_centers,
+    _sse,
     condense,
     filter_tracks_by_mask,
     kmeans_pp,
@@ -298,10 +302,27 @@ def test_kmeans_within_one_percent_of_bruteforce():
         assert sse <= optimum * 1.01 + 1e-9
 
 
-def test_kmeans_debug_monotone_sse():
-    rng = np.random.default_rng(7)
-    pts = [tuple(p) for p in rng.random((30, 2))]
-    kmeans_pp(pts, k=4, seed=0, debug=True)  # asserts internally
+def test_lloyd_steps_never_raise_sse():
+    """Step Lloyd's loop by hand: neither a mean nor an assignment step raises the SSE."""
+    pts = np.random.default_rng(7).random((30, 2))
+    for seed in range(10):
+        start = _seed_centers(pts, 4, np.random.default_rng(seed))
+        centers, assign = start, _assign(pts, start)
+        sse = _sse(pts, centers, assign)
+        for _ in range(tracks_module.MAX_ITER):
+            new_centers = _means(pts, assign, centers)
+            moved_sse = _sse(pts, new_centers, assign)
+            assert moved_sse <= sse + 1e-12
+            move = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max()
+            centers, assign = new_centers, _assign(pts, new_centers)
+            sse = _sse(pts, centers, assign)
+            assert sse <= moved_sse + 1e-12
+            if move < tracks_module.TOL:
+                break
+        # the hand-stepped loop is the one kmeans_pp runs
+        want_centers, want_assign, want_sse = _lloyd(pts, start)
+        assert np.array_equal(centers, want_centers) and np.array_equal(assign, want_assign)
+        assert sse == want_sse
 
 
 def test_reassign_pass_matches_serial_sweep():

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from pite.toymodel import (
     ARRAY_NAMES,
     TrainerConfig,
-    greedy_decode,
     init_params,
     pack_batch,
     stage_loss,
@@ -29,7 +29,7 @@ CFG = TrainerConfig(d_v=4, d=8, vocab=12, points=2, frames=3, lr=0.5, steps=5, s
 
 
 def test_zero_lr_keeps_params_and_curve_flat():
-    cfg = TrainerConfig(**{**CFG.to_json(), "lr": 0.0, "steps": 4})
+    cfg = replace(CFG, lr=0.0, steps=4)
     params = init_params(cfg)
     data = synthetic_dataset(1, 3, cfg, seed=5)
     trained, curve, grad_norms = train(params, data, stage=1, cfg=cfg)
@@ -42,7 +42,7 @@ def test_zero_lr_keeps_params_and_curve_flat():
 
 @pytest.mark.parametrize("stage", [1, 2, 3])
 def test_training_reduces_loss(stage):
-    cfg = TrainerConfig(**{**CFG.to_json(), "steps": 40, "lr": 1.0, "smoothing": 0.0})
+    cfg = replace(CFG, steps=40, lr=1.0, smoothing=0.0)
     data = synthetic_dataset(stage, 6, cfg, seed=9)
     trained, curve, _ = train(init_params(cfg), data, stage=stage, cfg=cfg)
     assert curve[-1] < curve[0]
@@ -52,7 +52,7 @@ def test_training_reduces_loss(stage):
 
 
 def test_frozen_groups_bitwise_unchanged():
-    cfg = TrainerConfig(**{**CFG.to_json(), "steps": 10})
+    cfg = replace(CFG, steps=10)
     params = init_params(cfg)
     data2 = synthetic_dataset(2, 4, cfg, seed=2)
     trained, _, _ = train(params, data2, stage=2, cfg=cfg)
@@ -69,7 +69,7 @@ def test_frozen_groups_bitwise_unchanged():
 
 
 def test_same_seed_identical_curves():
-    cfg = TrainerConfig(**{**CFG.to_json(), "steps": 15})
+    cfg = replace(CFG, steps=15)
     data = synthetic_dataset(1, 5, cfg, seed=11)
     _, curve_a, norms_a = train(init_params(cfg), data, stage=1, cfg=cfg)
     _, curve_b, norms_b = train(init_params(cfg), data, stage=1, cfg=cfg)
@@ -84,7 +84,7 @@ def test_stage_schema_mismatch():
 
 
 def test_run_stage_tiles_before_stage2():
-    cfg = TrainerConfig(**{**CFG.to_json(), "steps": 0})
+    cfg = replace(CFG, steps=0)
     params = init_params(cfg)
     tiled, _, _ = run_stage(params, synthetic_dataset(2, 2, cfg, seed=1), 2, cfg)
     reps = cfg.points * cfg.frames
@@ -96,7 +96,7 @@ def test_run_stage_tiles_before_stage2():
 
 
 def test_three_stage_chain_carries_params():
-    cfg = TrainerConfig(**{**CFG.to_json(), "steps": 8})
+    cfg = replace(CFG, steps=8)
     params = init_params(cfg)
     p1, _, _ = run_stage(params, synthetic_dataset(1, 3, cfg, seed=4), 1, cfg)
     p2, _, _ = run_stage(p1, synthetic_dataset(2, 3, cfg, seed=5), 2, cfg)
@@ -106,7 +106,7 @@ def test_three_stage_chain_carries_params():
     assert np.array_equal(p3.backbone_w, params.backbone_w)
 
 
-def test_stage3_overfit_decodes_target_sequences():
+def test_stage3_overfit_decodes_target_sequences(greedy_decode):
     cfg = TrainerConfig(
         d_v=8, d=24, vocab=12, points=1, frames=2, smoothing=0.1, lr=4.0, steps=1200, seed=3
     )
@@ -139,24 +139,24 @@ def test_load_samples_rejects_target_row_count(tmp_path, rewrite_npz):
         supervised, lengths = archive["supervised"], archive["lengths"]
     # rows stored for tokens that are not supervised
     rewrite_npz(path, supervised=np.zeros_like(supervised))
-    with pytest.raises(DataError, match=rf"^{path}: sample 1: loc_targets rows end at row 0, the file holds \d+$"):
+    with pytest.raises(DataError, match=rf"^{path}: supervised flags mark 0 loc_targets rows, the file holds \d+$"):
         load_samples(path, CFG)
     # supervised tokens without their stored row
     rewrite_npz(path, supervised=np.ones_like(supervised))
-    with pytest.raises(DataError, match=rf"sample 1: loc_targets rows end at row {lengths.sum()}, the file"):
+    with pytest.raises(DataError, match=rf"^{path}: supervised flags mark {lengths.sum()} loc_targets rows, the file"):
         load_samples(path, CFG)
 
 
 def test_load_samples_rejects_rows_that_do_not_fit_config(tmp_path, rewrite_npz):
     path = tmp_path / "samples.npz"
     save_samples(synthetic_dataset(2, 1, CFG, seed=1), path)
-    swapped = TrainerConfig(**{**CFG.to_json(), "points": CFG.frames, "frames": CFG.points})
+    swapped = replace(CFG, points=CFG.frames, frames=CFG.points)
     with pytest.raises(DataError, match=r"sample 0: traj_targets rows have shape \(2, 3, 2\), expected \(3, 2, 2\)"):
         load_samples(path, swapped)
     with np.load(path) as archive:
         rows = archive["traj_targets"]
     rewrite_npz(path, traj_targets=rows[:-1])
-    with pytest.raises(DataError, match=f"sample 0: traj_targets rows end at row {len(rows)}, the file holds {len(rows) - 1}"):
+    with pytest.raises(DataError, match=f"^{path}: supervised flags mark {len(rows)} traj_targets rows, the file holds {len(rows) - 1}$"):
         load_samples(path, CFG)
     save_samples(synthetic_dataset(1, 1, CFG, seed=1), path)
     with np.load(path) as archive:
@@ -215,11 +215,11 @@ def token_at_6(value):
         ),
         (
             lambda a: {"lengths": a["lengths"] + [0, 0, 1]},
-            r"sample 2: tokens end at row 19, the file holds 18",
+            r"lengths add up to 19 tokens, the file holds 18",
         ),
         (
             lambda a: {"lengths": a["lengths"] - [0, 0, 1]},
-            r"sample 2: tokens end at row 17, the file holds 18",
+            r"lengths add up to 17 tokens, the file holds 18",
         ),
         (lambda a: {"tokens": a["tokens"].astype(str)}, r"'tokens' is a 1-D <U21 array"),
         (lambda a: {"frame_counts": a["frame_counts"][:2]}, r"3 lengths and 2 frame_counts"),
@@ -250,13 +250,17 @@ def test_params_file_round_trip(tmp_path):
     params = init_params(CFG)
     path = tmp_path / "params.npz"
     save_params(params, path)
-    back = load_params(path)
+    back = load_params(path, CFG)
     for name in ARRAY_NAMES:
         assert np.array_equal(getattr(back, name), getattr(params, name))
     assert (back.points, back.traj_frames) == (CFG.points, CFG.frames)
     with np.load(path) as archive:
         assert archive["traj_w"].shape == (2 * CFG.points * CFG.frames, CFG.d)
-    assert back.check_shapes(CFG) is None
+    with pytest.raises(DataError, match=rf"^{path}: traj_w has shape \(12, 8\), expected \(16, 8\)$"):
+        load_params(path, replace(CFG, frames=4))
+    # same head size, other (points, frames) split
+    with pytest.raises(DataError, match=rf"^{path}: trajectory head geometry does not match config$"):
+        load_params(path, replace(CFG, points=CFG.frames, frames=CFG.points))
 
 
 def test_trainer_files_repeat_byte_for_byte(tmp_path, monkeypatch):
@@ -275,7 +279,7 @@ def test_save_params_writes_exactly_the_given_name(tmp_path):
     save_params(init_params(CFG), str(tmp_path / "x.json"))
     save_samples(synthetic_dataset(1, 1, CFG, seed=0), str(tmp_path / "s.jsonl"))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.jsonl", "x.json"]
-    assert load_params(tmp_path / "x.json").points == CFG.points
+    assert load_params(tmp_path / "x.json", CFG).points == CFG.points
 
 
 def test_loss_curve_csv(tmp_path):
