@@ -43,7 +43,7 @@ from .tracks import (
     load_mask,
     to_matrix,
 )
-from .trees import ParseTree, extract_lowest_np, parse_bracketed
+from .trees import ParseError, ParseTree, extract_lowest_np, parse_bracketed, read_tree_lines
 
 log = logging.getLogger("pite.pipeline")
 
@@ -221,7 +221,10 @@ def annotate_event(
         keypoints = condense(
             selected, config.points, seed=derive_seed(config.seed, clip_id, np_idx)
         )
-        matrix = to_matrix(keypoints, config.points, config.frames, width, height)
+        try:
+            matrix = to_matrix(keypoints, config.points, config.frames, width, height)
+        except ValueError as exc:
+            raise DataError(f"{clip_id}: {phrase.text!r}: {exc}") from exc
         annotation.objects.append(
             {
                 "np": {"text": phrase.text, "span": list(phrase.span)},
@@ -245,18 +248,27 @@ def load_event_masks(masks_dir: Path, video_id: str, event_idx: int) -> dict[str
     return masks
 
 
+def parse_tree(location: str, line: str) -> ParseTree:
+    """Parse one tree line; a malformed tree raises DataError as ``<location>: ParseError: ...``."""
+    try:
+        return parse_bracketed(line)
+    except ParseError as exc:
+        raise DataError(f"{location}: ParseError: {exc}") from exc
+
+
 def annotate_video(
     video: VideoManifest,
-    trees: Sequence[ParseTree],
+    tree_lines: Sequence[tuple[str, str]],
     masks_dir: Path,
     tracks_dir: Path,
     config: PipelineConfig,
 ) -> dict:
-    """Produce one output record for a video. ``trees`` align with its events."""
-    if len(trees) != len(video.events):
+    """Produce one output record for a video from its events' ``read_tree_lines`` pairs."""
+    if len(tree_lines) != len(video.events):
         raise DataError(
-            f"{video.video_id}: {len(trees)} trees for {len(video.events)} events"
+            f"{video.video_id}: {len(tree_lines)} trees for {len(video.events)} events"
         )
+    trees = [parse_tree(location, line) for location, line in tree_lines]
     tracks_path = tracks_dir / f"{video.video_id}.jsonl"
     if not tracks_path.is_file():
         raise DataError(f"{video.video_id}: missing track file {tracks_path}")
@@ -316,11 +328,7 @@ def run_pipeline(
     """
     config = config or PipelineConfig()
     videos = load_manifest(manifest_path)
-    tree_lines = [
-        line.strip()
-        for line in Path(trees_path).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    tree_lines = read_tree_lines(trees_path)
     total_events = sum(len(v.events) for v in videos)
     if len(tree_lines) != total_events:
         raise DataError(
@@ -329,14 +337,11 @@ def run_pipeline(
     masks_dir, tracks_dir = Path(masks_dir), Path(tracks_dir)
 
     def work() -> Iterator[tuple]:
-        # a parsed tree takes about 7 KB, so each video's trees are parsed
-        # only when the video is dispatched, not all up front
         cursor = 0
         for video in videos:
             chunk = tree_lines[cursor : cursor + len(video.events)]
             cursor += len(video.events)
-            trees = [parse_bracketed(line) for line in chunk]
-            yield video, trees, masks_dir, tracks_dir, config
+            yield video, chunk, masks_dir, tracks_dir, config
 
     summary = {"videos": 0, "events": 0, "trajectories": 0}
     with _replaced_on_success(out_path) as handle, contextlib.closing(

@@ -351,21 +351,22 @@ def tile_init(params: ToyModelParams) -> ToyModelParams:
     return new
 
 
+GRAD_CHECK_EPS = 1e-5  # central-difference step
+
+
 def grad_check(
     params: ToyModelParams,
     samples: Sequence[TrainingSample],
     stage: int,
-    eps: float = 1e-5,
-    lam: float = 1.0,
-    smoothing: float = 0.1,
+    cfg: TrainerConfig,
 ) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
-    Sweeps every trainable scalar of the stage over the packed samples; the
-    error for one scalar is |analytic - numeric| / max(1, |numeric|).
+    Sweeps every trainable scalar of the stage over the packed samples, with
+    the loss weights of ``cfg``; the error for one scalar is
+    |analytic - numeric| / max(1, |numeric|), and a NaN error makes the result NaN.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    lam, smoothing, eps = cfg.lam, cfg.smoothing, GRAD_CHECK_EPS
     batch = pack_batch(samples, stage)
     _, analytic = gradients(params, batch, stage, lam, smoothing)
     worst = 0.0
@@ -382,6 +383,5 @@ def grad_check(
             arr[idx] = keep
             numeric = (hi - lo) / (2 * eps)
             err = abs(grad[idx] - numeric) / max(1.0, abs(numeric))
-            worst = max(worst, err)
+            worst = np.maximum(worst, err)  # unlike max(), keeps a NaN
     return worst
-

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .jsonl import read_jsonl, unique
+from .jsonl import DataError, read_jsonl, unique
 
 SENTINEL = -1.0  # both coordinates of an absent sample
 
@@ -409,9 +409,13 @@ def iter_clip_tracks(path: str | Path) -> Iterator[ClipTracks]:
 
 
 def load_mask(path: str | Path) -> Mask:
+    """Read a mask file; bad JSON or a bad mask raises DataError naming ``path``."""
     with open(path, encoding="utf-8") as handle:
-        obj = json.load(handle)
-    return Mask(width=int(obj["width"]), height=int(obj["height"]), runs=tuple(obj["rle"]))
+        try:
+            obj = json.load(handle)
+            return Mask(width=int(obj["width"]), height=int(obj["height"]), runs=tuple(obj["rle"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def save_mask(mask: Mask, path: str | Path) -> None:

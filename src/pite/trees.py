@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from pathlib import Path
+from typing import Iterator
 
 
 class ParseError(ValueError):
@@ -121,12 +122,14 @@ def parse_bracketed(text: str) -> ParseTree:
     return root
 
 
-def iter_trees(lines: Iterable[str]) -> Iterator[ParseTree]:
-    """Parse one tree per non-blank line."""
-    for line in lines:
-        line = line.strip()
-        if line:
-            yield parse_bracketed(line)
+def read_tree_lines(path: str | Path) -> list[tuple[str, str]]:
+    """``(location, line)`` for each non-blank line of ``path``, stripped.
+
+    The location is ``<path>:<line>``; blank lines count toward the 1-based
+    line number, as in ``read_jsonl``.
+    """
+    with open(path, encoding="utf-8") as handle:
+        return [(f"{path}:{n}", line.strip()) for n, line in enumerate(handle, 1) if line.strip()]
 
 
 def extract_lowest_np(tree: ParseTree) -> list[NounPhrase]:

@@ -92,7 +92,7 @@ def test_gradient_checks_all_stages():
         for seed in range(5):
             params = init_params(cfg, seed=seed)
             sample = synthetic_dataset(stage, 1, cfg, seed=seed + 500, length=5)[0]
-            err = grad_check(params, [sample], stage, eps=1e-5, lam=1.0, smoothing=0.1)
+            err = grad_check(params, [sample], stage, cfg)
             worst = max(worst, err)
     ok = worst < 1e-4
     report(

@@ -7,9 +7,9 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from pite import metrics
+from pite import metrics, toymodel
 from pite.cli import main
-from pite.toymodel import ARRAY_NAMES, TrainerConfig, init_params
+from pite.toymodel import ARRAY_NAMES, TrainerConfig, init_params, tile_init
 from pite.tracks import Mask, save_mask
 from pite.trainer import (
     load_params,
@@ -70,10 +70,10 @@ def test_extract_np_missing_file(capsys):
 
 def test_extract_np_malformed_tree(capsys, tmp_path):
     bad = tmp_path / "bad.trees"
-    bad.write_text("(TOP (NP dog)\n")
+    bad.write_text("(TOP (NP cat))\n\n(TOP (NP dog)\n")
     code, _, err = run_cli(capsys, "extract-np", "--trees", str(bad))
     assert code == 2
-    assert "offset" in err
+    assert err == f"error: {bad}:3: ParseError: unbalanced brackets (offset 13)\n"
 
 
 def test_build_dataset_and_determinism(capsys, toy_fixture_dir, tmp_path):
@@ -91,20 +91,6 @@ def test_build_dataset_and_determinism(capsys, toy_fixture_dir, tmp_path):
     assert json.loads(out) == {"videos": 2, "events": 3, "trajectories": 7}
     code, _, _ = run_cli(capsys, *args, "--out", str(tmp_path / "b.jsonl"))
     assert code == 0
-    assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
-
-
-def test_pite_seed_env_overrides(capsys, toy_fixture_dir, tmp_path, monkeypatch):
-    args = [
-        "build-dataset",
-        "--manifest", str(toy_fixture_dir / "manifest.jsonl"),
-        "--trees", str(toy_fixture_dir / "trees.txt"),
-        "--masks", str(toy_fixture_dir / "masks"),
-        "--tracks", str(toy_fixture_dir / "tracks"),
-    ]
-    run_cli(capsys, *args, "--seed", "11", "--out", str(tmp_path / "a.jsonl"))
-    monkeypatch.setenv("PITE_SEED", "11")
-    run_cli(capsys, *args, "--seed", "99", "--out", str(tmp_path / "b.jsonl"))
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 
@@ -142,6 +128,25 @@ def test_condense_tracks_rejects_bad_clip(capsys, tmp_path):
     assert "vid_bad:0" in err
 
 
+def test_condense_tracks_names_file_and_clip_of_point_outside_frame(capsys, tmp_path):
+    clip = {"clip_id": "vid_bad:0", "width": 8, "height": 8, "frames": 2,
+            "tracks": [{"xy": [[1.0, 0.75], [10.0, 0.75]], "vis": [True, True]}]}
+    tracks_path = tmp_path / "clips.jsonl"
+    tracks_path.write_text(json.dumps(clip) + "\n")
+    code, _, err = run_cli(
+        capsys,
+        "condense-tracks",
+        "--tracks", str(tracks_path),
+        "--out", str(tmp_path / "out.jsonl"),
+        "--frames", "2",
+    )
+    assert code == 2
+    assert err == (
+        f"error: {tracks_path}: clip vid_bad:0: "
+        "invalid cell (1.25, 0.09375): must be in [0,1]^2 or (-1,-1)\n"
+    )
+
+
 def test_condense_tracks_rejects_mask_of_another_size(capsys, toy_fixture_dir, tmp_path):
     masks = tmp_path / "masks"
     masks.mkdir()
@@ -154,8 +159,10 @@ def test_condense_tracks_rejects_mask_of_another_size(capsys, toy_fixture_dir, t
         "--out", str(tmp_path / "out.jsonl"),
     )
     assert code == 2
-    assert "vid_dog:0" in err
-    assert "is 100x100, clip is 32x32" in err
+    tracks = toy_fixture_dir / "tracks" / "vid_dog.jsonl"
+    assert err == (
+        f"error: {tracks}: clip vid_dog:0: mask {masks / 'vid_dog:0.json'} is 100x100, clip is 32x32\n"
+    )
     assert not (tmp_path / "out.jsonl").exists()
 
 
@@ -168,6 +175,64 @@ def toy_build_args(toy_fixture_dir, out, manifest=None):
         "--tracks", str(toy_fixture_dir / "tracks"),
         "--out", str(out),
     ]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_build_dataset_names_file_and_line_of_malformed_tree(capsys, caplog, toy_fixture_dir, tmp_path, jobs):
+    # a blank first line, so vid_dog's tree (the third) is on line 4
+    lines = (toy_fixture_dir / "trees.txt").read_text().splitlines()
+    trees = tmp_path / "trees.txt"
+    trees.write_text("\n".join(["", *lines[:2], lines[2][:-1]]) + "\n")
+    message = f"{trees}:4: ParseError: unbalanced brackets (offset {len(lines[2]) - 1})"
+    args = toy_build_args(toy_fixture_dir, tmp_path / "out.jsonl") + ["--jobs", jobs]
+    args[args.index("--trees") + 1] = str(trees)
+
+    with caplog.at_level(logging.ERROR, logger="pite.pipeline"):
+        code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert json.loads(out) == {"videos": 1, "events": 2, "trajectories": 6}
+    assert f"skipping video vid_dog: {message}" in caplog.text
+    code, _, err = run_cli(capsys, *args, "--strict")
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("{not json", "JSONDecodeError: Expecting property name"),
+        ('{"width": 32, "height": 32}', "KeyError: 'rle'"),
+        ('{"width": 32, "height": 32, "rle": [-1, 1025]}', "ValueError: negative run length"),
+        ('{"width": 32, "height": 32, "rle": [10]}', "ValueError: runs cover 10 cells, expected 1024"),
+    ],
+    ids=["json", "key", "negative", "short"],
+)
+def test_bad_mask_file_is_named(capsys, caplog, toy_fixture_dir, tmp_path, content, message):
+    masks = tmp_path / "masks"
+    shutil.copytree(toy_fixture_dir / "masks", masks)
+    mask = masks / "vid_dog" / "ev0" / "a_dog.json"
+    mask.write_text(content)
+    args = toy_build_args(toy_fixture_dir, tmp_path / "out.jsonl")
+    args[args.index("--masks") + 1] = str(masks)
+    with caplog.at_level(logging.ERROR, logger="pite.pipeline"):
+        code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert json.loads(out)["videos"] == 1
+    assert f"skipping video vid_dog: {mask}: {message}" in caplog.text
+    code, _, err = run_cli(capsys, *args, "--strict")
+    assert code == 2
+    assert err.startswith(f"error: {mask}: {message}")
+
+    clip_mask = tmp_path / "clip_masks" / "vid_dog:0.json"
+    clip_mask.parent.mkdir()
+    clip_mask.write_text(content)
+    tracks = toy_fixture_dir / "tracks" / "vid_dog.jsonl"
+    code, _, err = run_cli(
+        capsys, "condense-tracks", "--tracks", str(tracks), "--masks", str(clip_mask.parent),
+        "--out", str(tmp_path / "c.jsonl"),
+    )
+    assert code == 2
+    assert err.startswith(f"error: {clip_mask}: {message}")
 
 
 @pytest.mark.parametrize(
@@ -413,6 +478,60 @@ def test_grad_check_all_stages(capsys):
             capsys, "grad-check", "--stage", str(stage), "--fixtures", "2"
         )
         assert code == 0, out
+
+
+def test_grad_check_fails_on_nan(capsys, monkeypatch):
+    def poisoned(cfg, seed=None):
+        params = init_params(cfg, seed)
+        params.loc_w[0, 0] = np.nan
+        return params
+
+    monkeypatch.setattr(toymodel, "init_params", poisoned)
+    with np.errstate(all="ignore"):
+        code, out, _ = run_cli(capsys, "grad-check", "--stage", "1", "--fixtures", "2")
+    assert code == 2
+    assert out.endswith("stage 1: worst nan (FAIL, tol 0.0001)\n")
+
+
+def test_train_toy_config_is_required_and_named_in_errors(capsys, tmp_path):
+    samples = tmp_path / "stage2.npz"
+    save_samples(synthetic_dataset(2, 3, STAGE2_CFG, seed=8), samples)
+    argv = ["train-toy", "--stage", "2", "--data", str(samples), "--out", str(tmp_path / "p.npz")]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert "--config" in err
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**asdict(STAGE2_CFG), "bogus": 1}))
+    code, out, err = run_cli(capsys, *argv, "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {config}: ValueError: unknown config fields: ['bogus']\n"
+
+
+def test_train_toy_no_tile_init_keeps_trained_trajectory_head(capsys, tmp_path):
+    samples = tmp_path / "stage2.npz"
+    save_samples(synthetic_dataset(2, 3, STAGE2_CFG, seed=8), samples)
+    code, _, _ = train_toy_stage2(capsys, tmp_path, samples)
+    assert code == 0
+    trained = load_params(tmp_path / "params.json", STAGE2_CFG)
+    retiled = tile_init(trained)
+    assert not np.array_equal(trained.traj_w, retiled.traj_w)
+
+    # resume at lr 0, so the output head is the head the run started from
+    frozen = tmp_path / "frozen.json"
+    frozen.write_text(json.dumps(asdict(replace(STAGE2_CFG, lr=0.0))))
+    for flags, want in (([], retiled), (["--no-tile-init"], trained)):
+        out = tmp_path / "resumed.npz"
+        code, _, err = run_cli(
+            capsys, "train-toy", "--stage", "2", "--data", str(samples),
+            "--config", str(frozen), "--params-in", str(tmp_path / "params.json"),
+            "--out", str(out), *flags,
+        )
+        assert code == 0, err
+        resumed = load_params(out, STAGE2_CFG)
+        assert np.array_equal(resumed.traj_w, want.traj_w)
+        assert np.array_equal(resumed.traj_b, want.traj_b)
 
 
 def write_eval_files(tmp_path, pred_events, gt_events):

@@ -222,6 +222,23 @@ def test_annotate_event_mask_dimension_mismatch():
         )
 
 
+def test_annotate_event_names_clip_and_phrase_of_point_outside_frame():
+    tracks = tracks_at([(2.0, 2.0)])
+    tracks.xy[0, 5:] = (20.0, 4.0)  # visible, but past the right edge
+    with pytest.raises(DataError, match=r"^v:0: 'a dog': invalid cell \(1.25, 0.25\)"):
+        annotate_event(
+            ManifestEvent(caption="a dog", start=0.0, end=1.0),
+            parse_bracketed("(TOP (NP a dog))"),
+            {"a dog": full_mask(16, 16)},
+            tracks,
+            event_config(),
+            duration=10.0,
+            width=16,
+            height=16,
+            clip_id="v:0",
+        )
+
+
 def test_annotate_event_drops_trackless_object():
     tree = parse_bracketed("(TOP (NP a dog))")
     event = ManifestEvent(caption="a dog", start=0.0, end=1.0)

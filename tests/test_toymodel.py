@@ -1,3 +1,4 @@
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -342,8 +343,20 @@ def test_grad_check_below_tolerance(stage):
     for seed in range(5):
         params = init_params(SMALL, seed=seed)
         sample = make_sample(SMALL, seed=seed + 10, stage=stage)
-        err = grad_check(params, [sample], stage, eps=1e-5, lam=1.0, smoothing=0.1)
+        err = grad_check(params, [sample], stage, SMALL)
         assert err < 1e-4
+
+
+@pytest.mark.parametrize("poison", ["loc_w-nan", "vocab_map-inf"])
+def test_grad_check_is_nan_when_loss_is_not_finite(poison):
+    params = init_params(SMALL, seed=0)
+    if poison == "loc_w-nan":
+        params.loc_w[0, 0] = np.nan
+    else:
+        params.vocab_map[:] = np.inf
+    sample = make_sample(SMALL, seed=10, stage=1)
+    with np.errstate(all="ignore"):
+        assert math.isnan(grad_check(params, [sample], 1, SMALL))
 
 
 def test_frozen_groups_have_zero_gradient():
@@ -367,13 +380,6 @@ def test_lambda_zero_stage1_reduces_to_stage3():
     for name in TRAINABLE_BY_STAGE[3]:
         np.testing.assert_allclose(g1[name], g3[name], atol=1e-15)
     assert np.all(g1["loc_w"] == 0.0)
-
-
-def test_grad_check_rejects_bad_eps():
-    params = init_params(SMALL, seed=0)
-    sample = make_sample(SMALL, seed=0, stage=3)
-    with pytest.raises(ValueError):
-        grad_check(params, [sample], stage=3, eps=0.0)
 
 
 def test_check_shapes():
@@ -421,7 +427,7 @@ def test_grad_check_on_multi_sample_batch(stage):
     for seed in range(3):
         params = init_params(SMALL, seed=seed + 60)
         samples = ragged_batch(SMALL, stage, seed=10 * seed + 70)
-        assert grad_check(params, samples, stage, eps=1e-5, lam=1.0, smoothing=0.1) < 1e-4
+        assert grad_check(params, samples, stage, SMALL) < 1e-4
 
 
 def test_stage2_rejects_targets_of_another_head_geometry():

@@ -6,8 +6,8 @@ from pite.trees import (
     ParseError,
     ParseTree,
     extract_lowest_np,
-    iter_trees,
     parse_bracketed,
+    read_tree_lines,
 )
 
 
@@ -92,9 +92,10 @@ def test_np_word_leaf_is_not_a_constituent():
     assert extract_lowest_np(tree) == []
 
 
-def test_iter_trees_skips_blank_lines():
-    trees = list(iter_trees(["(A x)", "", "  ", "(B y)"]))
-    assert [t.label for t in trees] == ["A", "B"]
+def test_read_tree_lines_skips_blank_lines_and_counts_them(tmp_path):
+    path = tmp_path / "t.trees"
+    path.write_text("(A x)\n\n  \n (B y) \n")
+    assert read_tree_lines(path) == [(f"{path}:1", "(A x)"), (f"{path}:4", "(B y)")]
 
 
 def serialize(tree: ParseTree) -> str:
