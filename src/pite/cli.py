@@ -48,7 +48,6 @@ def build_parser() -> _Parser:
     p.add_argument("--masks", help="directory with {clip_id}.json masks (optional)")
     p.add_argument("--points", type=int, default=3)
     p.add_argument("--frames", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("build-dataset", help="run the full annotation pipeline")
     p.add_argument("--manifest", required=True)
@@ -58,7 +57,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--frames", type=int, default=100)
     p.add_argument("--points", type=int, default=3)
-    p.add_argument("--min-area", type=float, default=0.0005)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strict", action="store_true")
     p.add_argument(
@@ -95,14 +93,15 @@ def build_parser() -> _Parser:
     p.add_argument("--scorer", choices=("meteor", "cider"), default="meteor")
     p.add_argument("--out", help="output JSON (default stdout)")
 
-    p = sub.add_parser("ablate-points", help="vary the tracking-point count end to end")
+    p = sub.add_parser(
+        "ablate-points",
+        help=f"pipeline and short stage-2 training for each point count P in {ABLATION_POINTS}",
+    )
     p.add_argument("--manifest", required=True)
     p.add_argument("--trees", required=True)
     p.add_argument("--masks", required=True)
     p.add_argument("--tracks", required=True)
-    p.add_argument("--points", default="1,3,5", help="comma-separated P values")
     p.add_argument("--frames", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=40)
     p.add_argument("--out", help="write the table as JSON here too")
 
@@ -132,6 +131,7 @@ def cmd_extract_np(args) -> int:
 
 
 def cmd_condense_tracks(args) -> int:
+    config = pipeline.PipelineConfig(frames=args.frames, points=args.points)
     out_lines = []
     for clip in tracks.iter_clip_tracks(args.tracks):
         selected = clip.tracks
@@ -148,11 +148,13 @@ def cmd_condense_tracks(args) -> int:
         if len(selected):
             selected = tracks.condense(
                 selected,
-                args.points,
-                seed=pipeline.derive_seed(args.seed, clip.clip_id),
+                config.points,
+                seed=pipeline.derive_seed(config.seed, clip.clip_id),
             )
         try:
-            matrix = tracks.to_matrix(selected, args.points, args.frames, clip.width, clip.height)
+            matrix = tracks.to_matrix(
+                selected, config.points, config.frames, clip.width, clip.height
+            )
         except ValueError as exc:
             raise DataError(f"{args.tracks}: clip {clip.clip_id}: {exc}") from exc
         out_lines.append(
@@ -167,7 +169,6 @@ def cmd_build_dataset(args) -> int:
     config = pipeline.PipelineConfig(
         frames=args.frames,
         points=args.points,
-        min_area_fraction=args.min_area,
         seed=args.seed,
         jobs=args.jobs,
     )
@@ -224,6 +225,8 @@ GRAD_CHECK_TOL = 1e-4
 
 
 def cmd_grad_check(args) -> int:
+    if args.fixtures < 1:
+        raise UsageError(f"--fixtures must be >= 1, got {args.fixtures}")
     worst = 0.0
     for i in range(args.fixtures):
         params = toymodel.init_params(GRAD_CHECK_CONFIG, seed=args.seed + i)
@@ -263,6 +266,10 @@ def _paired_events(
     )
     preds = dict(read_jsonl(pred_path, unique(video, "video_id")))
     gts = dict(read_jsonl(gt_path, unique(video, "video_id")))
+    if not gts:
+        raise DataError(f"{gt_path}: no ground-truth videos")
+    if not any(gts.values()):
+        raise DataError(f"{gt_path}: no ground-truth events")
     missing = len(gts.keys() - preds.keys())
     if missing:
         log.warning(
@@ -330,14 +337,24 @@ def cmd_eval_dense(args) -> int:
     return 0
 
 
+ABLATION_POINTS = (1, 3, 5)
+
+
 def cmd_ablate_points(args) -> int:
-    try:
-        point_values = [int(p) for p in args.points.split(",") if p]
-    except ValueError as exc:
-        raise UsageError(f"bad --points value: {args.points}") from exc
+    # every config is built, and so range-checked, before the first run
+    runs = [
+        (
+            pipeline.PipelineConfig(frames=args.frames, points=P),
+            toymodel.TrainerConfig(
+                d_v=8, d=16, vocab=64, points=P, frames=args.frames,
+                lam=1.0, smoothing=0.0, lr=2.0, steps=args.steps,
+            ),
+        )
+        for P in ABLATION_POINTS
+    ]
     rows = []
-    for P in point_values:
-        config = pipeline.PipelineConfig(frames=args.frames, points=P, seed=args.seed)
+    for config, cfg in runs:
+        P = config.points
         with tempfile.TemporaryDirectory() as tmp:
             out_path = Path(tmp) / "dataset.jsonl"
             summary = pipeline.run_pipeline(
@@ -348,10 +365,6 @@ def cmd_ablate_points(args) -> int:
                 json.loads(line)
                 for line in out_path.read_text(encoding="utf-8").splitlines()
             ]
-        cfg = toymodel.TrainerConfig(
-            d_v=8, d=16, vocab=64, points=P, frames=args.frames,
-            lam=1.0, smoothing=0.0, lr=2.0, steps=args.steps, seed=args.seed,
-        )
         samples = trainer.samples_from_records(records, cfg)
         params = toymodel.init_params(cfg)
         _, curve, _ = trainer.run_stage(params, samples, 2, cfg)

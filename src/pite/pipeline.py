@@ -89,13 +89,16 @@ class VideoManifest:
         )
 
 
+# a phrase whose mask covers a smaller share of the frame is dropped
+MIN_AREA_FRACTION = 0.0005
+
+
 @dataclass
 class PipelineConfig:
     """Pipeline options; an out-of-range value raises ValueError at construction."""
 
     frames: int = 100  # N
     points: int = 3  # P
-    min_area_fraction: float = 0.0005  # masks covering a smaller share of the frame are dropped
     seed: int = 0
     jobs: int = 1
 
@@ -104,10 +107,6 @@ class PipelineConfig:
             raise ValueError(f"frames must be >= 1, got {self.frames}")
         if self.points < 1:
             raise ValueError(f"points must be >= 1, got {self.points}")
-        if not 0 <= self.min_area_fraction < 1:
-            raise ValueError(
-                f"min_area_fraction must be in [0, 1), got {self.min_area_fraction}"
-            )
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -189,7 +188,7 @@ def annotate_event(
 
     ``masks`` maps NP surface text to its first-frame mask; a missing entry
     means the phrase was rejected as an invalid referring expression.
-    Phrases whose mask covers less than ``config.min_area_fraction`` of the
+    Phrases whose mask covers less than ``MIN_AREA_FRACTION`` of the
     frame, or with no track starting inside the mask, carry no trajectory
     and are dropped.
     """
@@ -211,7 +210,7 @@ def annotate_event(
                 f"{clip_id}: mask for {phrase.text!r} is {mask.width}x{mask.height}, "
                 f"clip is {width}x{height}"
             )
-        if mask.area() < config.min_area_fraction * width * height:
+        if mask.area() < MIN_AREA_FRACTION * width * height:
             log.debug("%s: mask for %r below area threshold", clip_id, phrase.text)
             continue
         selected = filter_tracks_by_mask(tracks, mask)

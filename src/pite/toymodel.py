@@ -20,6 +20,8 @@ Shapes (config d_v, d, vocab V, points P, frames N, sequence length L):
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -58,8 +60,21 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("d_v", "d", "vocab", "points", "frames", "steps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        for name in ("lam", "smoothing", "lr"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if min(self.d_v, self.d, self.vocab, self.points, self.frames) < 1:
             raise ValueError("all dimensions must be >= 1")
+        for name in ("steps", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.lam < 0:
             raise ValueError("lambda must be >= 0")
         if not 0 <= self.smoothing < 1:

@@ -266,7 +266,6 @@ def test_ablation_harness(toy_fixture_dir, tmp_path, capsys):
             "--trees", str(toy_fixture_dir / "trees.txt"),
             "--masks", str(toy_fixture_dir / "masks"),
             "--tracks", str(toy_fixture_dir / "tracks"),
-            "--points", "1,3,5",
             "--frames", "20",
             "--steps", "25",
             "--out", str(table_path),

@@ -1,14 +1,16 @@
+import argparse
 import json
 import logging
 import re
 import shutil
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pite import metrics, toymodel
-from pite.cli import main
+from pite import metrics, pipeline, toymodel
+from pite.cli import build_parser, main
 from pite.toymodel import ARRAY_NAMES, TrainerConfig, init_params, tile_init
 from pite.tracks import Mask, save_mask
 from pite.trainer import (
@@ -238,7 +240,6 @@ def test_bad_mask_file_is_named(capsys, caplog, toy_fixture_dir, tmp_path, conte
 @pytest.mark.parametrize(
     "flag, value, field",
     [
-        ("--min-area", "1.5", "min_area_fraction"),
         ("--points", "0", "points"),
         ("--frames", "0", "frames"),
         ("--jobs", "0", "jobs"),
@@ -250,6 +251,47 @@ def test_build_dataset_rejects_out_of_range_option(capsys, toy_fixture_dir, tmp_
     code, _, err = run_cli(capsys, *toy_build_args(toy_fixture_dir, out), flag, value)
     assert code == 2
     assert field in err
+    assert not out.exists()
+
+
+def ablate_args(toy_fixture_dir, out):
+    return [
+        "ablate-points",
+        "--manifest", str(toy_fixture_dir / "manifest.jsonl"),
+        "--trees", str(toy_fixture_dir / "trees.txt"),
+        "--masks", str(toy_fixture_dir / "masks"),
+        "--tracks", str(toy_fixture_dir / "tracks"),
+        "--out", str(out),
+    ]
+
+
+def condense_args(toy_fixture_dir, out):
+    tracks = toy_fixture_dir / "tracks" / "vid_dog.jsonl"
+    return ["condense-tracks", "--tracks", str(tracks), "--out", str(out)]
+
+
+@pytest.mark.parametrize(
+    "args, flag, value, message",
+    [
+        (condense_args, "--frames", "0", "frames must be >= 1, got 0"),
+        (condense_args, "--points", "0", "points must be >= 1, got 0"),
+        (ablate_args, "--frames", "0", "frames must be >= 1, got 0"),
+        (ablate_args, "--steps", "-1", "steps must be >= 0, got -1"),
+    ],
+    ids=["condense-frames", "condense-points", "ablate-frames", "ablate-steps"],
+)
+def test_condense_and_ablate_reject_out_of_range_option(
+    capsys, monkeypatch, toy_fixture_dir, tmp_path, args, flag, value, message
+):
+    def no_run(*_args, **_kw):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(pipeline, "run_pipeline", no_run)
+    out = tmp_path / "out.json"
+    code, stdout, err = run_cli(capsys, *args(toy_fixture_dir, out), flag, value)
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -480,6 +522,14 @@ def test_grad_check_all_stages(capsys):
         assert code == 0, out
 
 
+@pytest.mark.parametrize("fixtures", ["0", "-2"])
+def test_grad_check_needs_a_fixture(capsys, fixtures):
+    code, out, err = run_cli(capsys, "grad-check", "--stage", "1", "--fixtures", fixtures)
+    assert code == 1
+    assert out == ""
+    assert f"--fixtures must be >= 1, got {fixtures}" in err
+
+
 def test_grad_check_fails_on_nan(capsys, monkeypatch):
     def poisoned(cfg, seed=None):
         params = init_params(cfg, seed)
@@ -507,6 +557,42 @@ def test_train_toy_config_is_required_and_named_in_errors(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == f"error: {config}: ValueError: unknown config fields: ['bogus']\n"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("steps", 2.5, "TypeError: steps must be an integer, got 2.5"),
+        ("d", 8.0, "TypeError: d must be an integer, got 8.0"),
+        ("points", 2.0, "TypeError: points must be an integer, got 2.0"),
+        ("seed", True, "TypeError: seed must be an integer, got True"),
+        ("lr", "0.5", "TypeError: lr must be a real number, got '0.5'"),
+        ("lam", None, "TypeError: lam must be a real number, got None"),
+        ("smoothing", False, "TypeError: smoothing must be a real number, got False"),
+        ("lr", float("nan"), "ValueError: lr must be finite, got nan"),
+        ("lam", float("inf"), "ValueError: lam must be finite, got inf"),
+        ("steps", -3, "ValueError: steps must be >= 0, got -3"),
+        ("seed", -1, "ValueError: seed must be >= 0, got -1"),
+    ],
+    ids=[
+        "steps-float", "d-float", "points-float", "seed-bool", "lr-string", "lam-null",
+        "smoothing-bool", "lr-nan", "lam-inf", "steps-negative", "seed-negative",
+    ],
+)
+def test_train_toy_rejects_config_value(capsys, tmp_path, field, value, message):
+    samples = tmp_path / "stage2.npz"
+    save_samples(synthetic_dataset(2, 3, STAGE2_CFG, seed=8), samples)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**asdict(STAGE2_CFG), field: value}))
+    out = tmp_path / "p.npz"
+    code, stdout, err = run_cli(
+        capsys, "train-toy", "--stage", "2", "--data", str(samples),
+        "--config", str(config), "--out", str(out),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: {config}: {message}\n"
+    assert not out.exists()
 
 
 def test_train_toy_no_tile_init_keeps_trained_trajectory_head(capsys, tmp_path):
@@ -589,6 +675,21 @@ def test_eval_dense_cli_perfect(capsys, tmp_path):
 
 
 EVAL_COMMANDS = ("eval-grounding", "eval-dense")
+
+
+@pytest.mark.parametrize("command", EVAL_COMMANDS)
+@pytest.mark.parametrize(
+    "content, missing",
+    [("\n", "videos"), ('{"video_id": "u", "events": []}\n{"video_id": "v", "events": []}\n', "events")],
+    ids=["no-videos", "no-events"],
+)
+def test_eval_rejects_ground_truth_without_events(capsys, tmp_path, command, content, missing):
+    pred, gt = write_eval_files(tmp_path, [{"start": 0, "end": 1, "caption": "a dog"}], [])
+    gt.write_text(content)
+    code, out, err = run_cli(capsys, command, "--pred", str(pred), "--gt", str(gt))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {gt}: no ground-truth {missing}\n"
 
 
 @pytest.mark.parametrize(
@@ -762,7 +863,6 @@ def test_ablate_points_cli(capsys, toy_fixture_dir, tmp_path):
         "--trees", str(toy_fixture_dir / "trees.txt"),
         "--masks", str(toy_fixture_dir / "masks"),
         "--tracks", str(toy_fixture_dir / "tracks"),
-        "--points", "1,3,5",
         "--frames", "8",
         "--steps", "6",
         "--out", str(out),
@@ -776,14 +876,19 @@ def test_ablate_points_cli(capsys, toy_fixture_dir, tmp_path):
     assert len(stdout.splitlines()) == 4  # header + one line per P
 
 
-def test_ablate_points_bad_value(capsys, toy_fixture_dir):
-    code, _, err = run_cli(
-        capsys,
-        "ablate-points",
-        "--manifest", str(toy_fixture_dir / "manifest.jsonl"),
-        "--trees", str(toy_fixture_dir / "trees.txt"),
-        "--masks", str(toy_fixture_dir / "masks"),
-        "--tracks", str(toy_fixture_dir / "tracks"),
-        "--points", "1,x",
-    )
-    assert code == 1
+def test_readme_cli_block_uses_only_parser_options():
+    # every `pite <command>` line of README's CLI block (with its \ continuations)
+    # names only options that the parser gives that subcommand
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```bash\n(.*?)```", readme, re.S)
+    block = next(b for b in blocks if re.search("^pite ", b, re.M))
+    subcommands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [line.split() for line in lines if line.startswith("pite ")]
+    assert {words[1] for words in commands} == set(subcommands)
+    for words in commands:
+        options = subcommands[words[1]]._option_string_actions
+        for flag in re.findall(r"--[\w-]+", " ".join(words[2:])):
+            assert flag in options, f"README: pite {words[1]} has no {flag}"

@@ -60,9 +60,11 @@ def test_manifest_validation():
 
 
 def test_small_object_policy():
-    config = PipelineConfig(frames=10, points=2, min_area_fraction=0.05)
-    small = Mask.from_array(np.pad(np.ones((1, 1), dtype=bool), ((0, 9), (0, 9))))
-    big = Mask.from_array(np.pad(np.ones((5, 5), dtype=bool), ((0, 5), (0, 5))))
+    # in a 50x50 frame one pixel is 0.0004 of the area, below MIN_AREA_FRACTION
+    assert pipeline.MIN_AREA_FRACTION == 0.0005
+    config = PipelineConfig(frames=10, points=2)
+    small = Mask.from_array(np.pad(np.ones((1, 1), dtype=bool), ((0, 49), (0, 49))))
+    big = Mask.from_array(np.pad(np.ones((5, 5), dtype=bool), ((0, 45), (0, 45))))
 
     def keep(mask):
         annotation = annotate_event(
@@ -72,15 +74,13 @@ def test_small_object_policy():
             tracks_at([(0.5, 0.5)]),
             config,
             duration=10.0,
-            width=10,
-            height=10,
+            width=50,
+            height=50,
         )
         return bool(annotation.objects)
 
     assert not keep(small)
     assert keep(big)
-    with pytest.raises(ValueError):
-        PipelineConfig(min_area_fraction=1.0)
 
 
 @pytest.mark.parametrize(
@@ -88,8 +88,6 @@ def test_small_object_policy():
     [
         ("frames", 0),
         ("points", 0),
-        ("min_area_fraction", -0.1),
-        ("min_area_fraction", 1.5),
         ("jobs", 0),
         ("jobs", -3),
     ],
@@ -129,10 +127,7 @@ def tracks_at(points, n_frames=10):
     return Tracks(xy=xy, vis=np.ones(xy.shape[:2], dtype=bool))
 
 
-def event_config(**kw):
-    defaults = dict(frames=10, points=2, min_area_fraction=0.0005, seed=0)
-    defaults.update(kw)
-    return PipelineConfig(**defaults)
+EVENT_CONFIG = PipelineConfig(frames=10, points=2)
 
 
 def test_annotate_event_drops_unmasked_phrase(fig3_trees):
@@ -149,7 +144,7 @@ def test_annotate_event_drops_unmasked_phrase(fig3_trees):
         tree,
         masks,
         tracks_at([(2.0, 2.0), (9.0, 9.0), (14.0, 5.0)]),
-        event_config(),
+        EVENT_CONFIG,
         duration=10.0,
         width=16,
         height=16,
@@ -164,23 +159,24 @@ def test_annotate_event_drops_unmasked_phrase(fig3_trees):
 def test_annotate_event_drops_small_mask(fig3_trees):
     tree = parse_bracketed(fig3_trees[0])
     event = ManifestEvent(caption=tree.text(), start=0.0, end=5.0)
-    tiny = np.zeros((16, 16), dtype=bool)
+    # one pixel of a 64x64 frame is below MIN_AREA_FRACTION
+    tiny = np.zeros((64, 64), dtype=bool)
     tiny[3, 3] = True
     masks = {
-        "woman": full_mask(16, 16),
-        "money": full_mask(16, 16),
+        "woman": full_mask(64, 64),
+        "money": full_mask(64, 64),
         "a pen": Mask.from_array(tiny),
-        "a white table": full_mask(16, 16),
+        "a white table": full_mask(64, 64),
     }
     annotation = annotate_event(
         event,
         tree,
         masks,
         tracks_at([(2.0, 2.0), (9.0, 9.0)]),
-        event_config(min_area_fraction=0.01),
+        EVENT_CONFIG,
         duration=10.0,
-        width=16,
-        height=16,
+        width=64,
+        height=64,
     )
     assert [o["np"]["text"] for o in annotation.objects] == [
         "woman",
@@ -197,7 +193,7 @@ def test_annotate_event_zero_surviving_nps():
         tree,
         {},
         tracks_at([(2.0, 2.0)]),
-        event_config(),
+        EVENT_CONFIG,
         duration=10.0,
         width=16,
         height=16,
@@ -215,7 +211,7 @@ def test_annotate_event_mask_dimension_mismatch():
             tree,
             {"a dog": full_mask(8, 8)},
             tracks_at([(2.0, 2.0)]),
-            event_config(),
+            EVENT_CONFIG,
             duration=10.0,
             width=16,
             height=16,
@@ -231,7 +227,7 @@ def test_annotate_event_names_clip_and_phrase_of_point_outside_frame():
             parse_bracketed("(TOP (NP a dog))"),
             {"a dog": full_mask(16, 16)},
             tracks,
-            event_config(),
+            EVENT_CONFIG,
             duration=10.0,
             width=16,
             height=16,
@@ -249,7 +245,7 @@ def test_annotate_event_drops_trackless_object():
         tree,
         {"a dog": Mask.from_array(left)},
         tracks_at([(12.0, 2.0)]),  # starts outside the mask
-        event_config(),
+        EVENT_CONFIG,
         duration=10.0,
         width=16,
         height=16,
