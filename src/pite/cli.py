@@ -227,6 +227,8 @@ GRAD_CHECK_TOL = 1e-4
 def cmd_grad_check(args) -> int:
     if args.fixtures < 1:
         raise UsageError(f"--fixtures must be >= 1, got {args.fixtures}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     worst = 0.0
     for i in range(args.fixtures):
         params = toymodel.init_params(GRAD_CHECK_CONFIG, seed=args.seed + i)

@@ -6,7 +6,8 @@ a (2*P*N)-D trajectory head, all hanging off a frozen random affine+tanh
 backbone that pools the visual tokens, the token prefix, and the sequence
 position.  Losses and their analytic gradients run over one packed batch:
 the samples' tokens concatenated into T rows, each weighted 1/(B * L_b).
-The gradients are checked against central finite differences.
+The gradients are checked against central finite differences; all +-eps
+probes of one trainable array run as one stacked loss pass.
 
 Shapes (config d_v, d, vocab V, points P, frames N, sequence length L):
     adapter      (d, d_v)
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -72,7 +73,7 @@ class TrainerConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if min(self.d_v, self.d, self.vocab, self.points, self.frames) < 1:
             raise ValueError("all dimensions must be >= 1")
-        for name in ("steps", "seed"):
+        for name in ("steps", "seed", "lr"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.lam < 0:
@@ -238,16 +239,17 @@ def pack_batch(samples: Sequence[TrainingSample], stage: int) -> PackedBatch:
 
 def _hidden(params: ToyModelParams, batch: PackedBatch) -> np.ndarray:
     """Backbone states tanh(W [mean frame token; mean prefix embedding; position] + b)."""
-    d = params.adapter.shape[0]
     w = params.backbone_w
+    d = w.shape[0]
     # exclusive running sum of embeddings, restarted at each sample's first row
-    emb = params.embeddings[batch.tokens]
+    emb = params.embeddings[..., batch.tokens, :]
     prefix_sum = np.zeros_like(emb)
-    np.cumsum(emb[:-1], axis=0, out=prefix_sum[1:])
-    prefix_sum -= prefix_sum[batch.starts][batch.sample]
+    np.cumsum(emb[..., :-1, :], axis=-2, out=prefix_sum[..., 1:, :])
+    prefix_sum -= prefix_sum[..., batch.starts, :][..., batch.sample, :]
     prefix_sum *= batch.inv_prefix[:, None]
     act = prefix_sum @ w[:, d : 2 * d].T
-    act += ((batch.frame_means @ params.adapter.T) @ w[:, :d].T)[batch.sample]
+    frame = (batch.frame_means @ np.swapaxes(params.adapter, -1, -2)) @ w[:, :d].T
+    act = act + frame[..., batch.sample, :]
     act += batch.position[:, None] * w[:, 2 * d]
     act += params.backbone_b
     return np.tanh(act, out=act)
@@ -255,15 +257,15 @@ def _hidden(params: ToyModelParams, batch: PackedBatch) -> np.ndarray:
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise log-probabilities, shifted by the row maximum for stability."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    shifted -= np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     return shifted
 
 
 def label_smoothed_ce(logp: np.ndarray, targets: np.ndarray, eps: float) -> np.ndarray:
     """Per-token label-smoothed cross-entropy of log-probs (see ``log_softmax``)."""
-    nll = -logp[np.arange(len(targets)), targets]
-    uniform = -logp.mean(axis=1)
+    nll = -logp[..., np.arange(len(targets)), targets]
+    uniform = -logp.mean(axis=-1)
     return (1.0 - eps) * nll + eps * uniform
 
 
@@ -274,33 +276,37 @@ def _head_scale(params: ToyModelParams, stage: int, lam: float) -> float:
 def _forward_loss(params, batch, stage, lam, smoothing):
     """Shared forward pass: hidden states, log-probs, head residual signs, loss."""
     H = _hidden(params, batch)
-    logp = log_softmax(H @ params.vocab_map.T)
+    logp = log_softmax(H @ np.swapaxes(params.vocab_map, -1, -2))
     terms = label_smoothed_ce(logp, batch.tokens, smoothing)
     sign = None
     if stage in _HEADS:
         w_name, b_name = _HEADS[stage]
-        dist = H @ getattr(params, w_name).T
-        dist += getattr(params, b_name)
+        dist = H @ np.swapaxes(getattr(params, w_name), -1, -2)
+        bias = getattr(params, b_name)[..., None, :]
+        # in place unless only the bias is stacked: a fresh (T, 2PN) array per step is slow
+        dist = np.add(dist, bias, out=dist if dist.ndim >= bias.ndim else None)
         shape = (2,) if stage == 1 else (params.points, params.traj_frames, 2)
         if batch.targets.shape[1:] != shape:
             raise ValueError(f"target rows of shape {batch.targets.shape[1:]}, expected {shape}")
-        dist -= batch.targets.reshape(dist.shape)
+        dist -= batch.targets.reshape(dist.shape[-2:])
         # int8 residual signs are all the backward pass needs of the residuals
         sign = np.sign(dist, out=np.empty(dist.shape, np.int8), casting="unsafe")
-        l1 = np.where(batch.supervised, np.abs(dist, out=dist).sum(axis=1), 0.0)
-        terms += _head_scale(params, stage, lam) * l1
-    return H, logp, sign, float(batch.weight @ terms)
+        l1 = np.where(batch.supervised, np.abs(dist, out=dist).sum(axis=-1), 0.0)
+        terms = terms + _head_scale(params, stage, lam) * l1
+    loss = terms @ batch.weight
+    return H, logp, sign, float(loss) if loss.ndim == 0 else loss
 
 
 def stage_loss(
     params: ToyModelParams, batch: PackedBatch, stage: int, lam: float, smoothing: float
-) -> float:
+) -> float | np.ndarray:
     """Stage loss of the batch: the mean over samples of each sample's token mean.
 
     Every token pays label-smoothed cross-entropy; supervised tokens also pay
     lam * L1 location error (stage 1) or lam/(P*N) * summed L1 trajectory
     error (stage 2), where sentinel (-1, -1) target cells count like real
-    coordinates.  Stage 3 is cross-entropy only.
+    coordinates.  Stage 3 is cross-entropy only.  Trainable arrays stacked on
+    leading probe axes broadcast through the pass and give one loss per probe.
     """
     return _forward_loss(params, batch, stage, lam, smoothing)[3]
 
@@ -380,23 +386,23 @@ def grad_check(
     Sweeps every trainable scalar of the stage over the packed samples, with
     the loss weights of ``cfg``; the error for one scalar is
     |analytic - numeric| / max(1, |numeric|), and a NaN error makes the result NaN.
+    All probes of an array of K scalars go through one ``stage_loss`` call as
+    a (2K, *shape) stack, rows j and K+j holding scalar j shifted by +eps and
+    -eps, so the memory of a check grows with K**2.
     """
     lam, smoothing, eps = cfg.lam, cfg.smoothing, GRAD_CHECK_EPS
     batch = pack_batch(samples, stage)
     _, analytic = gradients(params, batch, stage, lam, smoothing)
     worst = 0.0
-    work = params.copy()
     for name in TRAINABLE_BY_STAGE[stage]:
-        arr = getattr(work, name)
-        grad = analytic[name]
-        for idx in np.ndindex(arr.shape):
-            keep = arr[idx]
-            arr[idx] = keep + eps
-            hi = stage_loss(work, batch, stage, lam, smoothing)
-            arr[idx] = keep - eps
-            lo = stage_loss(work, batch, stage, lam, smoothing)
-            arr[idx] = keep
-            numeric = (hi - lo) / (2 * eps)
-            err = abs(grad[idx] - numeric) / max(1.0, abs(numeric))
-            worst = np.maximum(worst, err)  # unlike max(), keeps a NaN
+        arr = getattr(params, name)
+        k = arr.size
+        stack = np.tile(arr.reshape(1, k), (2 * k, 1))
+        rows = np.arange(2 * k)
+        stack[rows, rows % k] += np.repeat([eps, -eps], k)
+        probe = replace(params, **{name: stack.reshape(2 * k, *arr.shape)})
+        losses = stage_loss(probe, batch, stage, lam, smoothing)
+        numeric = (losses[:k] - losses[k:]) / (2 * eps)
+        err = np.abs(analytic[name].reshape(k) - numeric) / np.maximum(1.0, np.abs(numeric))
+        worst = np.maximum(worst, np.max(err))  # unlike max(), both keep a NaN
     return worst

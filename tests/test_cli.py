@@ -530,6 +530,13 @@ def test_grad_check_needs_a_fixture(capsys, fixtures):
     assert f"--fixtures must be >= 1, got {fixtures}" in err
 
 
+def test_grad_check_rejects_negative_seed(capsys):
+    code, out, err = run_cli(capsys, "grad-check", "--stage", "1", "--seed", "-5")
+    assert code == 1
+    assert out == ""
+    assert "--seed must be >= 0, got -5" in err
+
+
 def test_grad_check_fails_on_nan(capsys, monkeypatch):
     def poisoned(cfg, seed=None):
         params = init_params(cfg, seed)
@@ -573,10 +580,12 @@ def test_train_toy_config_is_required_and_named_in_errors(capsys, tmp_path):
         ("lam", float("inf"), "ValueError: lam must be finite, got inf"),
         ("steps", -3, "ValueError: steps must be >= 0, got -3"),
         ("seed", -1, "ValueError: seed must be >= 0, got -1"),
+        ("lr", -1.0, "ValueError: lr must be >= 0, got -1.0"),
     ],
     ids=[
         "steps-float", "d-float", "points-float", "seed-bool", "lr-string", "lam-null",
         "smoothing-bool", "lr-nan", "lam-inf", "steps-negative", "seed-negative",
+        "lr-negative",
     ],
 )
 def test_train_toy_rejects_config_value(capsys, tmp_path, field, value, message):

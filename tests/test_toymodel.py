@@ -4,7 +4,10 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from pite import toymodel
 from pite.toymodel import (
+    ARRAY_NAMES,
+    GRAD_CHECK_EPS,
     TRAINABLE_BY_STAGE,
     TrainerConfig,
     TrainingSample,
@@ -428,6 +431,57 @@ def test_grad_check_on_multi_sample_batch(stage):
         params = init_params(SMALL, seed=seed + 60)
         samples = ragged_batch(SMALL, stage, seed=10 * seed + 70)
         assert grad_check(params, samples, stage, SMALL) < 1e-4
+
+
+def grad_check_fixtures(stage):
+    yield init_params(SMALL, seed=80), [make_sample(SMALL, seed=81, stage=stage)]
+    yield init_params(SMALL, seed=82), [make_sample(SMALL, seed=83, stage=stage, length=9)]
+    yield init_params(SMALL, seed=84), ragged_batch(SMALL, stage, seed=85)
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3])
+def test_stacked_probes_match_sequential_losses(stage, monkeypatch):
+    calls = []
+
+    def recording(params, batch, *args):
+        losses = stage_loss(params, batch, *args)
+        calls.append((params, batch, args, losses))
+        return losses
+
+    monkeypatch.setattr(toymodel, "stage_loss", recording)
+    for params, samples in grad_check_fixtures(stage):
+        before = {n: getattr(params, n).tobytes() for n in ARRAY_NAMES}
+        calls.clear()
+        grad_check(params, samples, stage, SMALL)
+        assert {n: getattr(params, n).tobytes() for n in ARRAY_NAMES} == before
+        assert len(calls) == len(TRAINABLE_BY_STAGE[stage])
+        for name, (probe, batch, args, losses) in zip(TRAINABLE_BY_STAGE[stage], calls):
+            arr = getattr(params, name)
+            k = arr.size
+            stack = getattr(probe, name)
+            assert stack.shape == (2 * k, *arr.shape)
+            assert losses.shape == (2 * k,)
+            for row in range(2 * k):
+                # the sequential probe: one scalar moved by +eps (rows < k) or -eps
+                moved = params.copy()
+                flat = getattr(moved, name).reshape(-1)
+                flat[row % k] += GRAD_CHECK_EPS if row < k else -GRAD_CHECK_EPS
+                assert np.array_equal(stack[row], getattr(moved, name))
+                assert abs(losses[row] - stage_loss(moved, batch, *args)) <= 1e-14
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3])
+def test_grad_check_catches_error_in_last_scalar_of_each_array(stage, monkeypatch):
+    for name in TRAINABLE_BY_STAGE[stage]:
+
+        def skewed(*args, name=name):
+            loss, grads = gradients(*args)
+            grads[name].reshape(-1)[-1] += 1e-3
+            return loss, grads
+
+        monkeypatch.setattr(toymodel, "gradients", skewed)
+        for params, samples in grad_check_fixtures(stage):
+            assert grad_check(params, samples, stage, SMALL) >= 5e-4, name
 
 
 def test_stage2_rejects_targets_of_another_head_geometry():
