@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import metrics, pipeline, tracks, trainer, trees, toymodel
-from .jsonl import DataError, read_jsonl, unique
+from .jsonl import DataError, read_jsonl, read_lines, unique
 
 log = logging.getLogger("pite")
 
@@ -117,7 +117,7 @@ def _write(payload: str, out: str | None) -> None:
 
 def cmd_extract_np(args) -> int:
     records = []
-    for location, line in trees.read_tree_lines(args.trees):
+    for location, line in read_lines(args.trees):
         tree = pipeline.parse_tree(location, line)
         nps = trees.extract_lowest_np(tree)
         records.append(
@@ -363,10 +363,7 @@ def cmd_ablate_points(args) -> int:
                 args.manifest, args.trees, args.masks, args.tracks, out_path,
                 config, strict=True,
             )
-            records = [
-                json.loads(line)
-                for line in out_path.read_text(encoding="utf-8").splitlines()
-            ]
+            records = list(read_jsonl(out_path, dict))
         samples = trainer.samples_from_records(records, cfg)
         params = toymodel.init_params(cfg)
         _, curve, _ = trainer.run_stage(params, samples, 2, cfg)

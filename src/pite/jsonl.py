@@ -1,8 +1,8 @@
-"""JSON-lines input and the error type for unusable input data.
+"""Line-oriented input and the error type for unusable input data.
 
-Every JSONL file the toolkit reads (manifests, track clips, evaluation
-records) goes through ``read_jsonl``, so a bad record is reported the same
-way everywhere: ``<path>:<line>: <Type>: <message>``.
+Every text input read line by line (manifests, parse trees, track clips,
+evaluation records) goes through ``read_lines``, so blank lines are skipped
+and a bad line is named as ``<path>:<line>: <Type>: <message>`` everywhere.
 """
 
 from __future__ import annotations
@@ -18,21 +18,32 @@ class DataError(ValueError):
     """Unusable input data (missing files, mismatched dimensions, bad schema)."""
 
 
+def read_lines(path: str | Path) -> Iterator[tuple[str, str]]:
+    """Yield ``(location, line)`` for each non-blank line of ``path``, stripped.
+
+    The location is ``<path>:<line>``; blank lines count toward the 1-based
+    line number.
+    """
+    with open(path, encoding="utf-8") as handle:
+        # map() strips first, so enumerate() keeps only the stripped copy of a
+        # line alive while the caller parses it (track lines run to megabytes)
+        for lineno, line in enumerate(map(str.strip, handle), 1):
+            if line:
+                yield f"{path}:{lineno}", line
+
+
 def read_jsonl(path: str | Path, parse: Callable[[object], T]) -> Iterator[T]:
     """Yield ``parse(record)`` for each non-blank line of ``path``.
 
     A line that is not JSON, or whose record ``parse`` rejects, raises
     DataError naming the file and the 1-based line number.
     """
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                item = parse(json.loads(line))
-            except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: {type(exc).__name__}: {exc}") from exc
-            yield item
+    for location, line in read_lines(path):
+        try:
+            item = parse(json.loads(line))
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{location}: {type(exc).__name__}: {exc}") from exc
+        yield item
 
 
 def unique(parse: Callable[[object], T], field: str) -> Callable[[object], T]:

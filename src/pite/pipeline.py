@@ -9,6 +9,7 @@ JSON record per video with the temporal text "caption, from s to e".
 File layout consumed by run_pipeline:
     manifest.jsonl   one video per line (see VideoManifest)
     trees file       one bracketed tree per event line, in manifest order
+                     (read in step with the manifest, one video at a time)
     masks_dir/{video_id}/ev{k}/{np_slug}.json   missing file = rejected NP
                                                 (np_slug escapes %, _ and /
                                                 and writes spaces as _)
@@ -23,6 +24,7 @@ import concurrent.futures
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
-from .jsonl import DataError, read_jsonl, unique
+from .jsonl import DataError, read_jsonl, read_lines, unique
 from .tracks import (
     Mask,
     Tracks,
@@ -43,7 +45,7 @@ from .tracks import (
     load_mask,
     to_matrix,
 )
-from .trees import ParseError, ParseTree, extract_lowest_np, parse_bracketed, read_tree_lines
+from .trees import ParseError, ParseTree, extract_lowest_np, parse_bracketed
 
 log = logging.getLogger("pite.pipeline")
 
@@ -64,8 +66,8 @@ class VideoManifest:
     events: tuple[ManifestEvent, ...]
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise DataError(f"{self.video_id}: duration must be positive")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise DataError(f"{self.video_id}: duration must be finite and > 0, got {self.duration}")
         for event in self.events:
             if not event.caption:
                 raise DataError(f"{self.video_id}: empty caption")
@@ -233,11 +235,6 @@ def annotate_event(
     return annotation
 
 
-def load_manifest(path: str | Path) -> list[VideoManifest]:
-    """The manifest's videos in file order; a repeated video_id raises DataError."""
-    return list(read_jsonl(path, unique(VideoManifest.from_json, "video_id")))
-
-
 def load_event_masks(masks_dir: Path, video_id: str, event_idx: int) -> dict[str, Mask]:
     event_dir = masks_dir / video_id / f"ev{event_idx}"
     masks = {}
@@ -262,11 +259,7 @@ def annotate_video(
     tracks_dir: Path,
     config: PipelineConfig,
 ) -> dict:
-    """Produce one output record for a video from its events' ``read_tree_lines`` pairs."""
-    if len(tree_lines) != len(video.events):
-        raise DataError(
-            f"{video.video_id}: {len(tree_lines)} trees for {len(video.events)} events"
-        )
+    """Produce one output record for a video from one ``read_lines`` pair per event."""
     trees = [parse_tree(location, line) for location, line in tree_lines]
     tracks_path = tracks_dir / f"{video.video_id}.jsonl"
     if not tracks_path.is_file():
@@ -317,6 +310,9 @@ def run_pipeline(
 ) -> dict:
     """Annotate every video in the manifest; returns summary counts.
 
+    The manifest and the trees are read in step, one video at a time.  Trees
+    that run out, or lines left after the last video, raise DataError naming
+    the trees file and the video, or the first extra line, when reached.
     Writes one JSON record per video (JSONL, manifest order) as each video
     finishes; each record passes ``validate_record`` before it is written.
     Per-video failures, invalid records included, are logged and the video
@@ -326,25 +322,28 @@ def run_pipeline(
     run succeeds, so a failed run leaves an existing ``out_path`` as it was.
     """
     config = config or PipelineConfig()
-    videos = load_manifest(manifest_path)
-    tree_lines = read_tree_lines(trees_path)
-    total_events = sum(len(v.events) for v in videos)
-    if len(tree_lines) != total_events:
-        raise DataError(
-            f"{len(tree_lines)} trees for {total_events} manifest events"
-        )
     masks_dir, tracks_dir = Path(masks_dir), Path(tracks_dir)
 
     def work() -> Iterator[tuple]:
-        cursor = 0
-        for video in videos:
-            chunk = tree_lines[cursor : cursor + len(video.events)]
-            cursor += len(video.events)
+        tree_lines = read_lines(trees_path)
+        for video in read_jsonl(manifest_path, unique(VideoManifest.from_json, "video_id")):
+            chunk = list(itertools.islice(tree_lines, len(video.events)))
+            if len(chunk) < len(video.events):
+                raise DataError(
+                    f"{trees_path}: {len(chunk)} trees for the "
+                    f"{len(video.events)} events of {video.video_id}"
+                )
             yield video, chunk, masks_dir, tracks_dir, config
+        extra = next(tree_lines, None)
+        if extra is not None:
+            raise DataError(f"{extra[0]}: trees for more events than {manifest_path} lists")
 
+    items = work()
+    # read ahead at most config.jobs videos, so that no worker starts without one
+    ahead = list(itertools.islice(items, config.jobs))
     summary = {"videos": 0, "events": 0, "trajectories": 0}
     with _replaced_on_success(out_path) as handle, contextlib.closing(
-        _annotated(work(), min(config.jobs, len(videos)))
+        _annotated(itertools.chain(ahead, items), len(ahead))
     ) as outcomes:
         for video, outcome in outcomes:
             try:

@@ -72,6 +72,9 @@ class Mask:
     runs: tuple[int, ...]
 
     def __post_init__(self):
+        for value in (self.width, self.height, *self.runs):
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"mask width, height and runs must be integers, got {value!r}")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("mask dimensions must be positive")
         if any(r < 0 for r in self.runs):
@@ -413,7 +416,7 @@ def load_mask(path: str | Path) -> Mask:
     with open(path, encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
-            return Mask(width=int(obj["width"]), height=int(obj["height"]), runs=tuple(obj["rle"]))
+            return Mask(width=obj["width"], height=obj["height"], runs=tuple(obj["rle"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: {type(exc).__name__}: {exc}") from exc
 

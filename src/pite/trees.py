@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator
 
 
@@ -120,16 +119,6 @@ def parse_bracketed(text: str) -> ParseTree:
     if pos != len(tokens):
         raise ParseError("trailing content after root", tokens[pos][1])
     return root
-
-
-def read_tree_lines(path: str | Path) -> list[tuple[str, str]]:
-    """``(location, line)`` for each non-blank line of ``path``, stripped.
-
-    The location is ``<path>:<line>``; blank lines count toward the 1-based
-    line number, as in ``read_jsonl``.
-    """
-    with open(path, encoding="utf-8") as handle:
-        return [(f"{path}:{n}", line.strip()) for n, line in enumerate(handle, 1) if line.strip()]
 
 
 def extract_lowest_np(tree: ParseTree) -> list[NounPhrase]:

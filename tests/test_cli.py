@@ -206,8 +206,12 @@ def test_build_dataset_names_file_and_line_of_malformed_tree(capsys, caplog, toy
         ('{"width": 32, "height": 32}', "KeyError: 'rle'"),
         ('{"width": 32, "height": 32, "rle": [-1, 1025]}', "ValueError: negative run length"),
         ('{"width": 32, "height": 32, "rle": [10]}', "ValueError: runs cover 10 cells, expected 1024"),
+        (
+            '{"width": 32, "height": 32, "rle": [327.5, 16.5, 680]}',
+            "ValueError: mask width, height and runs must be integers, got 327.5",
+        ),
     ],
-    ids=["json", "key", "negative", "short"],
+    ids=["json", "key", "negative", "short", "fraction"],
 )
 def test_bad_mask_file_is_named(capsys, caplog, toy_fixture_dir, tmp_path, content, message):
     masks = tmp_path / "masks"
@@ -362,6 +366,51 @@ def test_bad_jsonl_line_names_file_and_line(capsys, toy_fixture_dir, tmp_path):
         code, _, err = run_cli(capsys, command, "--pred", str(pred), "--gt", str(gt))
         assert code == 2
         assert f"{gt}:2: KeyError: 'video_id'" in err
+
+
+@pytest.mark.parametrize("duration", [float("inf"), float("nan")])
+def test_build_dataset_rejects_non_finite_duration(capsys, toy_fixture_dir, tmp_path, duration):
+    lines = (toy_fixture_dir / "manifest.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    assert record["video_id"] == "vid_dog"
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("\n".join([lines[0], json.dumps({**record, "duration": duration})]) + "\n")
+    code, out, err = run_cli(
+        capsys, *toy_build_args(toy_fixture_dir, tmp_path / "out.jsonl", manifest)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: {manifest}:2: DataError: vid_dog: duration must be finite and > 0, got {duration}\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.jsonl"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("direction", ["too-few", "too-many"])
+def test_build_dataset_tree_count_mismatch(capsys, toy_fixture_dir, tmp_path, jobs, direction):
+    # the manifest lists vid_money (2 events), then vid_dog (1 event)
+    lines = (toy_fixture_dir / "trees.txt").read_text().splitlines()
+    trees = tmp_path / "trees.txt"
+    if direction == "too-few":
+        trees.write_text("\n".join(lines[:2]) + "\n")
+        message = f"{trees}: 0 trees for the 1 events of vid_dog"
+    else:
+        trees.write_text("\n".join(lines + lines[:1]) + "\n")
+        message = (
+            f"{trees}:4: trees for more events than "
+            f"{toy_fixture_dir / 'manifest.jsonl'} lists"
+        )
+    out = tmp_path / "out.jsonl"
+    out.write_text("previous run\n")
+    args = toy_build_args(toy_fixture_dir, out) + ["--jobs", jobs]
+    args[args.index("--trees") + 1] = str(trees)
+    code, stdout, err = run_cli(capsys, *args)
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: {message}\n"
+    assert out.read_text() == "previous run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl", "trees.txt"]
 
 
 STAGE2_CFG = TrainerConfig(d_v=4, d=8, vocab=12, points=2, frames=3, steps=2)

@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -572,6 +573,32 @@ def test_pipeline_tree_count_mismatch(toy_fixture_dir, tmp_path):
             toy_fixture_dir / "tracks",
             tmp_path / "out.jsonl",
         )
+
+
+@pytest.mark.parametrize("videos", [1_000, 10_000])
+def test_pipeline_memory_does_not_grow_with_the_manifest(tmp_path, monkeypatch, videos):
+    # one-event videos whose annotation is stubbed out, so what is left to grow
+    # is what run_pipeline keeps of the manifest and the trees
+    event = {"caption": "a dog", "start": 0.0, "end": 1.0}
+    manifest, trees = tmp_path / "manifest.jsonl", tmp_path / "trees.txt"
+    manifest.write_text("".join(
+        json.dumps({"video_id": f"v{i:05d}", "duration": 2.0, "width": 32, "height": 32,
+                    "events": [event]}) + "\n"
+        for i in range(videos)
+    ))
+    trees.write_text("(TOP (NP a dog))\n" * videos)
+    monkeypatch.setattr(
+        pipeline, "annotate_video", lambda video, *args: {"video_id": video.video_id, "events": []}
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        summary = run_pipeline(manifest, trees, tmp_path, tmp_path, tmp_path / "out.jsonl")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary["videos"] == videos
+    assert (peak - before) / videos < 300  # bytes per video; the seen-id set is about 120
 
 
 def test_pipeline_tree_caption_mismatch(toy_fixture_dir, tmp_path):

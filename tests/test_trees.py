@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pite.jsonl import read_lines
 from pite.trees import (
     ParseError,
     ParseTree,
     extract_lowest_np,
     parse_bracketed,
-    read_tree_lines,
 )
 
 
@@ -92,10 +92,10 @@ def test_np_word_leaf_is_not_a_constituent():
     assert extract_lowest_np(tree) == []
 
 
-def test_read_tree_lines_skips_blank_lines_and_counts_them(tmp_path):
+def test_read_lines_skips_blank_lines_and_counts_them(tmp_path):
     path = tmp_path / "t.trees"
     path.write_text("(A x)\n\n  \n (B y) \n")
-    assert read_tree_lines(path) == [(f"{path}:1", "(A x)"), (f"{path}:4", "(B y)")]
+    assert list(read_lines(path)) == [(f"{path}:1", "(A x)"), (f"{path}:4", "(B y)")]
 
 
 def serialize(tree: ParseTree) -> str:
