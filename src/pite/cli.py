@@ -38,11 +38,13 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="pite", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser("extract-np", parents=[], help="extract lowest-layer noun phrases")
+    p = sub.add_parser("extract-np", help="extract lowest-layer noun phrases")
+    p.set_defaults(run=cmd_extract_np)
     p.add_argument("--trees", required=True, help="file with one bracketed tree per line")
     p.add_argument("--out", help="output JSONL (default stdout)")
 
     p = sub.add_parser("condense-tracks", help="condense clip tracks to key-point matrices")
+    p.set_defaults(run=cmd_condense_tracks)
     p.add_argument("--tracks", required=True, help="JSONL, one clip per line")
     p.add_argument("--out", required=True)
     p.add_argument("--masks", help="directory with {clip_id}.json masks (optional)")
@@ -50,6 +52,7 @@ def build_parser() -> _Parser:
     p.add_argument("--frames", type=int, default=100)
 
     p = sub.add_parser("build-dataset", help="run the full annotation pipeline")
+    p.set_defaults(run=cmd_build_dataset)
     p.add_argument("--manifest", required=True)
     p.add_argument("--trees", required=True)
     p.add_argument("--masks", required=True)
@@ -65,6 +68,7 @@ def build_parser() -> _Parser:
     )
 
     p = sub.add_parser("train-toy", help="train the surrogate model for one stage")
+    p.set_defaults(run=cmd_train_toy)
     p.add_argument("--stage", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--data", required=True, help="training samples (.npz from save_samples)")
     p.add_argument("--config", required=True, help="TrainerConfig JSON file")
@@ -78,16 +82,19 @@ def build_parser() -> _Parser:
     )
 
     p = sub.add_parser("grad-check", help="verify analytic gradients per stage")
+    p.set_defaults(run=cmd_grad_check)
     p.add_argument("--stage", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fixtures", type=int, default=5)
 
     p = sub.add_parser("eval-grounding", help="temporal grounding metrics")
+    p.set_defaults(run=cmd_eval_grounding)
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--out", help="output JSON (default stdout)")
 
     p = sub.add_parser("eval-dense", help="dense captioning metrics")
+    p.set_defaults(run=cmd_eval_dense)
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--scorer", choices=("meteor", "cider"), default="meteor")
@@ -97,6 +104,7 @@ def build_parser() -> _Parser:
         "ablate-points",
         help=f"pipeline and short stage-2 training for each point count P in {ABLATION_POINTS}",
     )
+    p.set_defaults(run=cmd_ablate_points)
     p.add_argument("--manifest", required=True)
     p.add_argument("--trees", required=True)
     p.add_argument("--masks", required=True)
@@ -134,7 +142,7 @@ def cmd_condense_tracks(args) -> int:
     config = pipeline.PipelineConfig(frames=args.frames, points=args.points)
     out_lines = []
     for clip in tracks.iter_clip_tracks(args.tracks):
-        selected = clip.tracks
+        mask = None
         if args.masks:
             mask_path = Path(args.masks) / f"{clip.clip_id}.json"
             if mask_path.is_file():
@@ -144,14 +152,16 @@ def cmd_condense_tracks(args) -> int:
                         f"{args.tracks}: clip {clip.clip_id}: mask {mask_path} is "
                         f"{mask.width}x{mask.height}, clip is {clip.width}x{clip.height}"
                     )
-                selected = tracks.filter_tracks_by_mask(clip.tracks, mask)
-        if len(selected):
-            selected = tracks.condense(
-                selected,
-                config.points,
-                seed=pipeline.derive_seed(config.seed, clip.clip_id),
-            )
         try:
+            selected = clip.tracks
+            if mask is not None:
+                selected = tracks.filter_tracks_by_mask(selected, mask)
+            if len(selected):
+                selected = tracks.condense(
+                    selected,
+                    config.points,
+                    seed=pipeline.derive_seed(config.seed, clip.clip_id),
+                )
             matrix = tracks.to_matrix(
                 selected, config.points, config.frames, clip.width, clip.height
             )
@@ -260,7 +270,8 @@ def _paired_events(
 
     Each event goes through ``parse_event`` as its line is read, so a bad
     event fails naming its file and line, and so does a repeated video id.
-    Logs one line counting the ground-truth videos with no prediction.
+    Logs one line counting the ground-truth videos with no prediction, and
+    one counting the predicted videos missing from the ground truth.
     """
     video = lambda record: (
         str(record["video_id"]),
@@ -278,6 +289,13 @@ def _paired_events(
             "%d of %d videos have no prediction; their events score as misses",
             missing,
             len(gts),
+        )
+    unknown = len(preds.keys() - gts.keys())
+    if unknown:
+        log.warning(
+            "%d of %d prediction records name videos not in the ground truth; they are ignored",
+            unknown,
+            len(preds),
         )
     return [(video_id, gts[video_id], preds.get(video_id)) for video_id in sorted(gts)]
 
@@ -303,16 +321,18 @@ def cmd_eval_grounding(args) -> int:
 
 def cmd_eval_dense(args) -> int:
     videos = _paired_events(args.pred, args.gt, _captioned_event)
-    idf = metrics.build_idf([[e.caption] for _, gt_events, _ in videos for e in gt_events])
+    idf = metrics.build_idf([e.caption for _, gt_events, _ in videos for e in gt_events])
 
     soda_vals, cider_vals, meteor_vals = [], [], []
     for _, gt_events, pred_events in videos:
         pred_events = pred_events or []
-        # each pair is scored once per video and shared by SODA and every
-        # IoU threshold; the memos start empty per video, since captions do
-        # not repeat across videos and run-long memos would only grow
-        idf.clear_vectors()
-        cider_metric = functools.cache(lambda cand, ref: metrics.cider(cand, [ref], idf))
+        # each caption is vectorised and each pair scored once per video, and
+        # shared by SODA and every IoU threshold; the memos start empty per
+        # video, since captions do not repeat across videos
+        vectors = functools.cache(lambda caption: metrics.tfidf_vectors(caption, idf))
+        cider_metric = functools.cache(
+            lambda cand, ref: metrics.cider(vectors(cand), vectors(ref))
+        )
         meteor_metric = functools.cache(metrics.meteor_lite)
         if args.scorer == "cider":
             soda_scorer = lambda cand, ref: cider_metric(cand, ref) / 10.0
@@ -390,18 +410,6 @@ def cmd_ablate_points(args) -> int:
     return 0
 
 
-COMMANDS = {
-    "extract-np": cmd_extract_np,
-    "condense-tracks": cmd_condense_tracks,
-    "build-dataset": cmd_build_dataset,
-    "train-toy": cmd_train_toy,
-    "grad-check": cmd_grad_check,
-    "eval-grounding": cmd_eval_grounding,
-    "eval-dense": cmd_eval_dense,
-    "ablate-points": cmd_ablate_points,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     parser = build_parser()
@@ -410,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        return COMMANDS[args.command](args)
+        return args.run(args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         parser.print_usage(sys.stderr)

@@ -1,4 +1,4 @@
-"""Line-oriented input and the error type for unusable input data.
+"""Line-oriented input, integer field checks and the error type for unusable input.
 
 Every text input read line by line (manifests, parse trees, track clips,
 evaluation records) goes through ``read_lines``, so blank lines are skipped
@@ -16,6 +16,13 @@ T = TypeVar("T")
 
 class DataError(ValueError):
     """Unusable input data (missing files, mismatched dimensions, bad schema)."""
+
+
+def integer(value: object, name: str) -> int:
+    """``value`` if it is an int, else TypeError naming ``name``; a bool is not an int here."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[str, str]]:

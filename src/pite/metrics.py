@@ -12,7 +12,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 GROUNDING_THRESHOLDS = (0.3, 0.5, 0.7)  # Recall@1 IoU thresholds
 CAPTION_IOU_THRESHOLDS = (0.3, 0.5, 0.7, 0.9)  # iou_bucketed_caption_scores
@@ -82,83 +82,46 @@ def grounding_scores(
 # --- CIDEr -------------------------------------------------------------------
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    """n-gram tuples of ``tokens`` and their counts, in order of first occurrence."""
-    return Counter(zip(*(tokens[i:] for i in range(n))))
+def _ngrams(tokens: Sequence[str], n: int) -> Iterator[tuple[str, ...]]:
+    """The n-gram tuples of ``tokens`` in order, repeats included."""
+    return zip(*(tokens[i:] for i in range(n)))
 
 
-def _cosine(a: Mapping, na: float, b: Mapping, nb: float) -> float:
-    """Cosine of two sparse vectors given their norms ``na`` and ``nb``."""
-    if na == 0 or nb == 0:
-        return 0.0
-    dot = sum(v * b[g] for g, v in a.items() if g in b)
-    return dot / (na * nb)
+def build_idf(captions: Sequence[str]) -> dict[tuple[str, ...], float]:
+    """idf(g) = log(|captions| / df(g)) for every n-gram, n = 1..CIDER_MAX_N.
 
-
-class Idf:
-    """Per-n IDF tables of a reference corpus and a memo of caption vectors.
-
-    ``vectors(caption)`` tokenizes a caption once and keeps, for each n, its
-    TF-IDF vector and that vector's L2 norm.  The memo lives as long as the
-    object, or until ``clear_vectors``.
+    df(g) counts the captions containing ``g``; an n-gram is a tuple of n
+    tokens, so one dict serves every order.
     """
-
-    def __init__(self, tables: dict[int, dict]):
-        self.tables = tables  # n -> {n-gram: idf}
-        self._vectors: dict[str, list[tuple[dict, float]]] = {}
-
-    def vectors(self, caption: str) -> list[tuple[dict, float]]:
-        """``(vector, norm)`` for n = 1..CIDER_MAX_N; an empty list for a token-free caption."""
-        memo = self._vectors.get(caption)
-        if memo is None:
-            tokens = tokenize(caption)
-            memo = []
-            if tokens:
-                for n in range(1, CIDER_MAX_N + 1):
-                    table = self.tables[n]
-                    vec = {g: tf * table.get(g, 0.0) for g, tf in _ngram_counts(tokens, n).items()}
-                    memo.append((vec, math.sqrt(sum(v * v for v in vec.values()))))
-            self._vectors[caption] = memo
-        return memo
-
-    def clear_vectors(self) -> None:
-        self._vectors.clear()
+    if not captions:
+        raise ValueError("captions must be nonempty")
+    df: Counter = Counter()
+    for caption in captions:
+        tokens = tokenize(caption)
+        df.update({g for n in range(1, CIDER_MAX_N + 1) for g in _ngrams(tokens, n)})
+    return {g: math.log(len(captions) / c) for g, c in df.items()}
 
 
-def build_idf(corpus: Sequence[Sequence[str]]) -> Idf:
-    """Per-n IDF over reference sets: idf(g) = log(|corpus| / df(g)), df clipped to 1."""
-    n_docs = len(corpus)
-    if n_docs == 0:
-        raise ValueError("corpus must be nonempty")
-    token_sets = [[tokenize(ref) for ref in refs] for refs in corpus]
-    tables: dict[int, dict] = {}
+def tfidf_vectors(caption: str, idf: Mapping[tuple[str, ...], float]) -> list[tuple[dict, float]]:
+    """TF-IDF vector and its L2 norm per n = 1..CIDER_MAX_N; [] for a token-free caption."""
+    tokens = tokenize(caption)
+    if not tokens:
+        return []
+    out = []
     for n in range(1, CIDER_MAX_N + 1):
-        df: Counter = Counter()
-        for refs in token_sets:
-            seen = set()
-            for tokens in refs:
-                seen.update(_ngram_counts(tokens, n))
-            df.update(seen)
-        tables[n] = {g: math.log(n_docs / max(1.0, c)) for g, c in df.items()}
-    return Idf(tables)
+        # Counter keeps first-occurrence order, which fixes the order of the norm's sum
+        vec = {g: tf * idf.get(g, 0.0) for g, tf in Counter(_ngrams(tokens, n)).items()}
+        out.append((vec, math.sqrt(sum(v * v for v in vec.values()))))
+    return out
 
 
-def cider(candidate: str, refs: Sequence[str], idf: Idf) -> float:
-    """TF-IDF n-gram consensus (n=1..CIDER_MAX_N), averaged over refs and n, scaled by 10.
-
-    ``idf`` is ``build_idf`` of the reference sets supplying document
-    frequencies; the caption vectors come from its memo.
-    """
-    cand = idf.vectors(candidate)
-    if not cand or not refs:
-        return 0.0
-    ref_vectors = [idf.vectors(ref) for ref in refs]
+def cider(candidate: list[tuple[dict, float]], ref: list[tuple[dict, float]]) -> float:
+    """Per-n cosine of two ``tfidf_vectors`` results (one ``idf``), averaged over n, times 10."""
     total = 0.0
-    for n, (cand_vec, cand_norm) in enumerate(cand):
-        sims = [
-            _cosine(cand_vec, cand_norm, *ref[n]) if ref else 0.0 for ref in ref_vectors
-        ]
-        total += sum(sims) / len(sims)
+    for (cand_vec, cand_norm), (ref_vec, ref_norm) in zip(candidate, ref):
+        if cand_norm and ref_norm:
+            dot = sum(v * ref_vec[g] for g, v in cand_vec.items() if g in ref_vec)
+            total += dot / (cand_norm * ref_norm)
     return 10.0 * total / CIDER_MAX_N
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
-from .jsonl import DataError, read_jsonl, read_lines, unique
+from .jsonl import DataError, integer, read_jsonl, read_lines, unique
 from .tracks import (
     Mask,
     Tracks,
@@ -82,8 +82,8 @@ class VideoManifest:
         return cls(
             video_id=str(obj["video_id"]),
             duration=float(obj["duration"]),
-            width=int(obj["width"]),
-            height=int(obj["height"]),
+            width=integer(obj["width"], "width"),
+            height=integer(obj["height"], "height"),
             events=tuple(
                 ManifestEvent(caption=str(e["caption"]), start=float(e["start"]), end=float(e["end"]))
                 for e in obj["events"]
@@ -215,14 +215,14 @@ def annotate_event(
         if mask.area() < MIN_AREA_FRACTION * width * height:
             log.debug("%s: mask for %r below area threshold", clip_id, phrase.text)
             continue
-        selected = filter_tracks_by_mask(tracks, mask)
-        if not selected:
-            log.debug("%s: no tracks inside mask for %r", clip_id, phrase.text)
-            continue
-        keypoints = condense(
-            selected, config.points, seed=derive_seed(config.seed, clip_id, np_idx)
-        )
         try:
+            selected = filter_tracks_by_mask(tracks, mask)
+            if not selected:
+                log.debug("%s: no tracks inside mask for %r", clip_id, phrase.text)
+                continue
+            keypoints = condense(
+                selected, config.points, seed=derive_seed(config.seed, clip_id, np_idx)
+            )
             matrix = to_matrix(keypoints, config.points, config.frames, width, height)
         except ValueError as exc:
             raise DataError(f"{clip_id}: {phrase.text!r}: {exc}") from exc

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .jsonl import DataError, read_jsonl, unique
+from .jsonl import DataError, integer, read_jsonl, unique
 
 SENTINEL = -1.0  # both coordinates of an absent sample
 
@@ -73,7 +73,7 @@ class Mask:
 
     def __post_init__(self):
         for value in (self.width, self.height, *self.runs):
-            if not isinstance(value, (int, np.integer)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"mask width, height and runs must be integers, got {value!r}")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("mask dimensions must be positive")
@@ -389,7 +389,7 @@ class ClipTracks:
     def from_json(cls, obj: dict) -> "ClipTracks":
         """Parse one clip; ValueError naming the clip on tracks that do not fit ``frames``."""
         clip_id = str(obj["clip_id"])
-        frames = int(obj["frames"])
+        frames = integer(obj["frames"], "frames")
         rows = obj["tracks"]
         try:
             tracks = Tracks(
@@ -400,8 +400,8 @@ class ClipTracks:
             raise ValueError(f"clip {clip_id}: {type(exc).__name__}: {exc}") from None
         return cls(
             clip_id=clip_id,
-            width=int(obj["width"]),
-            height=int(obj["height"]),
+            width=integer(obj["width"], "width"),
+            height=integer(obj["height"], "height"),
             tracks=tracks,
         )
 

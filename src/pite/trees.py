@@ -8,6 +8,7 @@ Leaf spans are single token positions; internal spans cover their children.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -34,22 +35,21 @@ class ParseTree:
         return not self.children
 
     def leaves(self) -> list[str]:
-        if self.is_leaf():
-            return [self.token] if self.token is not None else []
-        out: list[str] = []
-        for child in self.children:
-            out.extend(child.leaves())
-        return out
+        return [
+            node.token for node in self.iter_nodes() if node.is_leaf() and node.token is not None
+        ]
 
     def text(self) -> str:
         """Surface form: space-joined leaves."""
         return " ".join(self.leaves())
 
     def iter_nodes(self) -> Iterator["ParseTree"]:
-        """Pre-order traversal, self first."""
-        yield self
-        for child in self.children:
-            yield from child.iter_nodes()
+        """Pre-order traversal, self first; an explicit stack, so any depth is walked."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
 @dataclass(frozen=True)
@@ -71,51 +71,50 @@ def parse_bracketed(text: str) -> ParseTree:
     tokens = [(m.group(), m.start()) for m in _TOKEN.finditer(text)]
     if not tokens:
         raise ParseError("empty input", 0)
+    # open constituents, outermost first: (label, children so far); the
+    # explicit stack, not recursion, lets a tree nest to any depth
+    stack: list[tuple[str, list[ParseTree]]] = []
     pos = 0
     n_leaves = 0
-
-    def parse_node() -> ParseTree:
-        nonlocal pos, n_leaves
-        tok, off = tokens[pos]
-        if tok == ")":
-            raise ParseError("unexpected ')'", off)
-        if tok != "(":
-            # bare word outside brackets at top level is not a tree
-            raise ParseError("expected '('", off)
-        pos += 1
+    root = None
+    while root is None:
         if pos >= len(tokens):
             raise ParseError("unbalanced brackets", len(text))
-        label_tok, label_off = tokens[pos]
-        if label_tok == ")":
-            raise ParseError("empty constituent", label_off)
-        if label_tok == "(":
-            raise ParseError("constituent without label", label_off)
-        pos += 1
-        children: list[ParseTree] = []
-        while True:
+        tok, off = tokens[pos]
+        if tok == "(" or not stack:
+            if tok == ")":
+                raise ParseError("unexpected ')'", off)
+            if tok != "(":
+                # bare word outside brackets at top level is not a tree
+                raise ParseError("expected '('", off)
+            pos += 1
             if pos >= len(tokens):
                 raise ParseError("unbalanced brackets", len(text))
-            tok, off = tokens[pos]
-            if tok == ")":
-                pos += 1
-                break
-            if tok == "(":
-                children.append(parse_node())
+            label_tok, label_off = tokens[pos]
+            if label_tok == ")":
+                raise ParseError("empty constituent", label_off)
+            if label_tok == "(":
+                raise ParseError("constituent without label", label_off)
+            stack.append((label_tok, []))
+            pos += 1
+        elif tok == ")":
+            pos += 1
+            label, children = stack.pop()
+            if not children:
+                raise ParseError("leaf with no word", off)
+            node = ParseTree(
+                label=label,
+                children=tuple(children),
+                span=(children[0].span[0], children[-1].span[1]),
+            )
+            if stack:
+                stack[-1][1].append(node)
             else:
-                children.append(
-                    ParseTree(label=tok, token=tok, span=(n_leaves, n_leaves + 1))
-                )
-                n_leaves += 1
-                pos += 1
-        if not children:
-            raise ParseError("leaf with no word", off)
-        return ParseTree(
-            label=label_tok,
-            children=tuple(children),
-            span=(children[0].span[0], children[-1].span[1]),
-        )
-
-    root = parse_node()
+                root = node
+        else:
+            stack[-1][1].append(ParseTree(label=tok, token=tok, span=(n_leaves, n_leaves + 1)))
+            n_leaves += 1
+            pos += 1
     if pos != len(tokens):
         raise ParseError("trailing content after root", tokens[pos][1])
     return root
@@ -129,18 +128,13 @@ def extract_lowest_np(tree: ParseTree) -> list[NounPhrase]:
     left-to-right span order.
     """
 
-    def has_np_below(node: ParseTree) -> bool:
-        return any(
-            child.label == "NP" and not child.is_leaf() or has_np_below(child)
-            for child in node.children
-        )
+    def is_np(node: ParseTree) -> bool:
+        return node.label == "NP" and not node.is_leaf()
 
-    out: list[NounPhrase] = []
-    for node in tree.iter_nodes():
-        if node.is_leaf() or node.label != "NP":
-            continue
-        if has_np_below(node):
-            continue
-        out.append(NounPhrase(text=node.text(), span=node.span))
+    out = [
+        NounPhrase(text=node.text(), span=node.span)
+        for node in tree.iter_nodes()
+        if is_np(node) and not any(map(is_np, itertools.islice(node.iter_nodes(), 1, None)))
+    ]
     out.sort(key=lambda np_: np_.span)
     return out

@@ -23,6 +23,7 @@ from pite.metrics import (
     grounding_scores,
     soda_c,
     temporal_iou,
+    tfidf_vectors,
 )
 from pite.pipeline import PipelineConfig, run_pipeline, validate_record
 from pite.toymodel import (
@@ -187,8 +188,9 @@ def test_metric_oracles():
     ]
     ok &= abs(soda_c(events, events, scorer=lambda a, b: 1.0) - 1.0) < 1e-9
 
-    corpus = [["a big dog runs past"], ["two people shake hands firmly"]]
-    ok &= abs(cider("a big dog runs past", ["a big dog runs past"], build_idf(corpus)) - 10.0) < 1e-9
+    idf = build_idf(["a big dog runs past", "two people shake hands firmly"])
+    vectors = tfidf_vectors("a big dog runs past", idf)
+    ok &= abs(cider(vectors, vectors) - 10.0) < 1e-9
 
     rng = np.random.default_rng(31)
     words = ["red", "dog", "runs", "cat", "sits"]

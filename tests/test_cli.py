@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pite import metrics, pipeline, toymodel
+from pite import cli, metrics, pipeline, toymodel
 from pite.cli import build_parser, main
 from pite.toymodel import ARRAY_NAMES, TrainerConfig, init_params, tile_init
 from pite.tracks import Mask, save_mask
@@ -46,6 +46,14 @@ def test_help_exits_zero(capsys):
     assert "COMMAND" in capsys.readouterr().out
 
 
+def test_each_subcommand_binds_its_handler():
+    subcommands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    for name, parser in subcommands.items():
+        assert parser.get_default("run") is getattr(cli, "cmd_" + name.replace("-", "_"))
+
+
 def test_extract_np_fig3(capsys, fixtures_dir):
     code, out, _ = run_cli(capsys, "extract-np", "--trees", str(fixtures_dir / "fig3.trees"))
     assert code == 0
@@ -76,6 +84,27 @@ def test_extract_np_malformed_tree(capsys, tmp_path):
     code, _, err = run_cli(capsys, "extract-np", "--trees", str(bad))
     assert code == 2
     assert err == f"error: {bad}:3: ParseError: unbalanced brackets (offset 13)\n"
+
+
+def test_deeply_nested_tree_parses(capsys, toy_fixture_dir, tmp_path):
+    # 1,200 levels is past Python's default recursion limit
+    deep = tmp_path / "deep.trees"
+    deep.write_text("(TOP " + "(S " * 1200 + "(NP a dog) (VP runs)" + ")" * 1201 + "\n")
+    code, out, _ = run_cli(capsys, "extract-np", "--trees", str(deep))
+    assert code == 0
+    assert json.loads(out) == {"caption": "a dog runs", "nps": [{"text": "a dog", "span": [0, 2]}]}
+
+    # the same tree for vid_dog's event: the build is the one of the flat tree
+    lines = (toy_fixture_dir / "trees.txt").read_text().splitlines()
+    trees = tmp_path / "trees.txt"
+    trees.write_text("\n".join(lines[:2] + deep.read_text().splitlines()) + "\n")
+    args = toy_build_args(toy_fixture_dir, tmp_path / "deep.jsonl") + ["--strict"]
+    args[args.index("--trees") + 1] = str(trees)
+    code, _, _ = run_cli(capsys, *args)
+    assert code == 0
+    code, _, _ = run_cli(capsys, *toy_build_args(toy_fixture_dir, tmp_path / "flat.jsonl"))
+    assert code == 0
+    assert (tmp_path / "deep.jsonl").read_bytes() == (tmp_path / "flat.jsonl").read_bytes()
 
 
 def test_build_dataset_and_determinism(capsys, toy_fixture_dir, tmp_path):
@@ -168,6 +197,42 @@ def test_condense_tracks_rejects_mask_of_another_size(capsys, toy_fixture_dir, t
     assert not (tmp_path / "out.jsonl").exists()
 
 
+def dog_track_outside_mask(toy_fixture_dir, tracks_dir):
+    """Copy the toy track files with vid_dog's first track starting visible at (40.5, 3.0)."""
+    shutil.copytree(toy_fixture_dir / "tracks", tracks_dir)
+    clip_path = tracks_dir / "vid_dog.jsonl"
+    clip = json.loads(clip_path.read_text())
+    clip["tracks"][0]["xy"][0] = [40.5, 3.0]
+    clip["tracks"][0]["vis"][0] = True
+    clip_path.write_text(json.dumps(clip) + "\n")
+    return clip_path
+
+
+def test_build_dataset_names_clip_and_phrase_of_track_outside_mask(capsys, toy_fixture_dir, tmp_path):
+    dog_track_outside_mask(toy_fixture_dir, tmp_path / "tracks")
+    args = toy_build_args(toy_fixture_dir, tmp_path / "out.jsonl") + ["--strict"]
+    args[args.index("--tracks") + 1] = str(tmp_path / "tracks")
+    code, _, err = run_cli(capsys, *args)
+    assert code == 2
+    assert err == "error: vid_dog:0: 'a dog': visible track position (40.5, 3.0) outside 32x32 mask\n"
+
+
+def test_condense_tracks_names_clip_of_track_outside_mask(capsys, toy_fixture_dir, tmp_path):
+    clip_path = dog_track_outside_mask(toy_fixture_dir, tmp_path / "tracks")
+    masks = tmp_path / "masks"
+    masks.mkdir()
+    shutil.copy(toy_fixture_dir / "masks" / "vid_dog" / "ev0" / "a_dog.json", masks / "vid_dog:0.json")
+    code, _, err = run_cli(
+        capsys, "condense-tracks", "--tracks", str(clip_path), "--masks", str(masks),
+        "--out", str(tmp_path / "out.jsonl"),
+    )
+    assert code == 2
+    assert err == (
+        f"error: {clip_path}: clip vid_dog:0: "
+        "visible track position (40.5, 3.0) outside 32x32 mask\n"
+    )
+
+
 def toy_build_args(toy_fixture_dir, out, manifest=None):
     return [
         "build-dataset",
@@ -210,8 +275,12 @@ def test_build_dataset_names_file_and_line_of_malformed_tree(capsys, caplog, toy
             '{"width": 32, "height": 32, "rle": [327.5, 16.5, 680]}',
             "ValueError: mask width, height and runs must be integers, got 327.5",
         ),
+        (
+            '{"width": 32, "height": 32, "rle": [true, 1023]}',
+            "ValueError: mask width, height and runs must be integers, got True",
+        ),
     ],
-    ids=["json", "key", "negative", "short", "fraction"],
+    ids=["json", "key", "negative", "short", "fraction", "bool"],
 )
 def test_bad_mask_file_is_named(capsys, caplog, toy_fixture_dir, tmp_path, content, message):
     masks = tmp_path / "masks"
@@ -366,6 +435,37 @@ def test_bad_jsonl_line_names_file_and_line(capsys, toy_fixture_dir, tmp_path):
         code, _, err = run_cli(capsys, command, "--pred", str(pred), "--gt", str(gt))
         assert code == 2
         assert f"{gt}:2: KeyError: 'video_id'" in err
+
+
+@pytest.mark.parametrize("field, value", [("width", 32.9), ("height", True), ("frames", 40.0)])
+def test_integer_fields_reject_other_values(capsys, toy_fixture_dir, tmp_path, field, value):
+    message = f"TypeError: {field} must be an integer, got {value!r}"
+    tracks = tmp_path / "tracks"
+    shutil.copytree(toy_fixture_dir / "tracks", tracks)
+    clip_path = tracks / "vid_dog.jsonl"
+    clip = json.loads(clip_path.read_text())
+    clip_path.write_text(json.dumps({**clip, field: value}) + "\n")
+    args = toy_build_args(toy_fixture_dir, tmp_path / "out.jsonl") + ["--strict"]
+    args[args.index("--tracks") + 1] = str(tracks)
+    code, _, err = run_cli(capsys, *args)
+    assert code == 2
+    assert err == f"error: {clip_path}:1: {message}\n"
+    code, _, err = run_cli(
+        capsys, "condense-tracks", "--tracks", str(clip_path), "--out", str(tmp_path / "c.jsonl")
+    )
+    assert code == 2
+    assert err == f"error: {clip_path}:1: {message}\n"
+
+    if field == "frames":
+        return  # a manifest has no frames field
+    lines = (toy_fixture_dir / "manifest.jsonl").read_text().splitlines()
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("\n".join([lines[0], json.dumps({**json.loads(lines[1]), field: value})]) + "\n")
+    code, _, err = run_cli(
+        capsys, *toy_build_args(toy_fixture_dir, tmp_path / "out.jsonl", manifest), "--strict"
+    )
+    assert code == 2
+    assert err == f"error: {manifest}:2: {message}\n"
 
 
 @pytest.mark.parametrize("duration", [float("inf"), float("nan")])
@@ -803,8 +903,9 @@ def test_eval_grounding_ignores_caption(capsys, tmp_path):
 
 
 def test_eval_dense_matches_unmemoised_scoring(capsys, tmp_path):
-    # eval-dense scores each pair once per video; scoring every pair afresh,
-    # with a new IDF memo per call, must give the same floats
+    # eval-dense vectorises each caption and scores each pair once per video;
+    # scoring every pair afresh, with a new IDF table per call, must give the
+    # same floats
     rng = np.random.default_rng(3)
     words = ["a", "dog", "man", "runs", "jumps", "over", "the", "red", "fence", "ball"]
 
@@ -830,8 +931,12 @@ def test_eval_dense_matches_unmemoised_scoring(capsys, tmp_path):
             for e in evs
         ]
 
-    corpus = [[e["caption"]] for v in sorted(gts) for e in gts[v]]
-    fresh_cider = lambda cand, ref: metrics.cider(cand, [ref], metrics.build_idf(corpus))
+    corpus = [e["caption"] for v in sorted(gts) for e in gts[v]]
+
+    def fresh_cider(cand, ref):
+        idf = metrics.build_idf(corpus)
+        return metrics.cider(metrics.tfidf_vectors(cand, idf), metrics.tfidf_vectors(ref, idf))
+
     for scorer, soda_scorer in (
         ("meteor", metrics.meteor_lite),
         ("cider", lambda cand, ref: fresh_cider(cand, ref) / 10.0),
@@ -910,6 +1015,23 @@ def test_eval_scores_video_without_prediction_as_miss(capsys, tmp_path, caplog):
     assert both["SODA_c"] == pytest.approx(alone["SODA_c"] / 2)
     assert both["METEOR"] == pytest.approx(alone["METEOR"] / 2)
     assert 0 < both["CIDEr"] < alone["CIDEr"]
+
+
+@pytest.mark.parametrize("command", EVAL_COMMANDS)
+def test_eval_counts_predictions_for_unknown_videos(capsys, tmp_path, caplog, command):
+    events = [{"start": 0.0, "end": 10.0, "caption": "a big dog runs fast"}]
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text(
+        "".join(json.dumps({"video_id": v, "events": events}) + "\n" for v in ("a", "x", "y"))
+    )
+    gt = tmp_path / "gt.jsonl"
+    gt.write_text(json.dumps({"video_id": "a", "events": events}) + "\n")
+    with caplog.at_level(logging.WARNING, logger="pite"):
+        code, _, _ = run_cli(capsys, command, "--pred", str(pred), "--gt", str(gt))
+    assert code == 0
+    assert caplog.messages == [
+        "2 of 3 prediction records name videos not in the ground truth; they are ignored"
+    ]
 
 
 def test_ablate_points_cli(capsys, toy_fixture_dir, tmp_path):

@@ -16,6 +16,7 @@ from pite.metrics import (
     meteor_lite,
     soda_c,
     temporal_iou,
+    tfidf_vectors,
     tokenize,
 )
 
@@ -107,24 +108,33 @@ def test_iou_properties(segments):
 # --- CIDEr ------------------------------------------------------------------------
 
 
+def score_cider(candidate, ref, idf):
+    return cider(tfidf_vectors(candidate, idf), tfidf_vectors(ref, idf))
+
+
 def test_cider_perfect_match_scores_ten():
-    corpus = [["a big dog runs today"], ["yellow cats sleep deeply now"]]
-    score = cider("a big dog runs today", ["a big dog runs today"], build_idf(corpus))
+    idf = build_idf(["a big dog runs today", "yellow cats sleep deeply now"])
+    score = score_cider("a big dog runs today", "a big dog runs today", idf)
     assert score == pytest.approx(10.0, abs=1e-9)
 
 
 def test_cider_no_overlap():
-    corpus = [["the cat sat"], ["a dog ran"]]
-    assert cider("elephants fly north", ["the cat sat"], build_idf(corpus)) == 0.0
+    idf = build_idf(["the cat sat", "a dog ran"])
+    assert score_cider("elephants fly north", "the cat sat", idf) == 0.0
 
 
 def test_cider_empty_candidate():
-    assert cider("", ["the cat sat"], build_idf([["the cat sat"]])) == 0.0
+    assert score_cider("", "the cat sat", build_idf(["the cat sat"])) == 0.0
+
+
+def test_build_idf_rejects_empty_corpus():
+    with pytest.raises(ValueError, match="nonempty"):
+        build_idf([])
 
 
 def test_cider_hand_computed_fixture():
-    # corpus of three reference sets; candidate "the cat sat" vs D1
-    corpus = [["the cat sat on the mat"], ["a dog runs fast"], ["the dog sat"]]
+    # corpus of three references; candidate "the cat sat" vs D1
+    corpus = ["the cat sat on the mat", "a dog runs fast", "the dog sat"]
     # unigram dfs: the->2, cat->1, sat->2, on/mat->1
     l15, l3 = math.log(1.5), math.log(3.0)
     cos1 = (3 * l15**2 + l3**2) / (
@@ -133,7 +143,7 @@ def test_cider_hand_computed_fixture():
     cos2 = 2 / math.sqrt(10)  # both bigrams shared, ref has 5 bigrams all idf log 3
     cos3 = 0.5  # one shared trigram of ref's four
     expected = 10.0 * (cos1 + cos2 + cos3 + 0.0) / 4
-    got = cider("the cat sat", ["the cat sat on the mat"], build_idf(corpus))
+    got = score_cider("the cat sat", "the cat sat on the mat", build_idf(corpus))
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(4.4583, abs=1e-3)
 
@@ -141,34 +151,28 @@ def test_cider_hand_computed_fixture():
 @given(st.text(alphabet="abc XYZ.,!", min_size=0, max_size=30))
 @settings(max_examples=40, deadline=None)
 def test_cider_case_invariance(text):
-    corpus = [["a b c"], ["x y z"], [text or "filler words here"]]
-    idf = build_idf(corpus)
-    up = cider(text.upper(), [(text or "q").upper()], idf)
-    lo = cider(text.lower(), [(text or "q").lower()], idf)
+    idf = build_idf(["a b c", "x y z", text or "filler words here"])
+    up = score_cider(text.upper(), (text or "q").upper(), idf)
+    lo = score_cider(text.lower(), (text or "q").lower(), idf)
     assert up == pytest.approx(lo, abs=1e-12)
 
 
 def reference_idf(corpus):
-    """Oracle: per-n IDF tables, each reference tokenized once per n."""
-    tables = {}
+    """Oracle: IDF per n-gram, each caption tokenized once per n."""
+    df = Counter()
     for n in range(1, 5):
-        df = Counter()
-        for refs in corpus:
-            seen = set()
-            for ref in refs:
-                tokens = tokenize(ref)
-                seen.update(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-            df.update(seen)
-        tables[n] = {g: math.log(len(corpus) / max(1.0, c)) for g, c in df.items()}
-    return tables
+        for caption in corpus:
+            tokens = tokenize(caption)
+            df.update({tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)})
+    return {g: math.log(len(corpus) / c) for g, c in df.items()}
 
 
-def reference_cider(candidate, refs, idf_tables):
-    """Oracle: CIDEr rebuilding every TF-IDF vector and norm on each call."""
+def reference_cider(candidate, ref, idf):
+    """Oracle: CIDEr of one pair, rebuilding both TF-IDF vectors and norms on each call."""
 
     def vector(tokens, n):
         counts = Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-        return Counter({g: tf * idf_tables[n].get(g, 0.0) for g, tf in counts.items()})
+        return Counter({g: tf * idf.get(g, 0.0) for g, tf in counts.items()})
 
     def cosine(a, b):
         na = math.sqrt(sum(v * v for v in a.values()))
@@ -178,19 +182,15 @@ def reference_cider(candidate, refs, idf_tables):
         return sum(v * b[g] for g, v in a.items() if g in b) / (na * nb)
 
     cand_tokens = tokenize(candidate)
-    if not cand_tokens or not refs:
+    if not cand_tokens:
         return 0.0
     total = 0.0
     for n in range(1, 5):
-        cand_vec = vector(cand_tokens, n)
-        sims = [cosine(cand_vec, vector(tokenize(ref), n)) for ref in refs]
-        total += sum(sims) / len(sims)
+        total += cosine(vector(cand_tokens, n), vector(tokenize(ref), n))
     return 10.0 * total / 4
 
 
 def test_cider_matches_reference_bit_for_bit():
-    # one memoising Idf per corpus serves every call, so repeated captions
-    # read their vectors back from the memo
     rng = np.random.default_rng(5)
     words = ["a", "dog", "runs", "the", "red", "ball", "Dog", "runs!", "far"]
     unseen = ["zebra", "quietly", "violet"]  # never in a reference: n-grams missing from the IDF
@@ -202,23 +202,16 @@ def test_cider_matches_reference_bit_for_bit():
         return " ".join(rng.choice(pool, size=int(rng.integers(1, 9))))
 
     for _ in range(40):
-        corpus = [
-            [caption(words) for _ in range(int(rng.integers(1, 4)))]
-            for _ in range(int(rng.integers(1, 7)))
-        ]
-        refs_pool = [ref for refs in corpus for ref in refs]
-        idf, tables = build_idf(corpus), reference_idf(corpus)
-        assert idf.tables == tables
+        corpus = [caption(words) for _ in range(int(rng.integers(1, 13)))]
+        idf = build_idf(corpus)
+        assert idf == reference_idf(corpus)
         for _ in range(15):
             if rng.random() < 0.7:
                 candidate = caption(words + unseen)
             else:
-                candidate = str(rng.choice(refs_pool))
-            refs = [str(r) for r in rng.choice(refs_pool, size=int(rng.integers(1, 4)))]
-            assert cider(candidate, refs, idf) == reference_cider(candidate, refs, tables)
-        idf.clear_vectors()
-        first = refs_pool[0]
-        assert cider(first, refs_pool, idf) == reference_cider(first, refs_pool, tables)
+                candidate = str(rng.choice(corpus))
+            ref = str(rng.choice(corpus))
+            assert score_cider(candidate, ref, idf) == reference_cider(candidate, ref, idf)
 
 
 # --- METEOR ------------------------------------------------------------------------
