@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Subcommands: extract-np, condense-tracks, build-dataset, train-toy,
-grad-check, eval-grounding, eval-dense, ablate-points.  Data goes to stdout
-or files, logs go to stderr.  Exit codes: 0 success, 1 usage error, 2 data
-or verification error.
+Subcommands: extract-np, build-dataset, train-toy, grad-check,
+eval-grounding, eval-dense, ablate-points.  Data goes to stdout or files,
+logs go to stderr.  Exit codes: 0 success, 1 usage error, 2 data or
+verification error.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import metrics, pipeline, tracks, trainer, trees, toymodel
-from .jsonl import DataError, read_jsonl, read_lines, unique
+from . import metrics, pipeline, trainer, trees, toymodel
+from .jsonl import DataError, read_jsonl, read_lines, real, unique
 
 log = logging.getLogger("pite")
 
@@ -42,14 +42,6 @@ def build_parser() -> _Parser:
     p.set_defaults(run=cmd_extract_np)
     p.add_argument("--trees", required=True, help="file with one bracketed tree per line")
     p.add_argument("--out", help="output JSONL (default stdout)")
-
-    p = sub.add_parser("condense-tracks", help="condense clip tracks to key-point matrices")
-    p.set_defaults(run=cmd_condense_tracks)
-    p.add_argument("--tracks", required=True, help="JSONL, one clip per line")
-    p.add_argument("--out", required=True)
-    p.add_argument("--masks", help="directory with {clip_id}.json masks (optional)")
-    p.add_argument("--points", type=int, default=3)
-    p.add_argument("--frames", type=int, default=100)
 
     p = sub.add_parser("build-dataset", help="run the full annotation pipeline")
     p.set_defaults(run=cmd_build_dataset)
@@ -138,43 +130,6 @@ def cmd_extract_np(args) -> int:
     return 0
 
 
-def cmd_condense_tracks(args) -> int:
-    config = pipeline.PipelineConfig(frames=args.frames, points=args.points)
-    out_lines = []
-    for clip in tracks.iter_clip_tracks(args.tracks):
-        mask = None
-        if args.masks:
-            mask_path = Path(args.masks) / f"{clip.clip_id}.json"
-            if mask_path.is_file():
-                mask = tracks.load_mask(mask_path)
-                if (mask.width, mask.height) != (clip.width, clip.height):
-                    raise DataError(
-                        f"{args.tracks}: clip {clip.clip_id}: mask {mask_path} is "
-                        f"{mask.width}x{mask.height}, clip is {clip.width}x{clip.height}"
-                    )
-        try:
-            selected = clip.tracks
-            if mask is not None:
-                selected = tracks.filter_tracks_by_mask(selected, mask)
-            if len(selected):
-                selected = tracks.condense(
-                    selected,
-                    config.points,
-                    seed=pipeline.derive_seed(config.seed, clip.clip_id),
-                )
-            matrix = tracks.to_matrix(
-                selected, config.points, config.frames, clip.width, clip.height
-            )
-        except ValueError as exc:
-            raise DataError(f"{args.tracks}: clip {clip.clip_id}: {exc}") from exc
-        out_lines.append(
-            json.dumps({"clip_id": clip.clip_id, "trajectory": matrix.to_json()})
-        )
-    Path(args.out).write_text("".join(line + "\n" for line in out_lines), encoding="utf-8")
-    log.info("condensed %d clips", len(out_lines))
-    return 0
-
-
 def cmd_build_dataset(args) -> int:
     config = pipeline.PipelineConfig(
         frames=args.frames,
@@ -256,7 +211,7 @@ def cmd_grad_check(args) -> int:
 
 
 def _segment(event) -> metrics.TimeSegment:
-    return metrics.TimeSegment(float(event["start"]), float(event["end"]))
+    return metrics.TimeSegment(real(event["start"], "start"), real(event["end"], "end"))
 
 
 def _captioned_event(event) -> metrics.CaptionedEvent:

@@ -1,4 +1,4 @@
-"""Line-oriented input, integer field checks and the error type for unusable input.
+"""Line-oriented input, integer and number field checks and the error type for unusable input.
 
 Every text input read line by line (manifests, parse trees, track clips,
 evaluation records) goes through ``read_lines``, so blank lines are skipped
@@ -8,6 +8,7 @@ and a bad line is named as ``<path>:<line>: <Type>: <message>`` everywhere.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Callable, Iterator, TypeVar
 
@@ -23,6 +24,21 @@ def integer(value: object, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def real(value: object, name: str) -> float:
+    """``value`` as a float if it is a finite int or float, else an error naming ``name``.
+
+    A bool or another non-number raises TypeError; a string raises ValueError,
+    as ``float()`` would, and so does a non-finite number.
+    """
+    if isinstance(value, str):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # also false for NaN
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[str, str]]:

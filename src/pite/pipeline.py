@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
-from .jsonl import DataError, integer, read_jsonl, read_lines, unique
+from .jsonl import DataError, integer, read_jsonl, read_lines, real, unique
 from .tracks import (
     Mask,
     Tracks,
@@ -79,13 +79,15 @@ class VideoManifest:
 
     @classmethod
     def from_json(cls, obj: dict) -> "VideoManifest":
+        duration = obj["duration"]
         return cls(
             video_id=str(obj["video_id"]),
-            duration=float(obj["duration"]),
+            # a float's range (finiteness too) is left to __post_init__, which names the video
+            duration=duration if isinstance(duration, float) else real(duration, "duration"),
             width=integer(obj["width"], "width"),
             height=integer(obj["height"], "height"),
             events=tuple(
-                ManifestEvent(caption=str(e["caption"]), start=float(e["start"]), end=float(e["end"]))
+                ManifestEvent(str(e["caption"]), real(e["start"], "start"), real(e["end"], "end"))
                 for e in obj["events"]
             ),
         )
@@ -175,6 +177,35 @@ def derive_seed(seed: int, *salt: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+# the reasons phrase_trajectory gives for a phrase that carries no trajectory
+NO_MASK = "no mask"
+SMALL_MASK = "mask below area threshold"
+NO_TRACKS = "no tracks inside mask"
+
+
+def phrase_trajectory(
+    tracks: Tracks, mask: Mask | None, width: int, height: int, config: PipelineConfig, seed: int
+) -> TrajectoryMatrix | str:
+    """One phrase's P x N trajectory matrix, or the reason it has none.
+
+    The reasons: no mask (``NO_MASK``), a mask covering less than
+    ``MIN_AREA_FRACTION`` of the frame (``SMALL_MASK``), no track starting
+    inside the mask (``NO_TRACKS``).  A mask of another size than the clip
+    raises DataError; a fault in the tracks raises ValueError.
+    """
+    if mask is None:
+        return NO_MASK
+    if (mask.width, mask.height) != (width, height):
+        raise DataError(f"mask is {mask.width}x{mask.height}, clip is {width}x{height}")
+    if mask.area() < MIN_AREA_FRACTION * width * height:
+        return SMALL_MASK
+    selected = filter_tracks_by_mask(tracks, mask)
+    if not selected:
+        return NO_TRACKS
+    keypoints = condense(selected, config.points, seed=seed)
+    return to_matrix(keypoints, config.points, config.frames, width, height)
+
+
 def annotate_event(
     event: ManifestEvent,
     tree: ParseTree,
@@ -186,13 +217,11 @@ def annotate_event(
     height: int,
     clip_id: str = "",
 ) -> EventAnnotation:
-    """Annotate one event: NP extraction, mask gating, condensation, matrices.
+    """Annotate one event: NP extraction, then ``phrase_trajectory`` per phrase.
 
-    ``masks`` maps NP surface text to its first-frame mask; a missing entry
-    means the phrase was rejected as an invalid referring expression.
-    Phrases whose mask covers less than ``MIN_AREA_FRACTION`` of the
-    frame, or with no track starting inside the mask, carry no trajectory
-    and are dropped.
+    ``masks`` maps NP surface text to its first-frame mask.  Phrase ``i``
+    seeds k-means with ``derive_seed(config.seed, clip_id, i)``; a phrase
+    that gets a drop reason is left out of the objects.
     """
     start_frame = timestamp_to_frame(event.start, duration, config.frames)
     end_frame = timestamp_to_frame(event.end, duration, config.frames)
@@ -204,28 +233,19 @@ def annotate_event(
     )
     for np_idx, phrase in enumerate(extract_lowest_np(tree)):
         mask = masks.get(phrase.text)
-        if mask is None:
-            log.debug("%s: no mask for %r, skipping", clip_id, phrase.text)
-            continue
-        if (mask.width, mask.height) != (width, height):
+        seed = derive_seed(config.seed, clip_id, np_idx)
+        try:
+            matrix = phrase_trajectory(tracks, mask, width, height, config, seed)
+        except DataError:  # the mask's size is its one DataError
             raise DataError(
                 f"{clip_id}: mask for {phrase.text!r} is {mask.width}x{mask.height}, "
                 f"clip is {width}x{height}"
-            )
-        if mask.area() < MIN_AREA_FRACTION * width * height:
-            log.debug("%s: mask for %r below area threshold", clip_id, phrase.text)
-            continue
-        try:
-            selected = filter_tracks_by_mask(tracks, mask)
-            if not selected:
-                log.debug("%s: no tracks inside mask for %r", clip_id, phrase.text)
-                continue
-            keypoints = condense(
-                selected, config.points, seed=derive_seed(config.seed, clip_id, np_idx)
-            )
-            matrix = to_matrix(keypoints, config.points, config.frames, width, height)
+            ) from None
         except ValueError as exc:
             raise DataError(f"{clip_id}: {phrase.text!r}: {exc}") from exc
+        if isinstance(matrix, str):
+            log.debug("%s: %r dropped: %s", clip_id, phrase.text, matrix)
+            continue
         annotation.objects.append(
             {
                 "np": {"text": phrase.text, "span": list(phrase.span)},

@@ -273,8 +273,8 @@ def _head_scale(params: ToyModelParams, stage: int, lam: float) -> float:
     return lam / (params.points * params.traj_frames) if stage == 2 else lam
 
 
-def _forward_loss(params, batch, stage, lam, smoothing):
-    """Shared forward pass: hidden states, log-probs, head residual signs, loss."""
+def _forward_loss(params, batch, stage, lam, smoothing, signs=False):
+    """Shared forward pass: hidden states, log-probs, head residual signs if ``signs``, loss."""
     H = _hidden(params, batch)
     logp = log_softmax(H @ np.swapaxes(params.vocab_map, -1, -2))
     terms = label_smoothed_ce(logp, batch.tokens, smoothing)
@@ -289,8 +289,8 @@ def _forward_loss(params, batch, stage, lam, smoothing):
         if batch.targets.shape[1:] != shape:
             raise ValueError(f"target rows of shape {batch.targets.shape[1:]}, expected {shape}")
         dist -= batch.targets.reshape(dist.shape[-2:])
-        # int8 residual signs are all the backward pass needs of the residuals
-        sign = np.sign(dist, out=np.empty(dist.shape, np.int8), casting="unsafe")
+        if signs:  # int8 residual signs are all the backward pass needs of the residuals
+            sign = np.sign(dist, out=np.empty(dist.shape, np.int8), casting="unsafe")
         l1 = np.where(batch.supervised, np.abs(dist, out=dist).sum(axis=-1), 0.0)
         terms = terms + _head_scale(params, stage, lam) * l1
     loss = terms @ batch.weight
@@ -319,7 +319,7 @@ def gradients(
     Returns one array per parameter group; groups frozen for the stage come
     back as exact zeros.
     """
-    H, logp, sign, loss = _forward_loss(params, batch, stage, lam, smoothing)
+    H, logp, sign, loss = _forward_loss(params, batch, stage, lam, smoothing, signs=True)
     V, d = params.vocab_map.shape
     trainable = TRAINABLE_BY_STAGE[stage]
     grads = {n: np.zeros_like(getattr(params, n)) for n in ARRAY_NAMES if n not in trainable}

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import brute_force_soda
 from pite.cli import main as cli_main
 from pite.metrics import (
     CaptionedEvent,
@@ -22,7 +23,6 @@ from pite.metrics import (
     cider,
     grounding_scores,
     soda_c,
-    temporal_iou,
     tfidf_vectors,
 )
 from pite.pipeline import PipelineConfig, run_pipeline, validate_record
@@ -155,24 +155,6 @@ def test_kmeans_within_one_percent_of_optimum():
         _, _, sse = kmeans_pp([tuple(p) for p in points], k=3, seed=trial)
         ok &= sse <= optimal_sse(points, 3) * 1.01 + 1e-9
     report("k-means++ within 1% of exhaustive optimum on 100 instances", ok, started, 60.0)
-
-
-def brute_force_soda(preds, gts, scorer):
-    preds = sorted(preds, key=lambda e: (e.segment.start, e.segment.end))
-    gts = sorted(gts, key=lambda e: (e.segment.start, e.segment.end))
-    score = [
-        [temporal_iou(p.segment, g.segment) * scorer(p.caption, g.caption) for g in gts]
-        for p in preds
-    ]
-
-    def down(i, j):
-        if i >= len(preds) or j >= len(gts):
-            return 0.0
-        return max(down(i + 1, j), down(i, j + 1), score[i][j] + down(i + 1, j + 1))
-
-    total = down(0, 0)
-    p, r = total / len(preds), total / len(gts)
-    return 2 * p * r / (p + r) if p + r else 0.0
 
 
 def test_metric_oracles():

@@ -12,7 +12,6 @@ import pytest
 from pite import cli, metrics, pipeline, toymodel
 from pite.cli import build_parser, main
 from pite.toymodel import ARRAY_NAMES, TrainerConfig, init_params, tile_init
-from pite.tracks import Mask, save_mask
 from pite.trainer import (
     load_params,
     samples_from_records,
@@ -52,6 +51,8 @@ def test_each_subcommand_binds_its_handler():
     ).choices
     for name, parser in subcommands.items():
         assert parser.get_default("run") is getattr(cli, "cmd_" + name.replace("-", "_"))
+    listed = re.search(r"Subcommands: (.*?)\.  ", cli.__doc__, re.S).group(1)
+    assert sorted(re.split(r",\s*", listed)) == sorted(subcommands)
 
 
 def test_extract_np_fig3(capsys, fixtures_dir):
@@ -125,78 +126,6 @@ def test_build_dataset_and_determinism(capsys, toy_fixture_dir, tmp_path):
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 
-def test_condense_tracks_cli(capsys, toy_fixture_dir, tmp_path):
-    out = tmp_path / "condensed.jsonl"
-    code, _, _ = run_cli(
-        capsys,
-        "condense-tracks",
-        "--tracks", str(toy_fixture_dir / "tracks" / "vid_dog.jsonl"),
-        "--out", str(out),
-        "--points", "3",
-        "--frames", "10",
-    )
-    assert code == 0
-    record = json.loads(out.read_text().splitlines()[0])
-    assert record["clip_id"] == "vid_dog:0"
-    matrix = record["trajectory"]
-    assert matrix["points"] == 3 and matrix["frames"] == 10
-    assert len(matrix["coords"]) == 3
-
-
-def test_condense_tracks_rejects_bad_clip(capsys, tmp_path):
-    clip = {"clip_id": "vid_bad:0", "width": 8, "height": 8, "frames": 3,
-            "tracks": [{"xy": [[1.0, 1.0]] * 3, "vis": [True] * 3},
-                       {"xy": [[1.0, 1.0]] * 4, "vis": [True] * 4}]}
-    tracks_path = tmp_path / "clips.jsonl"
-    tracks_path.write_text(json.dumps(clip) + "\n")
-    code, _, err = run_cli(
-        capsys,
-        "condense-tracks",
-        "--tracks", str(tracks_path),
-        "--out", str(tmp_path / "out.jsonl"),
-    )
-    assert code == 2
-    assert "vid_bad:0" in err
-
-
-def test_condense_tracks_names_file_and_clip_of_point_outside_frame(capsys, tmp_path):
-    clip = {"clip_id": "vid_bad:0", "width": 8, "height": 8, "frames": 2,
-            "tracks": [{"xy": [[1.0, 0.75], [10.0, 0.75]], "vis": [True, True]}]}
-    tracks_path = tmp_path / "clips.jsonl"
-    tracks_path.write_text(json.dumps(clip) + "\n")
-    code, _, err = run_cli(
-        capsys,
-        "condense-tracks",
-        "--tracks", str(tracks_path),
-        "--out", str(tmp_path / "out.jsonl"),
-        "--frames", "2",
-    )
-    assert code == 2
-    assert err == (
-        f"error: {tracks_path}: clip vid_bad:0: "
-        "invalid cell (1.25, 0.09375): must be in [0,1]^2 or (-1,-1)\n"
-    )
-
-
-def test_condense_tracks_rejects_mask_of_another_size(capsys, toy_fixture_dir, tmp_path):
-    masks = tmp_path / "masks"
-    masks.mkdir()
-    save_mask(Mask(width=100, height=100, runs=(0, 100 * 100)), masks / "vid_dog:0.json")
-    code, _, err = run_cli(
-        capsys,
-        "condense-tracks",
-        "--tracks", str(toy_fixture_dir / "tracks" / "vid_dog.jsonl"),
-        "--masks", str(masks),
-        "--out", str(tmp_path / "out.jsonl"),
-    )
-    assert code == 2
-    tracks = toy_fixture_dir / "tracks" / "vid_dog.jsonl"
-    assert err == (
-        f"error: {tracks}: clip vid_dog:0: mask {masks / 'vid_dog:0.json'} is 100x100, clip is 32x32\n"
-    )
-    assert not (tmp_path / "out.jsonl").exists()
-
-
 def dog_track_outside_mask(toy_fixture_dir, tracks_dir):
     """Copy the toy track files with vid_dog's first track starting visible at (40.5, 3.0)."""
     shutil.copytree(toy_fixture_dir / "tracks", tracks_dir)
@@ -205,7 +134,6 @@ def dog_track_outside_mask(toy_fixture_dir, tracks_dir):
     clip["tracks"][0]["xy"][0] = [40.5, 3.0]
     clip["tracks"][0]["vis"][0] = True
     clip_path.write_text(json.dumps(clip) + "\n")
-    return clip_path
 
 
 def test_build_dataset_names_clip_and_phrase_of_track_outside_mask(capsys, toy_fixture_dir, tmp_path):
@@ -215,22 +143,6 @@ def test_build_dataset_names_clip_and_phrase_of_track_outside_mask(capsys, toy_f
     code, _, err = run_cli(capsys, *args)
     assert code == 2
     assert err == "error: vid_dog:0: 'a dog': visible track position (40.5, 3.0) outside 32x32 mask\n"
-
-
-def test_condense_tracks_names_clip_of_track_outside_mask(capsys, toy_fixture_dir, tmp_path):
-    clip_path = dog_track_outside_mask(toy_fixture_dir, tmp_path / "tracks")
-    masks = tmp_path / "masks"
-    masks.mkdir()
-    shutil.copy(toy_fixture_dir / "masks" / "vid_dog" / "ev0" / "a_dog.json", masks / "vid_dog:0.json")
-    code, _, err = run_cli(
-        capsys, "condense-tracks", "--tracks", str(clip_path), "--masks", str(masks),
-        "--out", str(tmp_path / "out.jsonl"),
-    )
-    assert code == 2
-    assert err == (
-        f"error: {clip_path}: clip vid_dog:0: "
-        "visible track position (40.5, 3.0) outside 32x32 mask\n"
-    )
 
 
 def toy_build_args(toy_fixture_dir, out, manifest=None):
@@ -298,17 +210,6 @@ def test_bad_mask_file_is_named(capsys, caplog, toy_fixture_dir, tmp_path, conte
     assert code == 2
     assert err.startswith(f"error: {mask}: {message}")
 
-    clip_mask = tmp_path / "clip_masks" / "vid_dog:0.json"
-    clip_mask.parent.mkdir()
-    clip_mask.write_text(content)
-    tracks = toy_fixture_dir / "tracks" / "vid_dog.jsonl"
-    code, _, err = run_cli(
-        capsys, "condense-tracks", "--tracks", str(tracks), "--masks", str(clip_mask.parent),
-        "--out", str(tmp_path / "c.jsonl"),
-    )
-    assert code == 2
-    assert err.startswith(f"error: {clip_mask}: {message}")
-
 
 @pytest.mark.parametrize(
     "flag, value, field",
@@ -338,30 +239,20 @@ def ablate_args(toy_fixture_dir, out):
     ]
 
 
-def condense_args(toy_fixture_dir, out):
-    tracks = toy_fixture_dir / "tracks" / "vid_dog.jsonl"
-    return ["condense-tracks", "--tracks", str(tracks), "--out", str(out)]
-
-
 @pytest.mark.parametrize(
-    "args, flag, value, message",
-    [
-        (condense_args, "--frames", "0", "frames must be >= 1, got 0"),
-        (condense_args, "--points", "0", "points must be >= 1, got 0"),
-        (ablate_args, "--frames", "0", "frames must be >= 1, got 0"),
-        (ablate_args, "--steps", "-1", "steps must be >= 0, got -1"),
-    ],
-    ids=["condense-frames", "condense-points", "ablate-frames", "ablate-steps"],
+    "flag, value, message",
+    [("--frames", "0", "frames must be >= 1, got 0"), ("--steps", "-1", "steps must be >= 0, got -1")],
+    ids=["frames", "steps"],
 )
-def test_condense_and_ablate_reject_out_of_range_option(
-    capsys, monkeypatch, toy_fixture_dir, tmp_path, args, flag, value, message
+def test_ablate_points_rejects_out_of_range_option(
+    capsys, monkeypatch, toy_fixture_dir, tmp_path, flag, value, message
 ):
     def no_run(*_args, **_kw):
         raise AssertionError("the pipeline ran")
 
     monkeypatch.setattr(pipeline, "run_pipeline", no_run)
     out = tmp_path / "out.json"
-    code, stdout, err = run_cli(capsys, *args(toy_fixture_dir, out), flag, value)
+    code, stdout, err = run_cli(capsys, *ablate_args(toy_fixture_dir, out), flag, value)
     assert code == 2
     assert stdout == ""
     assert err == f"error: {message}\n"
@@ -421,11 +312,13 @@ def test_bad_jsonl_line_names_file_and_line(capsys, toy_fixture_dir, tmp_path):
     assert code == 2
     assert f"{manifest}:3: KeyError: 'duration'" in err
 
-    tracks = tmp_path / "vid_money.jsonl"
+    tracks_dir = tmp_path / "tracks"
+    shutil.copytree(toy_fixture_dir / "tracks", tracks_dir)
+    tracks = tracks_dir / "vid_money.jsonl"
     with_bad_line(toy_fixture_dir / "tracks" / "vid_money.jsonl", tracks, 2, "{not json")
-    code, _, err = run_cli(
-        capsys, "condense-tracks", "--tracks", str(tracks), "--out", str(tmp_path / "c.jsonl")
-    )
+    args = toy_build_args(toy_fixture_dir, tmp_path / "out.jsonl") + ["--strict"]
+    args[args.index("--tracks") + 1] = str(tracks_dir)
+    code, _, err = run_cli(capsys, *args)
     assert code == 2
     assert f"{tracks}:2: JSONDecodeError" in err
 
@@ -448,11 +341,6 @@ def test_integer_fields_reject_other_values(capsys, toy_fixture_dir, tmp_path, f
     args = toy_build_args(toy_fixture_dir, tmp_path / "out.jsonl") + ["--strict"]
     args[args.index("--tracks") + 1] = str(tracks)
     code, _, err = run_cli(capsys, *args)
-    assert code == 2
-    assert err == f"error: {clip_path}:1: {message}\n"
-    code, _, err = run_cli(
-        capsys, "condense-tracks", "--tracks", str(clip_path), "--out", str(tmp_path / "c.jsonl")
-    )
     assert code == 2
     assert err == f"error: {clip_path}:1: {message}\n"
 
@@ -627,11 +515,6 @@ def test_repeated_clip_id_names_file_and_line(capsys, caplog, toy_fixture_dir, t
     assert code == 0
     assert json.loads(out)["videos"] == 1
     assert f"skipping video vid_money: {message}" in caplog.text
-    code, _, err = run_cli(
-        capsys, "condense-tracks", "--tracks", str(clips), "--out", str(tmp_path / "c.jsonl")
-    )
-    assert code == 2
-    assert message in err
 
 
 def test_train_toy_and_grad_check(capsys, tmp_path):
@@ -875,6 +758,35 @@ def test_eval_bad_event_names_file_and_line(capsys, tmp_path, event, commands, m
         assert code == 2
         assert out == ""
         assert f"{gt}:2: " in err and message in err
+
+
+@pytest.mark.parametrize("value", [True, "4", float("inf")], ids=["bool", "string", "infinity"])
+@pytest.mark.parametrize("field", ["duration", "start", "end"])
+def test_time_fields_must_be_finite_numbers(capsys, toy_fixture_dir, tmp_path, field, value):
+    if field != "duration":
+        events = tmp_path / "events.jsonl"
+        event = {"start": 0, "end": 4, "caption": "a dog", field: value}
+        events.write_text(json.dumps({"video_id": "v", "events": [event]}) + "\n")
+        for command in EVAL_COMMANDS:
+            code, out, err = run_cli(capsys, command, "--pred", str(events), "--gt", str(events))
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: {events}:1: ") and field in err
+
+    lines = (toy_fixture_dir / "manifest.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    if field == "duration":
+        record["duration"] = value
+    else:
+        record["events"][0][field] = value
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
+    code, out, err = run_cli(
+        capsys, *toy_build_args(toy_fixture_dir, tmp_path / "out.jsonl", manifest)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {manifest}:2: ") and field in err
 
 
 @pytest.mark.parametrize("repeated", ["gt", "pred"])

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import brute_force_soda
+
 from pite.metrics import (
     CaptionedEvent,
     TimeSegment,
@@ -258,32 +260,6 @@ def test_tokenize():
 
 
 # --- SODA ---------------------------------------------------------------------------
-
-
-def brute_force_soda(preds, gts, scorer):
-    """Oracle: enumerate every order-preserving one-to-one matching."""
-    preds = sorted(preds, key=lambda e: (e.segment.start, e.segment.end))
-    gts = sorted(gts, key=lambda e: (e.segment.start, e.segment.end))
-    if not preds or not gts:
-        return 0.0
-    score = [
-        [temporal_iou(p.segment, g.segment) * scorer(p.caption, g.caption) for g in gts]
-        for p in preds
-    ]
-
-    def best_from(i, j):
-        if i >= len(preds) or j >= len(gts):
-            return 0.0
-        return max(
-            best_from(i + 1, j),
-            best_from(i, j + 1),
-            score[i][j] + best_from(i + 1, j + 1),
-        )
-
-    total = best_from(0, 0)
-    p = total / len(preds)
-    r = total / len(gts)
-    return 2 * p * r / (p + r) if p + r else 0.0
 
 
 def test_soda_perfect():

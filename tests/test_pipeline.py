@@ -16,15 +16,20 @@ import pytest
 from pite import pipeline
 from pite.cli import main
 from pite.pipeline import (
+    NO_MASK,
+    NO_TRACKS,
+    SMALL_MASK,
     DataError,
     ManifestEvent,
     PipelineConfig,
     VideoManifest,
     annotate_event,
+    derive_seed,
     format_temporal,
     load_event_masks,
     np_from_slug,
     np_slug,
+    phrase_trajectory,
     run_pipeline,
     timestamp_to_frame,
     validate_record,
@@ -140,21 +145,29 @@ def test_annotate_event_drops_unmasked_phrase(fig3_trees):
         "a desk": full_mask(16, 16),
         # "front" has no mask
     }
+    # two partitions of the square's corners tie, so the matrix depends on the seed
+    tracks = tracks_at([(2.0, 2.0), (2.0, 12.0), (12.0, 2.0), (12.0, 12.0)])
     annotation = annotate_event(
         event,
         tree,
         masks,
-        tracks_at([(2.0, 2.0), (9.0, 9.0), (14.0, 5.0)]),
+        tracks,
         EVENT_CONFIG,
         duration=10.0,
         width=16,
         height=16,
+        clip_id="v:0",
     )
     assert [o["np"]["text"] for o in annotation.objects] == [
         "two people",
         "hands",
         "a desk",
     ]
+    assert phrase_trajectory(tracks, None, 16, 16, EVENT_CONFIG, 0) == NO_MASK
+    # "a desk" is phrase 3, after the unmasked "front"
+    seed = derive_seed(EVENT_CONFIG.seed, "v:0", 3)
+    matrix = phrase_trajectory(tracks, masks["a desk"], 16, 16, EVENT_CONFIG, seed)
+    assert matrix.to_json() == annotation.objects[2]["trajectory"]
 
 
 def test_annotate_event_drops_small_mask(fig3_trees):
@@ -169,11 +182,13 @@ def test_annotate_event_drops_small_mask(fig3_trees):
         "a pen": Mask.from_array(tiny),
         "a white table": full_mask(64, 64),
     }
+    tracks = tracks_at([(2.0, 2.0), (9.0, 9.0)])
+    assert phrase_trajectory(tracks, masks["a pen"], 64, 64, EVENT_CONFIG, 0) == SMALL_MASK
     annotation = annotate_event(
         event,
         tree,
         masks,
-        tracks_at([(2.0, 2.0), (9.0, 9.0)]),
+        tracks,
         EVENT_CONFIG,
         duration=10.0,
         width=64,
@@ -206,16 +221,20 @@ def test_annotate_event_zero_surviving_nps():
 def test_annotate_event_mask_dimension_mismatch():
     tree = parse_bracketed("(TOP (NP a dog))")
     event = ManifestEvent(caption="a dog", start=0.0, end=1.0)
-    with pytest.raises(DataError, match="mask"):
+    tracks = tracks_at([(2.0, 2.0)])
+    with pytest.raises(DataError, match=r"^mask is 8x8, clip is 16x16$"):
+        phrase_trajectory(tracks, full_mask(8, 8), 16, 16, EVENT_CONFIG, 0)
+    with pytest.raises(DataError, match=r"^v:0: mask for 'a dog' is 8x8, clip is 16x16$"):
         annotate_event(
             event,
             tree,
             {"a dog": full_mask(8, 8)},
-            tracks_at([(2.0, 2.0)]),
+            tracks,
             EVENT_CONFIG,
             duration=10.0,
             width=16,
             height=16,
+            clip_id="v:0",
         )
 
 
@@ -241,11 +260,13 @@ def test_annotate_event_drops_trackless_object():
     event = ManifestEvent(caption="a dog", start=0.0, end=1.0)
     left = np.zeros((16, 16), dtype=bool)
     left[:, :4] = True
+    tracks = tracks_at([(12.0, 2.0)])  # starts outside the mask
+    assert phrase_trajectory(tracks, Mask.from_array(left), 16, 16, EVENT_CONFIG, 0) == NO_TRACKS
     annotation = annotate_event(
         event,
         tree,
         {"a dog": Mask.from_array(left)},
-        tracks_at([(12.0, 2.0)]),  # starts outside the mask
+        tracks,
         EVENT_CONFIG,
         duration=10.0,
         width=16,
