@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -368,14 +369,6 @@ def to_matrix(keypoints: Tracks, P: int, N: int, width: int, height: int) -> Tra
 # --- file formats ----------------------------------------------------------
 
 
-def _exact_array(rows: list, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """``rows`` as an array of exactly ``shape``; ragged or misshapen rows raise."""
-    arr = np.array(rows, dtype=dtype) if rows else np.zeros(shape, dtype=dtype)
-    if arr.shape != shape:
-        raise ValueError(f"tracks have shape {arr.shape}, expected {shape}")
-    return arr
-
-
 @dataclass
 class ClipTracks:
     """One tracked clip: dimensions and its point tracks."""
@@ -387,16 +380,29 @@ class ClipTracks:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ClipTracks":
-        """Parse one clip; ValueError naming the clip on tracks that do not fit ``frames``."""
-        clip_id = str(obj["clip_id"])
+        """Parse one clip; ValueError naming the clip on tracks that do not fit ``frames``.
+
+        ``clip_id`` is a string; each track holds ``frames`` ``xy`` pairs of
+        JSON numbers (not bools) and ``frames`` ``vis`` JSON booleans.
+        """
+        clip_id = obj["clip_id"]
+        if not isinstance(clip_id, str):
+            raise TypeError(f"clip_id must be a string, got {clip_id!r}")
         frames = integer(obj["frames"], "frames")
         rows = obj["tracks"]
         try:
+            xys, vis = [t["xy"] for t in rows], [t["vis"] for t in rows]
+            pairs = list(chain.from_iterable(xys))
+            if (set(map(len, xys)) | set(map(len, vis))) - {frames} or set(map(len, pairs)) - {2}:
+                raise ValueError(f"each track needs {frames} (x, y) pairs and {frames} vis flags")
+            flat_xy, flat_vis = list(chain.from_iterable(pairs)), list(chain.from_iterable(vis))
+            if set(map(type, flat_xy)) - {int, float} or set(map(type, flat_vis)) - {bool}:
+                raise TypeError("xy entries must be JSON numbers and vis entries JSON booleans")
             tracks = Tracks(
-                xy=_exact_array([t["xy"] for t in rows], (len(rows), frames, 2), float),
-                vis=_exact_array([t["vis"] for t in rows], (len(rows), frames), bool),
+                xy=np.array(flat_xy, dtype=float).reshape(len(rows), frames, 2),
+                vis=np.array(flat_vis, dtype=bool).reshape(len(rows), frames),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"clip {clip_id}: {type(exc).__name__}: {exc}") from None
         return cls(
             clip_id=clip_id,

@@ -356,6 +356,37 @@ def test_integer_fields_reject_other_values(capsys, toy_fixture_dir, tmp_path, f
     assert err == f"error: {manifest}:2: {message}\n"
 
 
+UNTYPED_TRACKS = (
+    "ValueError: clip vid_dog:0: TypeError: xy entries must be JSON numbers and vis entries JSON booleans"
+)
+
+
+@pytest.mark.parametrize(
+    "keys, value, message",
+    [
+        (("tracks", 0, "xy", 0, 0), "2.5", UNTYPED_TRACKS),
+        (("tracks", 0, "vis", 0), "false", UNTYPED_TRACKS),
+        (("clip_id",), 0, "TypeError: clip_id must be a string, got 0"),
+    ],
+    ids=["xy-string", "vis-string", "clip-id-int"],
+)
+def test_build_dataset_rejects_untyped_track_values(capsys, toy_fixture_dir, tmp_path, keys, value, message):
+    tracks = tmp_path / "tracks"
+    shutil.copytree(toy_fixture_dir / "tracks", tracks)
+    clip_path = tracks / "vid_dog.jsonl"
+    clip = json.loads(clip_path.read_text())
+    target = clip
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    clip_path.write_text(json.dumps(clip) + "\n")
+    args = toy_build_args(toy_fixture_dir, tmp_path / "out.jsonl") + ["--strict"]
+    args[args.index("--tracks") + 1] = str(tracks)
+    code, _, err = run_cli(capsys, *args)
+    assert code == 2
+    assert err == f"error: {clip_path}:1: {message}\n"
+
+
 @pytest.mark.parametrize("duration", [float("inf"), float("nan")])
 def test_build_dataset_rejects_non_finite_duration(capsys, toy_fixture_dir, tmp_path, duration):
     lines = (toy_fixture_dir / "manifest.jsonl").read_text().splitlines()

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -248,6 +249,16 @@ def walk(n, visible=True):
         pytest.param([{"xy": [[float("inf"), 1.0]] * 3, "vis": [False] * 3}], id="inf"),
         pytest.param([{"vis": [True] * 3}], id="no-xy"),
         pytest.param([None], id="not-an-object"),
+        # JSON values that array conversion would coerce into positions or flags
+        pytest.param([{"xy": [["2.5", 1.0]] + walk(2)["xy"], "vis": [True] * 3}], id="xy-string"),
+        pytest.param([{"xy": [[True, 1.0]] + walk(2)["xy"], "vis": [True] * 3}], id="xy-bool"),
+        pytest.param([{"xy": [[None, 1.0]] + walk(2)["xy"], "vis": [True] * 3}], id="xy-null"),
+        pytest.param([{"xy": walk(3)["xy"], "vis": ["false", True, True]}], id="vis-string"),
+        pytest.param([{"xy": walk(3)["xy"], "vis": [0, True, True]}], id="vis-zero"),
+        pytest.param([{"xy": walk(3)["xy"], "vis": [None, True, True]}], id="vis-null"),
+        pytest.param([{"xy": walk(3)["xy"], "vis": [2, True, True]}], id="vis-two"),
+        pytest.param([{"xy": ["ab", "cd", "ef"], "vis": [True] * 3}], id="xy-pairs-of-chars"),
+        pytest.param([{"xy": [[10**400, 1.0]] + walk(2)["xy"], "vis": [True] * 3}], id="xy-huge-int"),
     ],
 )
 def test_clip_tracks_rejects_tracks_that_do_not_fit(tracks):
@@ -258,6 +269,32 @@ def test_clip_tracks_rejects_tracks_that_do_not_fit(tracks):
 def test_clip_tracks_without_tracks():
     clip = ClipTracks.from_json(clip_json([], frames=5))
     assert clip.tracks.xy.shape == (0, 5, 2) and clip.tracks.vis.shape == (0, 5)
+
+
+json_number = st.one_of(
+    st.integers(-(10**6), 10**6), st.floats(allow_nan=False, allow_infinity=False, width=64)
+)
+
+
+@st.composite
+def json_clips(draw):
+    """A valid clip as ``json.loads`` returns it: 0-4 tracks of 1-6 frames."""
+    frames = draw(st.integers(1, 6))
+    pairs = st.lists(st.lists(json_number, min_size=2, max_size=2), min_size=frames, max_size=frames)
+    flags = st.lists(st.booleans(), min_size=frames, max_size=frames)
+    tracks = draw(st.lists(st.fixed_dictionaries({"xy": pairs, "vis": flags}), max_size=4))
+    return json.loads(json.dumps(clip_json(tracks, frames=frames)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(json_clips())
+def test_clip_tracks_flat_pass_matches_nested_conversion(obj):
+    rows, shape = obj["tracks"], (len(obj["tracks"]), obj["frames"])
+    xy = np.array([t["xy"] for t in rows], dtype=float).reshape(*shape, 2)
+    vis = np.array([t["vis"] for t in rows], dtype=bool).reshape(shape)
+    tracks = ClipTracks.from_json(obj).tracks
+    assert tracks.xy.dtype == xy.dtype and np.array_equal(tracks.xy, xy)
+    assert tracks.vis.dtype == vis.dtype and np.array_equal(tracks.vis, vis)
 
 
 # --- kmeans_pp ----------------------------------------------------------------
