@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import metrics, pipeline, trainer, trees, toymodel
-from .jsonl import DataError, read_jsonl, read_lines, real, unique
+from .jsonl import DataError, read_jsonl, read_lines, real, text, unique
 
 log = logging.getLogger("pite")
 
@@ -215,7 +215,7 @@ def _segment(event) -> metrics.TimeSegment:
 
 
 def _captioned_event(event) -> metrics.CaptionedEvent:
-    return metrics.CaptionedEvent(segment=_segment(event), caption=event["caption"])
+    return metrics.CaptionedEvent(segment=_segment(event), caption=text(event["caption"], "caption"))
 
 
 def _paired_events(
@@ -229,7 +229,7 @@ def _paired_events(
     one counting the predicted videos missing from the ground truth.
     """
     video = lambda record: (
-        str(record["video_id"]),
+        text(record["video_id"], "video_id"),
         [parse_event(event) for event in record["events"]],
     )
     preds = dict(read_jsonl(pred_path, unique(video, "video_id")))

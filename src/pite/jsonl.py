@@ -1,10 +1,14 @@
-"""Line-oriented input, integer and number field checks and the error type for unusable input.
+"""Line-oriented input, the typed JSON field readers and the error type for unusable input.
 
 Every text input read line by line (manifests, parse trees, track clips,
 evaluation records) goes through ``read_lines``, so blank lines are skipped
 and a bad line is named as ``<path>:<line>: <Type>: <message>`` everywhere.
 ``read_jsonl`` pauses the cyclic garbage collector per record: decoded JSON
 holds no cycles, so collecting during a track line would only rescan its lists.
+
+Named scalar fields of JSON inputs are read by ``integer`` (an int, not a
+bool), ``real`` (a finite int or float, as a float) or ``text`` (a nonempty
+str); each raises an error naming the field.
 """
 
 from __future__ import annotations
@@ -44,6 +48,15 @@ def real(value: object, name: str) -> float:
     return float(value)
 
 
+def text(value: object, name: str) -> str:
+    """``value`` if it is a nonempty str; another type raises TypeError and ``""`` ValueError."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a nonempty string, got {value!r}")
+    if not value:
+        raise ValueError(f"{name} must be a nonempty string, got ''")
+    return value
+
+
 def read_lines(path: str | Path) -> Iterator[tuple[str, str]]:
     """Yield ``(location, line)`` for each non-blank line of ``path``, stripped.
 
@@ -79,16 +92,17 @@ def read_jsonl(path: str | Path, parse: Callable[[object], T]) -> Iterator[T]:
 
 
 def unique(parse: Callable[[object], T], field: str) -> Callable[[object], T]:
-    """Wrap a ``read_jsonl`` parse callback so a repeated ``str(record[field])`` is an error.
+    """Wrap a ``read_jsonl`` parse callback so a repeated ``record[field]`` is an error.
 
-    The repeat raises ValueError inside the callback, so ``read_jsonl`` names
-    the line of the second occurrence.
+    The typed value is compared, so ``1`` and ``"1"`` are two ids.  The repeat
+    raises ValueError inside the callback, so ``read_jsonl`` names the line of
+    the second occurrence.
     """
-    seen: set[str] = set()
+    seen: set[object] = set()
 
     def parse_unique(record: object) -> T:
         item = parse(record)
-        value = str(record[field])
+        value = record[field]
         if value in seen:
             raise ValueError(f"repeated {field} {value!r}")
         seen.add(value)

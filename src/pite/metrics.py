@@ -39,10 +39,6 @@ class CaptionedEvent:
     segment: TimeSegment
     caption: str
 
-    def __post_init__(self):
-        if not isinstance(self.caption, str) or not self.caption:
-            raise ValueError(f"caption must be a nonempty string, got {self.caption!r}")
-
 
 _PUNCT = re.compile(r"[^\w\s]", re.UNICODE)
 

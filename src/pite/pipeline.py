@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
-from .jsonl import DataError, integer, read_jsonl, read_lines, real, unique
+from .jsonl import DataError, integer, read_jsonl, read_lines, real, text, unique
 from .tracks import (
     Mask,
     Tracks,
@@ -66,8 +66,8 @@ class VideoManifest:
     events: tuple[ManifestEvent, ...]
 
     def __post_init__(self):
-        if not (math.isfinite(self.duration) and self.duration > 0):
-            raise DataError(f"{self.video_id}: duration must be finite and > 0, got {self.duration}")
+        if not self.duration > 0:
+            raise DataError(f"{self.video_id}: duration must be > 0, got {self.duration}")
         for event in self.events:
             if not event.caption:
                 raise DataError(f"{self.video_id}: empty caption")
@@ -79,15 +79,13 @@ class VideoManifest:
 
     @classmethod
     def from_json(cls, obj: dict) -> "VideoManifest":
-        duration = obj["duration"]
         return cls(
-            video_id=str(obj["video_id"]),
-            # a float's range (finiteness too) is left to __post_init__, which names the video
-            duration=duration if isinstance(duration, float) else real(duration, "duration"),
+            video_id=text(obj["video_id"], "video_id"),
+            duration=real(obj["duration"], "duration"),
             width=integer(obj["width"], "width"),
             height=integer(obj["height"], "height"),
             events=tuple(
-                ManifestEvent(str(e["caption"]), real(e["start"], "start"), real(e["end"], "end"))
+                ManifestEvent(text(e["caption"], "caption"), real(e["start"], "start"), real(e["end"], "end"))
                 for e in obj["events"]
             ),
         )
@@ -449,10 +447,13 @@ def _annotate_job(*args) -> dict:
 def validate_record(record: dict) -> None:
     """Schema and invariant check for one output record; raises only DataError.
 
-    A fault inside an event is reported with the video id and event index.
+    Each field is read through the ``pite.jsonl`` readers.  A fault inside an
+    event is reported with the video id and event index.
     """
-    if not isinstance(record, dict) or not isinstance(record.get("video_id"), str):
-        raise DataError("record missing video_id")
+    try:
+        video_id = text(record["video_id"], "video_id")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"record video_id: {type(exc).__name__}: {exc}") from exc
     events = record.get("events")
     if not isinstance(events, list):
         raise DataError("record missing events list")
@@ -460,24 +461,24 @@ def validate_record(record: dict) -> None:
         try:
             _check_event(event)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(
-                f"{record['video_id']} event {event_idx}: {type(exc).__name__}: {exc}"
-            ) from exc
+            raise DataError(f"{video_id} event {event_idx}: {type(exc).__name__}: {exc}") from exc
 
 
 def _check_event(event: dict) -> None:
-    for key in ("caption", "start_frame", "end_frame", "formatted_text", "objects"):
-        if key not in event:
-            raise DataError(f"event missing {key}")
-    if event["start_frame"] > event["end_frame"]:
+    caption, formatted = text(event["caption"], "caption"), text(event["formatted_text"], "formatted_text")
+    start, end = integer(event["start_frame"], "start_frame"), integer(event["end_frame"], "end_frame")
+    if start > end:
         raise DataError("start_frame > end_frame")
-    text = event["formatted_text"]
-    if event["caption"] not in text:
+    if caption not in formatted:
         raise DataError("formatted_text does not embed the caption")
-    if f"from {event['start_frame']} to {event['end_frame']}" not in text.lower():
+    if f"from {start} to {end}" not in formatted.lower():
         raise DataError("formatted_text does not embed the frame indices")
+    words = len(caption.split())
     for obj in event["objects"]:
         np_field = obj.get("np", {})
-        if not np_field.get("text") or "span" not in np_field:
-            raise DataError("object missing np text/span")
+        text(np_field.get("text"), "np text")
+        lo, hi = np_field["span"]
+        lo, hi = integer(lo, "span start"), integer(hi, "span end")
+        if not 0 <= lo < hi <= words:
+            raise DataError(f"span [{lo}, {hi}] is not a word range of the {words}-word caption")
         TrajectoryMatrix.from_json(obj["trajectory"])

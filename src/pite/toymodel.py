@@ -21,12 +21,12 @@ Shapes (config d_v, d, vocab V, points P, frames N, sequence length L):
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from .jsonl import integer, real
 
 ARRAY_NAMES = (
     "adapter",
@@ -61,16 +61,6 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("d_v", "d", "vocab", "points", "frames", "steps", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        for name in ("lam", "smoothing", "lr"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise TypeError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
         if min(self.d_v, self.d, self.vocab, self.points, self.frames) < 1:
             raise ValueError("all dimensions must be >= 1")
         for name in ("steps", "seed", "lr"):
@@ -83,11 +73,12 @@ class TrainerConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TrainerConfig":
-        known = {k: v for k, v in obj.items() if k in cls.__dataclass_fields__}
-        unknown = set(obj) - set(known)
+        """A config from a JSON object: ``float`` fields read through ``real``, the rest ``integer``."""
+        fields = cls.__dataclass_fields__
+        unknown = set(obj) - set(fields)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**known)
+        return cls(**{k: (real if fields[k].type == "float" else integer)(v, k) for k, v in obj.items()})
 
 
 @dataclass

@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .jsonl import DataError, integer, read_jsonl, unique
+from .jsonl import DataError, integer, read_jsonl, text, unique
 
 SENTINEL = -1.0  # both coordinates of an absent sample
 
@@ -73,9 +73,6 @@ class Mask:
     runs: tuple[int, ...]
 
     def __post_init__(self):
-        for value in (self.width, self.height, *self.runs):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"mask width, height and runs must be integers, got {value!r}")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("mask dimensions must be positive")
         if any(r < 0 for r in self.runs):
@@ -132,8 +129,8 @@ class TrajectoryMatrix:
     @classmethod
     def from_json(cls, obj: dict) -> "TrajectoryMatrix":
         return cls(
-            points=int(obj["points"]),
-            frames=int(obj["frames"]),
+            points=integer(obj["points"], "points"),
+            frames=integer(obj["frames"], "frames"),
             coords=np.array(obj["coords"], dtype=float),
         )
 
@@ -382,12 +379,10 @@ class ClipTracks:
     def from_json(cls, obj: dict) -> "ClipTracks":
         """Parse one clip; ValueError naming the clip on tracks that do not fit ``frames``.
 
-        ``clip_id`` is a string; each track holds ``frames`` ``xy`` pairs of
+        ``clip_id`` is a nonempty string; each track holds ``frames`` ``xy`` pairs of
         JSON numbers (not bools) and ``frames`` ``vis`` JSON booleans.
         """
-        clip_id = obj["clip_id"]
-        if not isinstance(clip_id, str):
-            raise TypeError(f"clip_id must be a string, got {clip_id!r}")
+        clip_id = text(obj["clip_id"], "clip_id")
         frames = integer(obj["frames"], "frames")
         rows = obj["tracks"]
         try:
@@ -422,7 +417,8 @@ def load_mask(path: str | Path) -> Mask:
     with open(path, encoding="utf-8") as handle:
         try:
             obj = json.load(handle)
-            return Mask(width=obj["width"], height=obj["height"], runs=tuple(obj["rle"]))
+            runs = tuple(integer(run, "rle run") for run in obj["rle"])
+            return Mask(integer(obj["width"], "width"), integer(obj["height"], "height"), runs)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: {type(exc).__name__}: {exc}") from exc
 

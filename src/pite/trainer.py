@@ -148,7 +148,7 @@ def stable_token_id(word: str, vocab: int) -> int:
 
 
 def samples_from_records(records: Iterable[dict], cfg: TrainerConfig) -> list[TrainingSample]:
-    """Build stage-2 samples from annotation pipeline output records.
+    """Build stage-2 samples from pipeline records that pass ``validate_record``.
 
     Tokens hash the formatted text; tokens inside a noun phrase span carry
     that object's trajectory matrix, every other token is unsupervised.
@@ -156,7 +156,7 @@ def samples_from_records(records: Iterable[dict], cfg: TrainerConfig) -> list[Tr
     """
     samples = []
     for record in records:
-        video_seed = zlib.crc32(str(record["video_id"]).encode("utf-8"))
+        video_seed = zlib.crc32(record["video_id"].encode("utf-8"))
         rng = np.random.default_rng((cfg.seed, video_seed))
         for event in record["events"]:
             words = event["formatted_text"].split()

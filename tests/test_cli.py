@@ -185,12 +185,9 @@ def test_build_dataset_names_file_and_line_of_malformed_tree(capsys, caplog, toy
         ('{"width": 32, "height": 32, "rle": [10]}', "ValueError: runs cover 10 cells, expected 1024"),
         (
             '{"width": 32, "height": 32, "rle": [327.5, 16.5, 680]}',
-            "ValueError: mask width, height and runs must be integers, got 327.5",
+            "TypeError: rle run must be an integer, got 327.5",
         ),
-        (
-            '{"width": 32, "height": 32, "rle": [true, 1023]}',
-            "ValueError: mask width, height and runs must be integers, got True",
-        ),
+        ('{"width": 32, "height": 32, "rle": [true, 1023]}', "TypeError: rle run must be an integer, got True"),
     ],
     ids=["json", "key", "negative", "short", "fraction", "bool"],
 )
@@ -330,35 +327,160 @@ def test_bad_jsonl_line_names_file_and_line(capsys, toy_fixture_dir, tmp_path):
         assert f"{gt}:2: KeyError: 'video_id'" in err
 
 
-@pytest.mark.parametrize("field, value", [("width", 32.9), ("height", True), ("frames", 40.0)])
-def test_integer_fields_reject_other_values(capsys, toy_fixture_dir, tmp_path, field, value):
-    message = f"TypeError: {field} must be an integer, got {value!r}"
-    tracks = tmp_path / "tracks"
-    shutil.copytree(toy_fixture_dir / "tracks", tracks)
-    clip_path = tracks / "vid_dog.jsonl"
-    clip = json.loads(clip_path.read_text())
-    clip_path.write_text(json.dumps({**clip, field: value}) + "\n")
-    args = toy_build_args(toy_fixture_dir, tmp_path / "out.jsonl") + ["--strict"]
-    args[args.index("--tracks") + 1] = str(tracks)
-    code, _, err = run_cli(capsys, *args)
-    assert code == 2
-    assert err == f"error: {clip_path}:1: {message}\n"
+def set_at(obj, keys, value):
+    for key in keys[:-1]:
+        obj = obj[key]
+    obj[keys[-1]] = value
 
-    if field == "frames":
-        return  # a manifest has no frames field
-    lines = (toy_fixture_dir / "manifest.jsonl").read_text().splitlines()
-    manifest = tmp_path / "manifest.jsonl"
-    manifest.write_text("\n".join([lines[0], json.dumps({**json.loads(lines[1]), field: value})]) + "\n")
-    code, _, err = run_cli(
-        capsys, *toy_build_args(toy_fixture_dir, tmp_path / "out.jsonl", manifest), "--strict"
-    )
-    assert code == 2
-    assert err == f"error: {manifest}:2: {message}\n"
+
+def rewrite_json_line(path, index, keys, value):
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[index])
+    set_at(record, keys, value)
+    lines[index] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
 
 
 UNTYPED_TRACKS = (
     "ValueError: clip vid_dog:0: TypeError: xy entries must be JSON numbers and vis entries JSON booleans"
 )
+
+# each reader's exact error for each kind of bad value; "{}" is the field's name
+BAD_VALUES = {
+    "integer": [
+        (True, "TypeError: {} must be an integer, got True"),
+        ("32", "TypeError: {} must be an integer, got '32'"),
+        (32.9, "TypeError: {} must be an integer, got 32.9"),
+        (40.0, "TypeError: {} must be an integer, got 40.0"),
+        (float("inf"), "TypeError: {} must be an integer, got inf"),
+        ([32], "TypeError: {} must be an integer, got [32]"),
+        (None, "TypeError: {} must be an integer, got None"),
+    ],
+    "real": [
+        (True, "TypeError: {} must be a number, got True"),
+        ("4", "ValueError: {} must be a number, got '4'"),
+        (float("inf"), "ValueError: {} must be finite, got inf"),
+        (float("nan"), "ValueError: {} must be finite, got nan"),
+        ([4], "TypeError: {} must be a number, got [4]"),
+        (None, "TypeError: {} must be a number, got None"),
+    ],
+    "text": [
+        (True, "TypeError: {} must be a nonempty string, got True"),
+        (7, "TypeError: {} must be a nonempty string, got 7"),
+        ("", "ValueError: {} must be a nonempty string, got ''"),
+        (["a", "dog"], "TypeError: {} must be a nonempty string, got ['a', 'dog']"),
+        (None, "TypeError: {} must be a nonempty string, got None"),
+    ],
+    "xy": [("2.5", UNTYPED_TRACKS), (True, UNTYPED_TRACKS), (None, UNTYPED_TRACKS)],
+    "vis": [("false", UNTYPED_TRACKS), (0, UNTYPED_TRACKS), (None, UNTYPED_TRACKS)],
+}
+
+EVAL_FIELDS = [
+    (("video_id",), "text", "video_id"),
+    (("events", 0, "start"), "real", "start"),
+    (("events", 0, "end"), "real", "end"),
+    (("events", 0, "caption"), "text", "caption"),
+]
+
+# (input, keys to the field, its reader in BAD_VALUES, name in the error); xy
+# and vis entries go through the clip's typed flat pass instead of a reader.
+# The manifest's field is in vid_dog (line 2), the track file's in
+# vid_dog.jsonl (line 1), the mask's in vid_dog/ev0/a_dog.json and the eval
+# file's on line 2
+TYPED_FIELDS = [
+    ("manifest", ("video_id",), "text", "video_id"),
+    ("manifest", ("duration",), "real", "duration"),
+    ("manifest", ("width",), "integer", "width"),
+    ("manifest", ("height",), "integer", "height"),
+    ("manifest", ("events", 0, "caption"), "text", "caption"),
+    ("manifest", ("events", 0, "start"), "real", "start"),
+    ("manifest", ("events", 0, "end"), "real", "end"),
+    ("tracks", ("clip_id",), "text", "clip_id"),
+    ("tracks", ("width",), "integer", "width"),
+    ("tracks", ("height",), "integer", "height"),
+    ("tracks", ("frames",), "integer", "frames"),
+    ("tracks", ("tracks", 0, "xy", 0, 0), "xy", "xy"),
+    ("tracks", ("tracks", 0, "vis", 0), "vis", "vis"),
+    ("mask", ("width",), "integer", "width"),
+    ("mask", ("height",), "integer", "height"),
+    ("mask", ("rle", 0), "integer", "rle run"),
+    *(("pred", *field) for field in EVAL_FIELDS),
+    *(("gt", *field) for field in EVAL_FIELDS),
+    *(("config", (name,), "integer", name) for name in ("d_v", "d", "vocab", "points", "frames", "steps", "seed")),
+    *(("config", (name,), "real", name) for name in ("lam", "smoothing", "lr")),
+]
+
+
+def typed_field_cases():
+    for source, keys, reader, name in TYPED_FIELDS:
+        for value, message in BAD_VALUES[reader]:
+            yield pytest.param(
+                source, keys, value, message.format(name), id=f"{source}-{name}-{value!r}"
+            )
+
+
+def assert_bad_field_rejected(capsys, toy_fixture_dir, work, source, keys, value, message):
+    """Set the field at ``keys`` of ``source`` to ``value`` in copies made under ``work``.
+
+    Each command that reads the field must exit 2 with stdout empty, the
+    error ``error: <location>: <message>`` and no output file.
+    """
+    work.mkdir()
+    if source in ("manifest", "tracks", "mask"):
+        toy = work / "toy"
+        shutil.copytree(toy_fixture_dir, toy)
+        path, index, line = {
+            "manifest": (toy / "manifest.jsonl", 1, ":2"),
+            "tracks": (toy / "tracks" / "vid_dog.jsonl", 0, ":1"),
+            "mask": (toy / "masks" / "vid_dog" / "ev0" / "a_dog.json", 0, ""),
+        }[source]
+        location = f"{path}{line}"
+        runs = [toy_build_args(toy, work / "out.jsonl") + ["--strict"]]
+    elif source == "config":
+        samples = work / "stage2.npz"
+        save_samples(synthetic_dataset(2, 3, STAGE2_CFG, seed=8), samples)
+        path, index = work / "config.json", 0
+        location = path
+        path.write_text(json.dumps(asdict(STAGE2_CFG)))
+        runs = [[
+            "train-toy", "--stage", "2", "--data", str(samples), "--config", str(path),
+            "--out", str(work / "out.npz"),
+        ]]
+    else:
+        good = {"start": 0, "end": 1, "caption": "a dog"}
+        for name in ("pred", "gt"):
+            (work / f"{name}.jsonl").write_text(
+                json.dumps({"video_id": "u", "events": [good]}) + "\n"
+                + json.dumps({"video_id": "v", "events": [good]}) + "\n"
+            )
+        path, index = work / f"{source}.jsonl", 1
+        location = f"{path}:2"
+        commands = ("eval-dense",) if keys[-1] == "caption" else EVAL_COMMANDS
+        runs = [[c, "--pred", str(work / "pred.jsonl"), "--gt", str(work / "gt.jsonl")] for c in commands]
+    rewrite_json_line(path, index, keys, value)
+    for argv in runs:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {location}: {message}\n"
+    assert not (work / "out.jsonl").exists() and not (work / "out.npz").exists()
+
+
+@pytest.mark.parametrize("source, keys, value, message", typed_field_cases())
+def test_each_input_field_has_one_typed_reader(capsys, toy_fixture_dir, tmp_path, source, keys, value, message):
+    assert_bad_field_rejected(capsys, toy_fixture_dir, tmp_path / "work", source, keys, value, message)
+
+
+# the single-input type tests below are rows of the table above, kept under their names
+
+@pytest.mark.parametrize("field, value", [("width", 32.9), ("height", True), ("frames", 40.0)])
+def test_integer_fields_reject_other_values(capsys, toy_fixture_dir, tmp_path, field, value):
+    message = f"TypeError: {field} must be an integer, got {value!r}"
+    assert_bad_field_rejected(capsys, toy_fixture_dir, tmp_path / "tracks", "tracks", (field,), value, message)
+    if field != "frames":  # a manifest has no frames field
+        assert_bad_field_rejected(
+            capsys, toy_fixture_dir, tmp_path / "manifest", "manifest", (field,), value, message
+        )
 
 
 @pytest.mark.parametrize(
@@ -366,25 +488,33 @@ UNTYPED_TRACKS = (
     [
         (("tracks", 0, "xy", 0, 0), "2.5", UNTYPED_TRACKS),
         (("tracks", 0, "vis", 0), "false", UNTYPED_TRACKS),
-        (("clip_id",), 0, "TypeError: clip_id must be a string, got 0"),
+        (("clip_id",), 0, "TypeError: clip_id must be a nonempty string, got 0"),
     ],
     ids=["xy-string", "vis-string", "clip-id-int"],
 )
 def test_build_dataset_rejects_untyped_track_values(capsys, toy_fixture_dir, tmp_path, keys, value, message):
-    tracks = tmp_path / "tracks"
-    shutil.copytree(toy_fixture_dir / "tracks", tracks)
-    clip_path = tracks / "vid_dog.jsonl"
-    clip = json.loads(clip_path.read_text())
-    target = clip
-    for key in keys[:-1]:
-        target = target[key]
-    target[keys[-1]] = value
-    clip_path.write_text(json.dumps(clip) + "\n")
-    args = toy_build_args(toy_fixture_dir, tmp_path / "out.jsonl") + ["--strict"]
-    args[args.index("--tracks") + 1] = str(tracks)
-    code, _, err = run_cli(capsys, *args)
-    assert code == 2
-    assert err == f"error: {clip_path}:1: {message}\n"
+    assert_bad_field_rejected(capsys, toy_fixture_dir, tmp_path / "work", "tracks", keys, value, message)
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (True, "TypeError: {} must be a number, got True"),
+        ("4", "ValueError: {} must be a number, got '4'"),
+        (float("inf"), "ValueError: {} must be finite, got inf"),
+    ],
+    ids=["bool", "string", "infinity"],
+)
+@pytest.mark.parametrize("field", ["duration", "start", "end"])
+def test_time_fields_must_be_finite_numbers(capsys, toy_fixture_dir, tmp_path, field, value, message):
+    keys = (field,) if field == "duration" else ("events", 0, field)
+    if field != "duration":
+        assert_bad_field_rejected(
+            capsys, toy_fixture_dir, tmp_path / "gt", "gt", keys, value, message.format(field)
+        )
+    assert_bad_field_rejected(
+        capsys, toy_fixture_dir, tmp_path / "manifest", "manifest", keys, value, message.format(field)
+    )
 
 
 @pytest.mark.parametrize("duration", [float("inf"), float("nan")])
@@ -400,7 +530,7 @@ def test_build_dataset_rejects_non_finite_duration(capsys, toy_fixture_dir, tmp_
     assert code == 2
     assert out == ""
     assert err == (
-        f"error: {manifest}:2: DataError: vid_dog: duration must be finite and > 0, got {duration}\n"
+        f"error: {manifest}:2: ValueError: duration must be finite, got {duration}\n"
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.jsonl"]
 
@@ -636,9 +766,9 @@ def test_train_toy_config_is_required_and_named_in_errors(capsys, tmp_path):
         ("d", 8.0, "TypeError: d must be an integer, got 8.0"),
         ("points", 2.0, "TypeError: points must be an integer, got 2.0"),
         ("seed", True, "TypeError: seed must be an integer, got True"),
-        ("lr", "0.5", "TypeError: lr must be a real number, got '0.5'"),
-        ("lam", None, "TypeError: lam must be a real number, got None"),
-        ("smoothing", False, "TypeError: smoothing must be a real number, got False"),
+        ("lr", "0.5", "ValueError: lr must be a number, got '0.5'"),
+        ("lam", None, "TypeError: lam must be a number, got None"),
+        ("smoothing", False, "TypeError: smoothing must be a number, got False"),
         ("lr", float("nan"), "ValueError: lr must be finite, got nan"),
         ("lam", float("inf"), "ValueError: lam must be finite, got inf"),
         ("steps", -3, "ValueError: steps must be >= 0, got -3"),
@@ -791,35 +921,6 @@ def test_eval_bad_event_names_file_and_line(capsys, tmp_path, event, commands, m
         assert f"{gt}:2: " in err and message in err
 
 
-@pytest.mark.parametrize("value", [True, "4", float("inf")], ids=["bool", "string", "infinity"])
-@pytest.mark.parametrize("field", ["duration", "start", "end"])
-def test_time_fields_must_be_finite_numbers(capsys, toy_fixture_dir, tmp_path, field, value):
-    if field != "duration":
-        events = tmp_path / "events.jsonl"
-        event = {"start": 0, "end": 4, "caption": "a dog", field: value}
-        events.write_text(json.dumps({"video_id": "v", "events": [event]}) + "\n")
-        for command in EVAL_COMMANDS:
-            code, out, err = run_cli(capsys, command, "--pred", str(events), "--gt", str(events))
-            assert code == 2
-            assert out == ""
-            assert err.startswith(f"error: {events}:1: ") and field in err
-
-    lines = (toy_fixture_dir / "manifest.jsonl").read_text().splitlines()
-    record = json.loads(lines[1])
-    if field == "duration":
-        record["duration"] = value
-    else:
-        record["events"][0][field] = value
-    manifest = tmp_path / "manifest.jsonl"
-    manifest.write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
-    code, out, err = run_cli(
-        capsys, *toy_build_args(toy_fixture_dir, tmp_path / "out.jsonl", manifest)
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"error: {manifest}:2: ") and field in err
-
-
 @pytest.mark.parametrize("repeated", ["gt", "pred"])
 def test_eval_rejects_repeated_video_id(capsys, tmp_path, repeated):
     first = {"start": 0, "end": 1, "caption": "a dog"}
@@ -835,6 +936,27 @@ def test_eval_rejects_repeated_video_id(capsys, tmp_path, repeated):
         assert code == 2
         assert out == ""
         assert f"{path}:2: ValueError: repeated video_id 'v'" in err
+
+
+@pytest.mark.parametrize("command", EVAL_COMMANDS)
+def test_eval_video_id_is_not_coerced_to_text(capsys, tmp_path, command):
+    # an int id used to be read as its str(): it matched the ground truth's
+    # "1" and scored 100, and 1 and "1" in one file were a repeated id
+    event = {"start": 0, "end": 4, "caption": "a dog"}
+    pred, gt = write_eval_files(tmp_path, [event], [event])
+    pred.write_text(json.dumps({"video_id": 1, "events": [event]}) + "\n")
+    gt.write_text(json.dumps({"video_id": "1", "events": [event]}) + "\n")
+    code, out, err = run_cli(capsys, command, "--pred", str(pred), "--gt", str(gt))
+    assert (code, out) == (2, "")
+    assert err == f"error: {pred}:1: TypeError: video_id must be a nonempty string, got 1\n"
+
+    gt.write_text(
+        json.dumps({"video_id": "1", "events": [event]}) + "\n"
+        + json.dumps({"video_id": 1, "events": [event]}) + "\n"
+    )
+    code, out, err = run_cli(capsys, command, "--pred", str(gt), "--gt", str(gt))
+    assert (code, out) == (2, "")
+    assert err == f"error: {gt}:2: TypeError: video_id must be a nonempty string, got 1\n"
 
 
 def test_eval_grounding_ignores_caption(capsys, tmp_path):

@@ -1,11 +1,14 @@
+import ast
 import gc
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pite import pipeline
-from pite.jsonl import DataError, read_jsonl
+from pite.jsonl import DataError, read_jsonl, text, unique
 
 
 @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
@@ -82,3 +85,34 @@ def test_reading_a_bench_sized_clip_runs_no_collection(tmp_path):
         (gc.enable if before else gc.disable)()
     assert clips[0].tracks.xy.shape == (400, 150, 2)
     assert started == []
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [(True, TypeError), (7, TypeError), (["a"], TypeError), (None, TypeError), ("", ValueError)],
+)
+def test_text_reads_only_a_nonempty_string(value, error):
+    assert text("a dog", "caption") == "a dog"
+    with pytest.raises(error, match=f"^{re.escape(f'caption must be a nonempty string, got {value!r}')}$"):
+        text(value, "caption")
+
+
+def test_unique_compares_the_typed_value(tmp_path):
+    path = tmp_path / "ids.jsonl"
+    path.write_text('{"id": 1}\n{"id": "1"}\n{"id": 1}\n')
+    with pytest.raises(DataError, match=f"^{path}:3: ValueError: repeated id 1$"):
+        list(read_jsonl(path, unique(lambda record: record["id"], "id")))
+
+
+def test_only_jsonl_checks_for_bool():
+    """``isinstance(..., bool)`` marks a hand-written JSON type check; those belong in jsonl.py."""
+    offenders = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "pite").glob("*.py")):
+        if path.name == "jsonl.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+                if any(getattr(kind, "id", None) == "bool" for kind in kinds):
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

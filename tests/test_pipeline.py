@@ -699,6 +699,55 @@ def test_validate_record_rejects_misdeclared_shape():
     validate_record(record_with_object(matrix_json([[[0.5, 0.5], [-1.0, -1.0]]])))
 
 
+def dog_record():
+    return {
+        "video_id": "v",
+        "events": [
+            {
+                "caption": "a dog",
+                "start_frame": 0,
+                "end_frame": 1,
+                "formatted_text": "a dog, from 0 to 1",
+                "objects": [
+                    {
+                        "np": {"text": "a dog", "span": [0, 2]},
+                        "trajectory": {"points": 1, "frames": 1, "coords": [[[0.5, 0.5]]]},
+                    }
+                ],
+            }
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "where, change, message",
+    [
+        ("np", {"span": [-2, 1]}, "DataError: span [-2, 1] is not a word range of the 2-word caption"),
+        ("np", {"span": [2, 1]}, "DataError: span [2, 1] is not a word range of the 2-word caption"),
+        ("np", {"span": [0, 1.5]}, "TypeError: span end must be an integer, got 1.5"),
+        ("np", {"span": [1, 3]}, "DataError: span [1, 3] is not a word range of the 2-word caption"),
+        ("trajectory", {"points": "1", "frames": True}, "TypeError: points must be an integer, got '1'"),
+        ("trajectory", {"frames": True}, "TypeError: frames must be an integer, got True"),
+        ("trajectory", {"points": 1.9}, "TypeError: points must be an integer, got 1.9"),
+        ("event", {"start_frame": "0"}, "TypeError: start_frame must be an integer, got '0'"),
+        ("event", {"caption": ["a", "dog"]}, "TypeError: caption must be a nonempty string, got ['a', 'dog']"),
+    ],
+    ids=[
+        "span-negative", "span-reversed", "span-fraction", "span-past-end", "points-string",
+        "frames-bool", "points-fraction", "start-frame-string", "caption-list",
+    ],
+)
+def test_validate_record_reads_each_field_with_its_type(where, change, message):
+    record = dog_record()
+    event = record["events"][0]
+    {"event": event, "np": event["objects"][0]["np"], "trajectory": event["objects"][0]["trajectory"]}[
+        where
+    ].update(change)
+    with pytest.raises(DataError) as failure:
+        validate_record(record)
+    assert str(failure.value) == f"v event 0: {message}"
+
+
 def test_validate_record_requires_template():
     record = {
         "video_id": "v",
