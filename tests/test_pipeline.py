@@ -740,9 +740,8 @@ def dog_record():
 def test_validate_record_reads_each_field_with_its_type(where, change, message):
     record = dog_record()
     event = record["events"][0]
-    {"event": event, "np": event["objects"][0]["np"], "trajectory": event["objects"][0]["trajectory"]}[
-        where
-    ].update(change)
+    obj = event["objects"][0]
+    {"event": event, "np": obj["np"], "trajectory": obj["trajectory"]}[where].update(change)
     with pytest.raises(DataError) as failure:
         validate_record(record)
     assert str(failure.value) == f"v event 0: {message}"
