@@ -13,13 +13,12 @@ import functools
 import json
 import logging
 import sys
-import tempfile
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
-from . import metrics, pipeline, trainer, trees, toymodel
+# numpy and the modules built on it are imported by the handlers that use
+# them, so extract-np and the eval commands start without it
+from . import metrics, trees
 from .jsonl import DataError, read_jsonl, read_lines, real, text, unique
 
 log = logging.getLogger("pite")
@@ -118,7 +117,7 @@ def _write(payload: str, out: str | None) -> None:
 def cmd_extract_np(args) -> int:
     records = []
     for location, line in read_lines(args.trees):
-        tree = pipeline.parse_tree(location, line)
+        tree = trees.parse_tree(location, line)
         nps = trees.extract_lowest_np(tree)
         records.append(
             {
@@ -131,6 +130,8 @@ def cmd_extract_np(args) -> int:
 
 
 def cmd_build_dataset(args) -> int:
+    from . import pipeline
+
     config = pipeline.PipelineConfig(
         frames=args.frames,
         points=args.points,
@@ -151,6 +152,8 @@ def cmd_build_dataset(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
+    from . import toymodel, trainer
+
     text = Path(args.config).read_text(encoding="utf-8")
     try:
         cfg = toymodel.TrainerConfig.from_json(json.loads(text))
@@ -184,23 +187,25 @@ def cmd_train_toy(args) -> int:
     return 0
 
 
-# params and samples are seeded from --seed, so the config's seed is unused
-GRAD_CHECK_CONFIG = toymodel.TrainerConfig(d_v=4, d=6, vocab=10, points=2, frames=3)
 GRAD_CHECK_TOL = 1e-4
 
 
 def cmd_grad_check(args) -> int:
+    import numpy as np
+
+    from . import toymodel, trainer
+
     if args.fixtures < 1:
         raise UsageError(f"--fixtures must be >= 1, got {args.fixtures}")
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    # params and samples are seeded from --seed, so the config's seed is unused
+    cfg = toymodel.TrainerConfig(d_v=4, d=6, vocab=10, points=2, frames=3)
     worst = 0.0
     for i in range(args.fixtures):
-        params = toymodel.init_params(GRAD_CHECK_CONFIG, seed=args.seed + i)
-        samples = trainer.synthetic_dataset(
-            args.stage, 1, GRAD_CHECK_CONFIG, seed=args.seed + 1000 + i
-        )
-        err = toymodel.grad_check(params, samples, args.stage, GRAD_CHECK_CONFIG)
+        params = toymodel.init_params(cfg, seed=args.seed + i)
+        samples = trainer.synthetic_dataset(args.stage, 1, cfg, seed=args.seed + 1000 + i)
+        err = toymodel.grad_check(params, samples, args.stage, cfg)
         worst = np.maximum(worst, err)  # unlike max(), keeps a NaN
         sys.stdout.write(f"fixture {i}: max relative error {err:.3e}\n")
     ok = worst < GRAD_CHECK_TOL
@@ -318,6 +323,10 @@ ABLATION_POINTS = (1, 3, 5)
 
 
 def cmd_ablate_points(args) -> int:
+    import tempfile
+
+    from . import pipeline, toymodel, trainer
+
     # every config is built, and so range-checked, before the first run
     runs = [
         (

@@ -69,8 +69,6 @@ class VideoManifest:
         if not self.duration > 0:
             raise DataError(f"{self.video_id}: duration must be > 0, got {self.duration}")
         for event in self.events:
-            if not event.caption:
-                raise DataError(f"{self.video_id}: empty caption")
             if not (0 <= event.start < event.end <= self.duration):
                 raise DataError(
                     f"{self.video_id}: event [{event.start}, {event.end}] "
@@ -263,7 +261,10 @@ def load_event_masks(masks_dir: Path, video_id: str, event_idx: int) -> dict[str
 
 
 def parse_tree(location: str, line: str) -> ParseTree:
-    """Parse one tree line; a malformed tree raises DataError as ``<location>: ParseError: ...``."""
+    """``trees.parse_tree``, calling ``parse_bracketed`` through this module's binding.
+
+    The benchmark's ``trees.parse`` span wraps ``pite.pipeline.parse_bracketed``.
+    """
     try:
         return parse_bracketed(line)
     except ParseError as exc:
@@ -460,7 +461,7 @@ def validate_record(record: dict) -> None:
     for event_idx, event in enumerate(events):
         try:
             _check_event(event)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise DataError(f"{video_id} event {event_idx}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -128,11 +128,20 @@ class TrajectoryMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TrajectoryMatrix":
-        return cls(
-            points=integer(obj["points"], "points"),
-            frames=integer(obj["frames"], "frames"),
-            coords=np.array(obj["coords"], dtype=float),
-        )
+        """Read one matrix in one typed flat pass, in the manner of ``ClipTracks.from_json``.
+
+        ``coords`` holds ``points`` rows of ``frames`` (x, y) pairs of JSON
+        numbers (not bools); a ragged or misdeclared shape raises ValueError.
+        """
+        points, frames = integer(obj["points"], "points"), integer(obj["frames"], "frames")
+        rows = obj["coords"]
+        cells = list(chain.from_iterable(rows))
+        if len(rows) != points or set(map(len, rows)) - {frames} or set(map(len, cells)) - {2}:
+            raise ValueError(f"coords shape is not ({points}, {frames}, 2)")
+        flat = list(chain.from_iterable(cells))
+        if set(map(type, flat)) - {int, float}:
+            raise TypeError("coords entries must be JSON numbers")
+        return cls(points, frames, np.array(flat, dtype=float).reshape(points, frames, 2))
 
 
 def filter_tracks_by_mask(tracks: Tracks, mask: Mask) -> Tracks:

@@ -30,6 +30,7 @@ from .toymodel import (
     tile_init,
 )
 from .jsonl import DataError
+from .tracks import TrajectoryMatrix
 
 # synthetic_dataset: share of absent trajectory cells and of supervised tokens
 SENTINEL_RATE = 0.25
@@ -167,7 +168,7 @@ def samples_from_records(records: Iterable[dict], cfg: TrainerConfig) -> list[Tr
             traj_targets = np.zeros((len(words), cfg.points, cfg.frames, 2))
             for obj in event["objects"]:
                 lo, hi = obj["np"]["span"]
-                matrix = np.asarray(obj["trajectory"]["coords"], dtype=float)
+                matrix = TrajectoryMatrix.from_json(obj["trajectory"]).coords
                 if matrix.shape != (cfg.points, cfg.frames, 2):
                     raise ValueError(
                         f"trajectory shape {matrix.shape} does not match config "

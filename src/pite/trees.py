@@ -13,6 +13,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
+from .jsonl import DataError
+
 
 class ParseError(ValueError):
     """Malformed bracketed tree. ``offset`` is the byte offset of the problem."""
@@ -118,6 +120,14 @@ def parse_bracketed(text: str) -> ParseTree:
     if pos != len(tokens):
         raise ParseError("trailing content after root", tokens[pos][1])
     return root
+
+
+def parse_tree(location: str, line: str) -> ParseTree:
+    """Parse one tree line; a malformed tree raises DataError as ``<location>: ParseError: ...``."""
+    try:
+        return parse_bracketed(line)
+    except ParseError as exc:
+        raise DataError(f"{location}: ParseError: {exc}") from exc
 
 
 def extract_lowest_np(tree: ParseTree) -> list[NounPhrase]:

@@ -1,8 +1,11 @@
 import argparse
 import json
 import logging
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -53,6 +56,49 @@ def test_each_subcommand_binds_its_handler():
         assert parser.get_default("run") is getattr(cli, "cmd_" + name.replace("-", "_"))
     listed = re.search(r"Subcommands: (.*?)\.  ", cli.__doc__, re.S).group(1)
     assert sorted(re.split(r",\s*", listed)) == sorted(subcommands)
+
+
+NUMPY_PROBE = """
+import sys
+from pite import cli
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "command, loads_numpy",
+    [
+        (None, False),
+        ("extract-np", False),
+        ("eval-grounding", False),
+        ("eval-dense", False),
+        ("build-dataset", True),
+    ],
+)
+def test_numpy_is_imported_only_by_the_commands_that_use_it(
+    fixtures_dir, toy_fixture_dir, tmp_path, command, loads_numpy
+):
+    # a fresh interpreter each time, since this one has numpy loaded already
+    events = [{"start": 0.0, "end": 10.0, "caption": "a big dog runs"}]
+    pred, gt = write_eval_files(tmp_path, events, events)
+    out = str(tmp_path / "out")
+    eval_args = ["--pred", str(pred), "--gt", str(gt), "--out", out]
+    argv = {
+        None: [],
+        "extract-np": ["extract-np", "--trees", str(fixtures_dir / "fig3.trees"), "--out", out],
+        "eval-grounding": ["eval-grounding", *eval_args],
+        "eval-dense": ["eval-dense", *eval_args],
+        "build-dataset": toy_build_args(toy_fixture_dir, out),
+    }[command]
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"0 {loads_numpy}"
 
 
 def test_extract_np_fig3(capsys, fixtures_dir):
@@ -258,7 +304,9 @@ def test_ablate_points_rejects_out_of_range_option(
 
 def test_train_toy_on_sample_without_supervised_token(capsys, tmp_path):
     cfg = TrainerConfig(d_v=4, d=8, vocab=12, points=2, frames=3, lr=1.0, steps=3, seed=2)
-    coords = [[[0.5, 0.5]] * cfg.frames] * cfg.points
+    trajectory = {
+        "points": cfg.points, "frames": cfg.frames, "coords": [[[0.5, 0.5]] * cfg.frames] * cfg.points
+    }
     records = [
         {
             "video_id": "v",
@@ -266,7 +314,7 @@ def test_train_toy_on_sample_without_supervised_token(capsys, tmp_path):
                 {
                     "formatted_text": "a dog runs, from 0 to 2",
                     "objects": [
-                        {"np": {"text": "a dog", "span": [0, 2]}, "trajectory": {"coords": coords}}
+                        {"np": {"text": "a dog", "span": [0, 2]}, "trajectory": trajectory}
                     ],
                 },
                 # no kept object: no traj_targets row is stored

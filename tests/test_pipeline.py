@@ -61,8 +61,6 @@ def test_manifest_validation():
         VideoManifest("v", 0.0, 8, 8, ())
     with pytest.raises(DataError, match="outside"):
         VideoManifest("v", 5.0, 8, 8, (ManifestEvent("c", 2.0, 7.0),))
-    with pytest.raises(DataError, match="caption"):
-        VideoManifest("v", 5.0, 8, 8, (ManifestEvent("", 1.0, 2.0),))
 
 
 def test_small_object_policy():
@@ -731,10 +729,15 @@ def dog_record():
         ("trajectory", {"points": 1.9}, "TypeError: points must be an integer, got 1.9"),
         ("event", {"start_frame": "0"}, "TypeError: start_frame must be an integer, got '0'"),
         ("event", {"caption": ["a", "dog"]}, "TypeError: caption must be a nonempty string, got ['a', 'dog']"),
+        ("trajectory", {"coords": [[["0.5", True]]]}, "TypeError: coords entries must be JSON numbers"),
+        ("trajectory", {"coords": [[[None, 0.5]]]}, "TypeError: coords entries must be JSON numbers"),
+        ("trajectory", {"coords": [[[10**400, 0.5]]]}, "OverflowError: int too large to convert to float"),
+        ("trajectory", {"coords": [[[0.5, 0.5, 0.5]]]}, "ValueError: coords shape is not (1, 1, 2)"),
     ],
     ids=[
         "span-negative", "span-reversed", "span-fraction", "span-past-end", "points-string",
         "frames-bool", "points-fraction", "start-frame-string", "caption-list",
+        "coords-string-bool", "coords-null", "coords-huge-int", "coords-triple",
     ],
 )
 def test_validate_record_reads_each_field_with_its_type(where, change, message):

@@ -525,6 +525,15 @@ def test_matrix_json_checks_declared_shape():
         TrajectoryMatrix.from_json({**obj, "coords": [[[0.5, 0.25], [-1.0]]]})
 
 
+@pytest.mark.parametrize("value", ["0.5", True, None, [0.5]])
+def test_matrix_json_reads_only_json_numbers(value):
+    obj = {"points": 1, "frames": 2, "coords": [[[0, 1], [-1, -1]]]}
+    assert TrajectoryMatrix.from_json(obj).coords.tolist() == [[[0.0, 1.0], [-1.0, -1.0]]]
+    obj["coords"][0][0][1] = value
+    with pytest.raises(TypeError, match="^coords entries must be JSON numbers$"):
+        TrajectoryMatrix.from_json(obj)
+
+
 # --- properties ------------------------------------------------------------------
 
 

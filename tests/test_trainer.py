@@ -339,6 +339,14 @@ def test_samples_from_records_shape_mismatch():
         samples_from_records([make_record(2, 3)], cfg)
 
 
+def test_samples_from_records_reads_coords_as_json_numbers():
+    cfg = TrainerConfig(d_v=4, d=8, vocab=16, points=1, frames=1, seed=0)
+    record = make_record(1, 1)
+    record["events"][0]["objects"][0]["trajectory"]["coords"] = [[["0.5", True]]]
+    with pytest.raises(TypeError, match="coords entries must be JSON numbers"):
+        samples_from_records([record], cfg)
+
+
 def test_samples_from_records_deterministic():
     cfg = TrainerConfig(d_v=4, d=8, vocab=16, points=2, frames=3, seed=0)
     a = samples_from_records([make_record(2, 3)], cfg)[0]
