@@ -19,7 +19,7 @@ from typing import Callable
 # numpy and the modules built on it are imported by the handlers that use
 # them, so extract-np and the eval commands start without it
 from . import metrics, trees
-from .jsonl import DataError, read_jsonl, read_lines, real, text, unique
+from .jsonl import DataError, naming, read_jsonl, read_lines, real, text, unique
 
 log = logging.getLogger("pite")
 
@@ -154,11 +154,8 @@ def cmd_build_dataset(args) -> int:
 def cmd_train_toy(args) -> int:
     from . import toymodel, trainer
 
-    text = Path(args.config).read_text(encoding="utf-8")
-    try:
-        cfg = toymodel.TrainerConfig.from_json(json.loads(text))
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise DataError(f"{args.config}: {type(exc).__name__}: {exc}") from exc
+    with naming(args.config):
+        cfg = toymodel.TrainerConfig.from_json(json.loads(Path(args.config).read_text(encoding="utf-8")))
     data = trainer.load_samples(args.data, cfg)
     if args.params_in:
         params = trainer.load_params(args.params_in, cfg)

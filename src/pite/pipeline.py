@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
-from .jsonl import DataError, integer, read_jsonl, read_lines, real, text, unique
+from .jsonl import DataError, integer, naming, read_jsonl, read_lines, real, text, unique
 from .tracks import (
     Mask,
     Tracks,
@@ -45,7 +45,7 @@ from .tracks import (
     load_mask,
     to_matrix,
 )
-from .trees import ParseError, ParseTree, extract_lowest_np, parse_bracketed
+from .trees import ParseTree, extract_lowest_np, parse_bracketed
 
 log = logging.getLogger("pite.pipeline")
 
@@ -217,7 +217,8 @@ def annotate_event(
 
     ``masks`` maps NP surface text to its first-frame mask.  Phrase ``i``
     seeds k-means with ``derive_seed(config.seed, clip_id, i)``; a phrase
-    that gets a drop reason is left out of the objects.
+    that gets a drop reason is left out of the objects, and one whose
+    ``phrase_trajectory`` fails raises DataError naming ``clip_id`` and it.
     """
     start_frame = timestamp_to_frame(event.start, duration, config.frames)
     end_frame = timestamp_to_frame(event.end, duration, config.frames)
@@ -230,15 +231,8 @@ def annotate_event(
     for np_idx, phrase in enumerate(extract_lowest_np(tree)):
         mask = masks.get(phrase.text)
         seed = derive_seed(config.seed, clip_id, np_idx)
-        try:
+        with naming(f"{clip_id}: {phrase.text!r}"):
             matrix = phrase_trajectory(tracks, mask, width, height, config, seed)
-        except DataError:  # the mask's size is its one DataError
-            raise DataError(
-                f"{clip_id}: mask for {phrase.text!r} is {mask.width}x{mask.height}, "
-                f"clip is {width}x{height}"
-            ) from None
-        except ValueError as exc:
-            raise DataError(f"{clip_id}: {phrase.text!r}: {exc}") from exc
         if isinstance(matrix, str):
             log.debug("%s: %r dropped: %s", clip_id, phrase.text, matrix)
             continue
@@ -265,10 +259,8 @@ def parse_tree(location: str, line: str) -> ParseTree:
 
     The benchmark's ``trees.parse`` span wraps ``pite.pipeline.parse_bracketed``.
     """
-    try:
+    with naming(location):
         return parse_bracketed(line)
-    except ParseError as exc:
-        raise DataError(f"{location}: ParseError: {exc}") from exc
 
 
 def annotate_video(
@@ -451,29 +443,22 @@ def validate_record(record: dict) -> None:
     Each field is read through the ``pite.jsonl`` readers.  A fault inside an
     event is reported with the video id and event index.
     """
-    try:
+    with naming("record video_id"):
         video_id = text(record["video_id"], "video_id")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"record video_id: {type(exc).__name__}: {exc}") from exc
     events = record.get("events")
     if not isinstance(events, list):
         raise DataError("record missing events list")
     for event_idx, event in enumerate(events):
-        try:
+        with naming(f"{video_id} event {event_idx}"):
             _check_event(event)
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise DataError(f"{video_id} event {event_idx}: {type(exc).__name__}: {exc}") from exc
 
 
 def _check_event(event: dict) -> None:
     caption, formatted = text(event["caption"], "caption"), text(event["formatted_text"], "formatted_text")
     start, end = integer(event["start_frame"], "start_frame"), integer(event["end_frame"], "end_frame")
-    if start > end:
-        raise DataError("start_frame > end_frame")
-    if caption not in formatted:
-        raise DataError("formatted_text does not embed the caption")
-    if f"from {start} to {end}" not in formatted.lower():
-        raise DataError("formatted_text does not embed the frame indices")
+    expected = format_temporal(caption, start, end)
+    if formatted != expected:
+        raise DataError(f"formatted_text {formatted!r} is not {expected!r}")
     words = len(caption.split())
     for obj in event["objects"]:
         np_field = obj.get("np", {})

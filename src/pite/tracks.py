@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .jsonl import DataError, integer, read_jsonl, text, unique
+from .jsonl import integer, naming, read_jsonl, text, unique
 
 SENTINEL = -1.0  # both coordinates of an absent sample
 
@@ -386,7 +386,7 @@ class ClipTracks:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ClipTracks":
-        """Parse one clip; ValueError naming the clip on tracks that do not fit ``frames``.
+        """Parse one clip; DataError naming the clip on tracks that do not fit ``frames``.
 
         ``clip_id`` is a nonempty string; each track holds ``frames`` ``xy`` pairs of
         JSON numbers (not bools) and ``frames`` ``vis`` JSON booleans.
@@ -394,7 +394,7 @@ class ClipTracks:
         clip_id = text(obj["clip_id"], "clip_id")
         frames = integer(obj["frames"], "frames")
         rows = obj["tracks"]
-        try:
+        with naming(f"clip {clip_id}"):
             xys, vis = [t["xy"] for t in rows], [t["vis"] for t in rows]
             pairs = list(chain.from_iterable(xys))
             if (set(map(len, xys)) | set(map(len, vis))) - {frames} or set(map(len, pairs)) - {2}:
@@ -406,8 +406,6 @@ class ClipTracks:
                 xy=np.array(flat_xy, dtype=float).reshape(len(rows), frames, 2),
                 vis=np.array(flat_vis, dtype=bool).reshape(len(rows), frames),
             )
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise ValueError(f"clip {clip_id}: {type(exc).__name__}: {exc}") from None
         return cls(
             clip_id=clip_id,
             width=integer(obj["width"], "width"),
@@ -423,13 +421,10 @@ def iter_clip_tracks(path: str | Path) -> Iterator[ClipTracks]:
 
 def load_mask(path: str | Path) -> Mask:
     """Read a mask file; bad JSON or a bad mask raises DataError naming ``path``."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-            runs = tuple(integer(run, "rle run") for run in obj["rle"])
-            return Mask(integer(obj["width"], "width"), integer(obj["height"], "height"), runs)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: {type(exc).__name__}: {exc}") from exc
+    with open(path, encoding="utf-8") as handle, naming(path):
+        obj = json.load(handle)
+        runs = tuple(integer(run, "rle run") for run in obj["rle"])
+        return Mask(integer(obj["width"], "width"), integer(obj["height"], "height"), runs)
 
 
 def save_mask(mask: Mask, path: str | Path) -> None:

@@ -29,7 +29,7 @@ from .toymodel import (
     stage_loss,
     tile_init,
 )
-from .jsonl import DataError
+from .jsonl import DataError, naming
 from .tracks import TrajectoryMatrix
 
 # synthetic_dataset: share of absent trajectory cells and of supervised tokens
@@ -320,10 +320,8 @@ def load_params(path: str | Path, cfg: TrainerConfig) -> ToyModelParams:
         points=int(a["points"]),
         traj_frames=int(a["traj_frames"]),
     )
-    try:
+    with naming(path):
         params.check_shapes(cfg)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
     return params
 
 

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .jsonl import DataError
+from .jsonl import naming
 
 
 class ParseError(ValueError):
@@ -124,10 +124,8 @@ def parse_bracketed(text: str) -> ParseTree:
 
 def parse_tree(location: str, line: str) -> ParseTree:
     """Parse one tree line; a malformed tree raises DataError as ``<location>: ParseError: ...``."""
-    try:
+    with naming(location):
         return parse_bracketed(line)
-    except ParseError as exc:
-        raise DataError(f"{location}: ParseError: {exc}") from exc
 
 
 def extract_lowest_np(tree: ParseTree) -> list[NounPhrase]:

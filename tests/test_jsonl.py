@@ -116,3 +116,31 @@ def test_only_jsonl_checks_for_bool():
                 if any(getattr(kind, "id", None) == "bool" for kind in kinds):
                     offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_only_jsonl_names_exception_types():
+    """``type(exc).__name__`` marks a hand-written exception-to-DataError translation; ``naming`` is the one.
+
+    ``trainer._load_npz`` keeps its own: it names a damaged binary archive, not a record.
+    """
+    offenders = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "pite").glob("*.py")):
+        if path.name == "jsonl.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(node)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and (path.name, func.name) == ("trainer.py", "_load_npz")
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "__name__"
+                and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "id", None) == "type"
+                and id(node) not in allowed
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

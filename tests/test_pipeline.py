@@ -222,7 +222,7 @@ def test_annotate_event_mask_dimension_mismatch():
     tracks = tracks_at([(2.0, 2.0)])
     with pytest.raises(DataError, match=r"^mask is 8x8, clip is 16x16$"):
         phrase_trajectory(tracks, full_mask(8, 8), 16, 16, EVENT_CONFIG, 0)
-    with pytest.raises(DataError, match=r"^v:0: mask for 'a dog' is 8x8, clip is 16x16$"):
+    with pytest.raises(DataError, match=r"^v:0: 'a dog': DataError: mask is 8x8, clip is 16x16$"):
         annotate_event(
             event,
             tree,
@@ -239,7 +239,7 @@ def test_annotate_event_mask_dimension_mismatch():
 def test_annotate_event_names_clip_and_phrase_of_point_outside_frame():
     tracks = tracks_at([(2.0, 2.0)])
     tracks.xy[0, 5:] = (20.0, 4.0)  # visible, but past the right edge
-    with pytest.raises(DataError, match=r"^v:0: 'a dog': invalid cell \(1.25, 0.25\)"):
+    with pytest.raises(DataError, match=r"^v:0: 'a dog': ValueError: invalid cell \(1.25, 0.25\)"):
         annotate_event(
             ManifestEvent(caption="a dog", start=0.0, end=1.0),
             parse_bracketed("(TOP (NP a dog))"),
@@ -763,8 +763,9 @@ def test_validate_record_requires_template():
             }
         ],
     }
-    with pytest.raises(DataError, match="frame indices"):
+    with pytest.raises(DataError) as failure:
         validate_record(record)
+    assert str(failure.value) == "v event 0: DataError: formatted_text 'c happens early' is not 'c, from 0 to 1'"
 
 
 def test_toy_fixture_script_reproduces_bundled_fixture(toy_fixture_dir, tmp_path):

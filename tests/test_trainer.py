@@ -256,10 +256,10 @@ def test_params_file_round_trip(tmp_path):
     assert (back.points, back.traj_frames) == (CFG.points, CFG.frames)
     with np.load(path) as archive:
         assert archive["traj_w"].shape == (2 * CFG.points * CFG.frames, CFG.d)
-    with pytest.raises(DataError, match=rf"^{path}: traj_w has shape \(12, 8\), expected \(16, 8\)$"):
+    with pytest.raises(DataError, match=rf"^{path}: ValueError: traj_w has shape \(12, 8\), expected \(16, 8\)$"):
         load_params(path, replace(CFG, frames=4))
     # same head size, other (points, frames) split
-    with pytest.raises(DataError, match=rf"^{path}: trajectory head geometry does not match config$"):
+    with pytest.raises(DataError, match=rf"^{path}: ValueError: trajectory head geometry does not match config$"):
         load_params(path, replace(CFG, points=CFG.frames, frames=CFG.points))
 
 
