@@ -156,11 +156,12 @@ def cmd_train_toy(args) -> int:
 
     with naming(args.config):
         cfg = toymodel.TrainerConfig.from_json(json.loads(Path(args.config).read_text(encoding="utf-8")))
-    data = trainer.load_samples(args.data, cfg)
+    data = trainer.load_samples(args.data, cfg, args.stage)
     if args.params_in:
         params = trainer.load_params(args.params_in, cfg)
     else:
-        params = toymodel.init_params(cfg)
+        with naming(args.config):  # numpy rejects a dimension too large to allocate
+            params = toymodel.init_params(cfg)
     params, curve, grad_norms = trainer.run_stage(
         params, data, args.stage, cfg, tile=not args.no_tile_init
     )

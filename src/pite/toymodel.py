@@ -46,6 +46,9 @@ TRAINABLE_BY_STAGE = {
     3: ("embeddings", "vocab_map"),
 }
 
+# the TrainingSample target array each stage regresses; stage 3 has none
+STAGE_TARGETS = {1: "loc_targets", 2: "traj_targets"}
+
 
 @dataclass
 class TrainerConfig:
@@ -104,27 +107,6 @@ class ToyModelParams:
             traj_frames=self.traj_frames,
         )
 
-    def check_shapes(self, cfg: TrainerConfig) -> None:
-        d, d_v, V = cfg.d, cfg.d_v, cfg.vocab
-        out = 2 * cfg.points * cfg.frames
-        expected = {
-            "adapter": (d, d_v),
-            "embeddings": (V, d),
-            "backbone_w": (d, 2 * d + 1),
-            "backbone_b": (d,),
-            "vocab_map": (V, d),
-            "loc_w": (2, d),
-            "loc_b": (2,),
-            "traj_w": (out, d),
-            "traj_b": (out,),
-        }
-        for name, shape in expected.items():
-            got = getattr(self, name).shape
-            if got != shape:
-                raise ValueError(f"{name} has shape {got}, expected {shape}")
-        if (self.points, self.traj_frames) != (cfg.points, cfg.frames):
-            raise ValueError("trajectory head geometry does not match config")
-
 
 @dataclass
 class TrainingSample:
@@ -149,12 +131,6 @@ class TrainingSample:
         if self.traj_targets is not None:
             self.traj_targets = np.asarray(self.traj_targets, dtype=float)
 
-    def require(self, stage: int) -> None:
-        if stage == 1 and self.loc_targets is None:
-            raise ValueError("stage 1 sample requires loc_targets")
-        if stage == 2 and self.traj_targets is None:
-            raise ValueError("stage 2 sample requires traj_targets")
-
 
 class PackedBatch(NamedTuple):
     """B samples concatenated into T = sum of their lengths L_b token rows."""
@@ -174,28 +150,35 @@ class PackedBatch(NamedTuple):
 _HEADS = {1: ("loc_w", "loc_b"), 2: ("traj_w", "traj_b")}
 
 
+def param_shapes(cfg: TrainerConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of each ``ARRAY_NAMES`` array under ``cfg``, in that order."""
+    d, d_v, V = cfg.d, cfg.d_v, cfg.vocab
+    out = 2 * cfg.points * cfg.frames
+    return {
+        "adapter": (d, d_v),
+        "embeddings": (V, d),
+        "backbone_w": (d, 2 * d + 1),
+        "backbone_b": (d,),
+        "vocab_map": (V, d),
+        "loc_w": (2, d),
+        "loc_b": (2,),
+        "traj_w": (out, d),
+        "traj_b": (out,),
+    }
+
+
 def init_params(cfg: TrainerConfig, seed: int | None = None) -> ToyModelParams:
     """Seeded Gaussian init, scaled by 1/sqrt(fan_in); head biases start at zero."""
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    d, d_v, V = cfg.d, cfg.d_v, cfg.vocab
-    out = 2 * cfg.points * cfg.frames
-
-    def dense(rows, cols):
-        return rng.normal(0.0, 1.0 / np.sqrt(cols), size=(rows, cols))
-
-    return ToyModelParams(
-        adapter=dense(d, d_v),
-        embeddings=dense(V, d),
-        backbone_w=dense(d, 2 * d + 1),
-        backbone_b=rng.normal(0.0, 0.1, size=d),
-        vocab_map=dense(V, d),
-        loc_w=dense(2, d),
-        loc_b=np.zeros(2),
-        traj_w=dense(out, d),
-        traj_b=np.zeros(out),
-        points=cfg.points,
-        traj_frames=cfg.frames,
-    )
+    arrays = {}
+    for name, shape in param_shapes(cfg).items():
+        if name == "backbone_b":
+            arrays[name] = rng.normal(0.0, 0.1, size=shape)
+        elif len(shape) == 1:
+            arrays[name] = np.zeros(shape)
+        else:
+            arrays[name] = rng.normal(0.0, 1.0 / np.sqrt(shape[1]), size=shape)
+    return ToyModelParams(**arrays, points=cfg.points, traj_frames=cfg.frames)
 
 
 def pack_batch(samples: Sequence[TrainingSample], stage: int) -> PackedBatch:
@@ -204,17 +187,13 @@ def pack_batch(samples: Sequence[TrainingSample], stage: int) -> PackedBatch:
         raise ValueError(f"unknown stage {stage}")
     if not samples:
         raise ValueError("dataset is empty")
-    for s in samples:
-        s.require(stage)
+    target = STAGE_TARGETS.get(stage)
+    if target and any(getattr(s, target) is None for s in samples):
+        raise ValueError(f"stage {stage} sample requires {target}")
     lengths = np.array([len(s.tokens) for s in samples])
     sample = np.repeat(np.arange(len(samples)), lengths)
     starts = np.cumsum(lengths) - lengths
     prefix = np.arange(len(sample)) - starts[sample]
-    targets = None
-    if stage == 1:
-        targets = np.concatenate([s.loc_targets for s in samples])
-    elif stage == 2:
-        targets = np.concatenate([s.traj_targets for s in samples])
     return PackedBatch(
         tokens=np.concatenate([s.tokens for s in samples]),
         sample=sample,
@@ -223,7 +202,7 @@ def pack_batch(samples: Sequence[TrainingSample], stage: int) -> PackedBatch:
         position=(prefix + 1.0) / lengths[sample],
         weight=1.0 / (len(samples) * lengths[sample]),
         supervised=np.concatenate([s.supervised for s in samples]),
-        targets=targets,
+        targets=np.concatenate([getattr(s, target) for s in samples]) if target else None,
         frame_means=np.array([s.frames.mean(axis=0) for s in samples]),
     )
 

@@ -3,9 +3,9 @@
 Training is plain full-batch gradient descent: each stage packs its samples
 into one batch once, and every step takes the loss and analytic gradients
 from one fused pass over it.  The stage decides which parameter groups move
-(the backbone never does, the adapter only in stage 1).  Stage transitions
-keep training the same parameter object.  Everything is deterministic for a
-given seed.
+(the backbone never does, the adapter only in stage 1).  A stage trains a
+copy of the parameters it is given and returns it, so the next stage starts
+from that copy.  Everything is deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -20,22 +20,25 @@ import numpy as np
 
 from .toymodel import (
     ARRAY_NAMES,
+    STAGE_TARGETS,
     TRAINABLE_BY_STAGE,
     ToyModelParams,
     TrainerConfig,
     TrainingSample,
     gradients,
     pack_batch,
+    param_shapes,
     stage_loss,
     tile_init,
 )
-from .jsonl import DataError, naming
+from .jsonl import DataError
 from .tracks import TrajectoryMatrix
 
 # synthetic_dataset: share of absent trajectory cells and of supervised tokens
 SENTINEL_RATE = 0.25
 SUPERVISED_RATE = 0.8
-RECORD_FRAMES = 4  # visual feature rows synthesized per samples_from_records sample
+SYNTHETIC_TOKENS = 6  # tokens per synthetic_dataset sample
+SAMPLE_FRAMES = 4  # visual feature rows per synthesized sample, here and in samples_from_records
 
 
 def train(
@@ -82,13 +85,7 @@ def run_stage(
 
 
 def synthetic_dataset(
-    stage: int,
-    n_samples: int,
-    cfg: TrainerConfig,
-    seed: int,
-    length: int = 6,
-    n_frames: int = 4,
-    distinct_tokens: bool = False,
+    stage: int, n_samples: int, cfg: TrainerConfig, seed: int
 ) -> list[TrainingSample]:
     """Seeded samples matching the stage's target schema.
 
@@ -96,23 +93,18 @@ def synthetic_dataset(
     dataset-level teacher maps each sample's mean visual feature to a base
     coordinate, all supervised tokens of a sample share the resulting
     matrix, and a dataset-level pattern of cells is absent (-1, -1).
-    ``distinct_tokens`` draws each token sequence without replacement
-    (mean-pooled prefixes cannot tell repeated tokens apart, which matters
-    for decode-style overfit fixtures).
     """
     rng = np.random.default_rng(seed)
     P, N = cfg.points, cfg.frames
+    length = SYNTHETIC_TOKENS
     teacher = rng.normal(size=(2, cfg.d_v))
     loc_drift = rng.uniform(-0.1, 0.1, size=(length, 2))
     traj_drift = rng.uniform(-0.15, 0.15, size=(P, N, 2))
     sentinel_mask = rng.random((P, N)) < SENTINEL_RATE
     out = []
     for _ in range(n_samples):
-        frames = rng.normal(size=(n_frames, cfg.d_v))
-        if distinct_tokens:
-            tokens = rng.permutation(cfg.vocab)[:length]
-        else:
-            tokens = rng.integers(0, cfg.vocab, size=length)
+        frames = rng.normal(size=(SAMPLE_FRAMES, cfg.d_v))
+        tokens = rng.integers(0, cfg.vocab, size=length)
         supervised = rng.random(length) < SUPERVISED_RATE
         if stage in (1, 2) and not supervised.any():
             supervised[int(rng.integers(length))] = True
@@ -179,7 +171,7 @@ def samples_from_records(records: Iterable[dict], cfg: TrainerConfig) -> list[Tr
                     traj_targets[t] = matrix
             samples.append(
                 TrainingSample(
-                    frames=rng.normal(size=(RECORD_FRAMES, cfg.d_v)),
+                    frames=rng.normal(size=(SAMPLE_FRAMES, cfg.d_v)),
                     tokens=tokens,
                     supervised=supervised,
                     traj_targets=traj_targets,
@@ -195,12 +187,6 @@ def samples_from_records(records: Iterable[dict], cfg: TrainerConfig) -> list[Tr
 # per-sample ``lengths``, ``frames`` concatenated with ``frame_counts``, and
 # only the supervised rows of ``loc_targets`` / ``traj_targets``.
 
-TARGET_ARRAYS = ("loc_targets", "traj_targets")  # supervised rows only
-SAMPLE_ARRAYS = {  # array -> (accepted dtype kinds, dimensions)
-    "tokens": ("iuf", 1), "supervised": ("b", 1), "lengths": ("iu", 1), "frame_counts": ("iu", 1),
-    "frames": ("f", 2), "loc_targets": ("f", 2), "traj_targets": ("f", 4),
-}
-
 
 def _save_npz(path: str | Path, arrays: dict) -> None:
     # np.savez appends ".npz" to a path that lacks it; a handle writes exactly ``path``
@@ -208,11 +194,11 @@ def _save_npz(path: str | Path, arrays: dict) -> None:
         np.savez(handle, **arrays)
 
 
-def _load_npz(path: str | Path, spec: dict[str, tuple], optional: Sequence[str] = ()) -> dict:
-    """The arrays named in ``spec``; any other file content raises DataError naming ``path``.
+def _load_npz(path: str | Path, spec: dict[str, tuple]) -> dict:
+    """The arrays named in ``spec``; a file that does not fit it raises DataError naming ``path``.
 
-    ``spec`` maps each name to its accepted dtype kinds and its number of
-    dimensions (None for any).
+    ``spec`` maps each name to its accepted dtype kinds and its shape, with
+    None for an axis of any length.  A float array must also be finite.
     """
     with open(path, "rb") as handle:
         if handle.read(4) != b"PK\x03\x04":
@@ -223,12 +209,18 @@ def _load_npz(path: str | Path, spec: dict[str, tuple], optional: Sequence[str] 
                 arrays = {name: archive[name] for name in spec if name in archive.files}
         except (EOFError, OSError, ValueError, zipfile.BadZipFile) as exc:
             raise DataError(f"{path}: damaged .npz archive ({type(exc).__name__})") from None
-    for name, (kinds, ndim) in spec.items():
+    for name, (kinds, shape) in spec.items():
         arr = arrays.get(name)
-        if arr is None and name not in optional:
+        if arr is None:
             raise DataError(f"{path}: no {name!r} array")
-        if arr is not None and (arr.dtype.kind not in kinds or ndim not in (None, arr.ndim)):
-            raise DataError(f"{path}: {name!r} is a {arr.ndim}-D {arr.dtype} array")
+        if arr.dtype.kind not in kinds or len(arr.shape) != len(shape) or any(
+            n not in (None, m) for n, m in zip(shape, arr.shape)
+        ):
+            axes = ", ".join("n" if n is None else str(n) for n in shape)
+            expected = f"({axes},)" if len(shape) == 1 else f"({axes})"
+            raise DataError(f"{path}: {name!r} is a {arr.shape} {arr.dtype} array, expected {expected}")
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+            raise DataError(f"{path}: {name!r} holds a non-finite value")
     return arrays
 
 
@@ -240,7 +232,7 @@ def save_samples(samples: Sequence[TrainingSample], path: str | Path) -> None:
     }
     arrays["lengths"] = np.array([len(s.tokens) for s in samples])
     arrays["frame_counts"] = np.array([len(s.frames) for s in samples])
-    for name in TARGET_ARRAYS:
+    for name in STAGE_TARGETS.values():
         rows = [getattr(s, name)[s.supervised] for s in samples if getattr(s, name) is not None]
         if len(rows) not in (0, len(samples)):
             raise ValueError(f"{name} on some samples only")
@@ -249,16 +241,25 @@ def save_samples(samples: Sequence[TrainingSample], path: str | Path) -> None:
     _save_npz(path, arrays)
 
 
-def load_samples(path: str | Path, cfg: TrainerConfig) -> list[TrainingSample]:
-    """Split a file written by ``save_samples`` back into per-sample views.
+def load_samples(path: str | Path, cfg: TrainerConfig, stage: int) -> list[TrainingSample]:
+    """Split a file written by ``save_samples`` back into per-sample views for ``stage``.
 
-    Unsupervised target rows load as zeros of ``cfg``'s geometry, ``(2,)``
-    for ``loc_targets`` and ``(points, frames, 2)`` for ``traj_targets``.
-    Stored counts that do not add up to the stored rows raise DataError
-    ``<path>: ...``; a sample that does not fit ``cfg`` raises DataError
-    ``<path>: sample <i>: ...`` naming the first such sample.
+    Every array read must fit ``cfg`` (see ``_load_npz``), and the file must
+    hold the stage's target array (``STAGE_TARGETS``); no other target array
+    is read.  Unsupervised target rows load as zeros.  Stored counts that do
+    not add up to the stored rows raise DataError ``<path>: ...``; a bad
+    token raises DataError ``<path>: sample <i>: ...`` naming the first such
+    sample.
     """
-    a = _load_npz(path, SAMPLE_ARRAYS, optional=TARGET_ARRAYS)
+    spec = {
+        "tokens": ("iuf", (None,)), "supervised": ("b", (None,)),
+        "lengths": ("iu", (None,)), "frame_counts": ("iu", (None,)),
+        "frames": ("f", (None, cfg.d_v)),
+    }
+    target = STAGE_TARGETS.get(stage)
+    if target:
+        spec[target] = ("f", (None, 2) if stage == 1 else (None, cfg.points, cfg.frames, 2))
+    a = _load_npz(path, spec)
     lengths, frame_counts = a["lengths"], a["frame_counts"]
     if not len(lengths) or len(frame_counts) != len(lengths):
         raise DataError(f"{path}: {len(lengths)} lengths and {len(frame_counts)} frame_counts")
@@ -281,26 +282,18 @@ def load_samples(path: str | Path, cfg: TrainerConfig) -> list[TrainingSample]:
         split(a["supervised"], lengths, "lengths add up to", "supervised flags"),
         split(a["frames"], frame_counts, "frame_counts add up to", "frames"),
     ]
-    n_supervised = [int(s.sum()) for s in columns[1]]
-    geometry = {"loc_targets": (2,), "traj_targets": (cfg.points, cfg.frames, 2)}
-    targets = {
-        name: split(a[name], n_supervised, "supervised flags mark", f"{name} rows")
-        for name in geometry
-        if name in a
-    }
+    if target:
+        n_supervised = [int(s.sum()) for s in columns[1]]
+        rows = split(a[target], n_supervised, "supervised flags mark", f"{target} rows")
     samples = []
     for i, (tokens, supervised, frames) in enumerate(zip(*columns)):
         bad = ~((tokens >= 0) & (tokens < cfg.vocab) & (tokens == np.floor(tokens)))
         if bad.any():
             fail(i, f"token {tokens[bad][0]} is not an integer in [0, {cfg.vocab})")
-        if frames.shape[1:] != (cfg.d_v,):
-            fail(i, f"frames have shape {frames.shape}, expected (n, {cfg.d_v})")
         full = {}
-        for name, rows in targets.items():
-            if rows[i].shape[1:] != geometry[name]:
-                fail(i, f"{name} rows have shape {rows[i].shape[1:]}, expected {geometry[name]}")
-            full[name] = np.zeros((len(tokens), *geometry[name]))
-            full[name][supervised] = rows[i]
+        if target:
+            full[target] = np.zeros((len(tokens), *rows[i].shape[1:]))
+            full[target][supervised] = rows[i]
         samples.append(TrainingSample(frames, tokens, supervised, **full))
     return samples
 
@@ -312,17 +305,22 @@ def save_params(params: ToyModelParams, path: str | Path) -> None:
 
 
 def load_params(path: str | Path, cfg: TrainerConfig) -> ToyModelParams:
-    """Parameters saved by ``save_params``; arrays that do not fit ``cfg`` raise DataError."""
-    spec = dict.fromkeys(ARRAY_NAMES, ("f", None))
-    a = _load_npz(path, dict(spec, points=("iu", 0), traj_frames=("iu", 0)))
-    params = ToyModelParams(
-        **{name: a[name] for name in ARRAY_NAMES},
-        points=int(a["points"]),
-        traj_frames=int(a["traj_frames"]),
+    """Parameters saved by ``save_params``; a file that does not fit ``cfg`` raises DataError.
+
+    Besides the array shapes, the stored ``(points, traj_frames)`` must equal
+    the config's ``(points, frames)``: swapping the two keeps every shape.
+    """
+    spec = {name: ("f", shape) for name, shape in param_shapes(cfg).items()}
+    a = _load_npz(path, dict(spec, points=("iu", ()), traj_frames=("iu", ())))
+    geometry = (int(a["points"]), int(a["traj_frames"]))
+    if geometry != (cfg.points, cfg.frames):
+        raise DataError(
+            f"{path}: (points, traj_frames) is {geometry}, the config's (points, frames) "
+            f"is {(cfg.points, cfg.frames)}"
+        )
+    return ToyModelParams(
+        **{name: a[name] for name in ARRAY_NAMES}, points=geometry[0], traj_frames=geometry[1]
     )
-    with naming(path):
-        params.check_shapes(cfg)
-    return params
 
 
 def write_loss_curve(

@@ -92,7 +92,7 @@ def test_gradient_checks_all_stages():
     for stage in (1, 2, 3):
         for seed in range(5):
             params = init_params(cfg, seed=seed)
-            sample = synthetic_dataset(stage, 1, cfg, seed=seed + 500, length=5)[0]
+            sample = synthetic_dataset(stage, 1, cfg, seed=seed + 500)[0]
             err = grad_check(params, [sample], stage, cfg)
             worst = max(worst, err)
     ok = worst < 1e-4

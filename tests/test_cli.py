@@ -641,11 +641,11 @@ def test_build_dataset_tree_count_mismatch(capsys, toy_fixture_dir, tmp_path, jo
 STAGE2_CFG = TrainerConfig(d_v=4, d=8, vocab=12, points=2, frames=3, steps=2)
 
 
-def train_toy_stage2(capsys, tmp_path, samples, *extra):
+def train_toy(capsys, tmp_path, stage, samples, *extra, config=asdict(STAGE2_CFG)):
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(asdict(STAGE2_CFG)))
+    config_path.write_text(json.dumps(config))
     return run_cli(
-        capsys, "train-toy", "--stage", "2", "--data", str(samples),
+        capsys, "train-toy", "--stage", str(stage), "--data", str(samples),
         "--config", str(config_path), "--out", str(tmp_path / "params.json"), *extra,
     )
 
@@ -656,7 +656,7 @@ def train_toy_stage2(capsys, tmp_path, samples, *extra):
         (lambda a: {"tokens": np.where(np.arange(18) == 8, 12, a["tokens"])},
          r"sample 1: token 12 is not an integer in \[0, 12\)"),
         (lambda a: {"frames": a["frames"][:, :3]},
-         r"sample 0: frames have shape \(4, 3\), expected \(n, 4\)"),
+         r"'frames' is a \(12, 3\) float64 array, expected \(n, 4\)"),
         (lambda a: {"supervised": a["supervised"] & (np.arange(18) < 6)},
          r"supervised flags mark \d+ traj_targets rows, the file holds \d+"),
     ],
@@ -669,7 +669,7 @@ def test_bad_samples_file_names_file_and_sample(capsys, tmp_path, rewrite_npz, c
         assert list(archive["lengths"]) == [6, 6, 6]
         arrays = dict(archive)
     rewrite_npz(samples, **change(arrays))
-    code, out, err = train_toy_stage2(capsys, tmp_path, samples)
+    code, out, err = train_toy(capsys, tmp_path, 2, samples)
     assert code == 2
     assert out == ""
     assert re.fullmatch(f"error: {re.escape(str(samples))}: {message}\n", err)
@@ -701,7 +701,7 @@ def test_unreadable_trainer_file_exits_2_naming_it(capsys, tmp_path, rewrite_npz
         key = "frames" if flag == "--data" else "traj_w"
         rewrite_npz(bad, **{key: None})
         message = f"no '{key}' array"
-    code, out, err = train_toy_stage2(capsys, tmp_path, samples, "--params-in", str(params))
+    code, out, err = train_toy(capsys, tmp_path, 2, samples, "--params-in", str(params))
     assert code == 2
     assert out == ""
     assert re.fullmatch(f"error: {re.escape(str(bad))}: {message}\n", err)
@@ -712,10 +712,64 @@ def test_params_of_another_geometry_exit_2_naming_the_file(capsys, tmp_path):
     samples, params = tmp_path / "stage2.npz", tmp_path / "params1.npz"
     save_samples(synthetic_dataset(2, 3, STAGE2_CFG, seed=8), samples)
     save_params(init_params(replace(STAGE2_CFG, frames=4)), params)
-    code, out, err = train_toy_stage2(capsys, tmp_path, samples, "--params-in", str(params))
+    code, out, err = train_toy(capsys, tmp_path, 2, samples, "--params-in", str(params))
     assert code == 2
     assert out == ""
-    assert err == f"error: {params}: ValueError: traj_w has shape (16, 8), expected (12, 8)\n"
+    assert err == f"error: {params}: 'traj_w' is a (16, 8) float64 array, expected (12, 8)\n"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "stage, name",
+    [(2, "frames"), (1, "loc_targets"), (2, "traj_targets")] + [(2, name) for name in ARRAY_NAMES],
+    ids=["samples-frames", "samples-loc_targets", "samples-traj_targets"] + [f"params-{n}" for n in ARRAY_NAMES],
+)
+def test_non_finite_trainer_file_exits_2_naming_file_and_array(capsys, tmp_path, rewrite_npz, stage, name, value):
+    samples, params = tmp_path / "samples.npz", tmp_path / "params.npz"
+    save_samples(synthetic_dataset(stage, 3, STAGE2_CFG, seed=8), samples)
+    save_params(init_params(STAGE2_CFG), params)
+    bad = params if name in ARRAY_NAMES else samples
+    with np.load(bad) as archive:
+        array = archive[name].copy()
+    array.flat[-1] = value
+    rewrite_npz(bad, **{name: array})
+    code, out, err = train_toy(capsys, tmp_path, stage, samples, "--params-in", str(params))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: {name!r} holds a non-finite value\n"
+    assert not (tmp_path / "params.json").exists()
+
+
+@pytest.mark.parametrize(
+    "written, stage, target",
+    [(2, 1, "loc_targets"), (3, 1, "loc_targets"), (3, 2, "traj_targets"), (1, 2, "traj_targets")],
+)
+def test_samples_without_the_stage_target_exit_2_naming_file_and_array(capsys, tmp_path, written, stage, target):
+    samples = tmp_path / "samples.npz"
+    save_samples(synthetic_dataset(written, 3, STAGE2_CFG, seed=8), samples)
+    code, out, err = train_toy(capsys, tmp_path, stage, samples)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {samples}: no {target!r} array\n"
+
+
+@pytest.mark.parametrize("written", [1, 2, 3])
+def test_stage3_trains_on_samples_of_every_stage(capsys, tmp_path, written):
+    samples = tmp_path / "samples.npz"
+    save_samples(synthetic_dataset(written, 3, STAGE2_CFG, seed=8), samples)
+    code, out, err = train_toy(capsys, tmp_path, 3, samples)
+    assert code == 0, err
+    assert json.loads(out)["stage"] == 3
+
+
+def test_config_dimension_numpy_rejects_names_the_config(capsys, tmp_path):
+    samples = tmp_path / "samples.npz"
+    save_samples(synthetic_dataset(2, 3, STAGE2_CFG, seed=8), samples)
+    config = {**asdict(STAGE2_CFG), "d": 10**30}  # numpy rejects the size before allocating
+    code, out, err = train_toy(capsys, tmp_path, 2, samples, config=config)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {tmp_path / 'config.json'}: ValueError: ")
 
 
 def test_build_dataset_rejects_repeated_manifest_video(capsys, toy_fixture_dir, tmp_path):
@@ -872,7 +926,7 @@ def test_train_toy_rejects_config_value(capsys, tmp_path, field, value, message)
 def test_train_toy_no_tile_init_keeps_trained_trajectory_head(capsys, tmp_path):
     samples = tmp_path / "stage2.npz"
     save_samples(synthetic_dataset(2, 3, STAGE2_CFG, seed=8), samples)
-    code, _, _ = train_toy_stage2(capsys, tmp_path, samples)
+    code, _, _ = train_toy(capsys, tmp_path, 2, samples)
     assert code == 0
     trained = load_params(tmp_path / "params.json", STAGE2_CFG)
     retiled = tile_init(trained)

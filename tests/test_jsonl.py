@@ -118,29 +118,48 @@ def test_only_jsonl_checks_for_bool():
     assert offenders == []
 
 
-def test_only_jsonl_names_exception_types():
-    """``type(exc).__name__`` marks a hand-written exception-to-DataError translation; ``naming`` is the one.
-
-    ``trainer._load_npz`` keeps its own: it names a damaged binary archive, not a record.
-    """
-    offenders = []
+def nodes_outside_load_npz(skip: str = ""):
+    """``(file name, node)`` for each AST node of src/pite outside ``trainer._load_npz``."""
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "pite").glob("*.py")):
-        if path.name == "jsonl.py":
+        if path.name == skip:
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        allowed = {
+        inside = {
             id(node)
             for func in ast.walk(tree)
             if isinstance(func, ast.FunctionDef) and (path.name, func.name) == ("trainer.py", "_load_npz")
             for node in ast.walk(func)
         }
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Attribute)
-                and node.attr == "__name__"
-                and isinstance(node.value, ast.Call)
-                and getattr(node.value.func, "id", None) == "type"
-                and id(node) not in allowed
-            ):
-                offenders.append(f"{path.name}:{node.lineno}")
+        yield from ((path.name, node) for node in ast.walk(tree) if id(node) not in inside)
+
+
+def test_only_jsonl_names_exception_types():
+    """``type(exc).__name__`` marks a hand-written exception-to-DataError translation; ``naming`` is the one.
+
+    ``trainer._load_npz`` keeps its own: it names a damaged binary archive, not a record.
+    """
+    offenders = [
+        f"{name}:{node.lineno}"
+        for name, node in nodes_outside_load_npz(skip="jsonl.py")
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__name__"
+        and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "id", None) == "type"
+    ]
     assert offenders == []
+
+
+def test_only_load_npz_calls_np_load():
+    """``trainer._load_npz`` is the one reader of trainer files, so every array they hold meets its spec."""
+
+    def is_np_load(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "load"
+            and getattr(node.func.value, "id", None) in ("np", "numpy")
+        )
+
+    trainer = ast.parse((Path(__file__).resolve().parents[1] / "src" / "pite" / "trainer.py").read_text())
+    assert sum(map(is_np_load, ast.walk(trainer))) == 1  # the matcher finds the call inside _load_npz
+    assert [f"{name}:{node.lineno}" for name, node in nodes_outside_load_npz() if is_np_load(node)] == []

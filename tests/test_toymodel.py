@@ -298,12 +298,13 @@ def test_ce_floor_property():
         assert np.all(ce >= smoothed_ce_floor(vocab, eps) - 1e-12)
 
 
-def test_sample_schema_check():
+def test_pack_batch_requires_the_stage_targets():
     sample = make_sample(SMALL, seed=0, stage=3)
-    with pytest.raises(ValueError, match="loc_targets"):
-        sample.require(1)
-    with pytest.raises(ValueError, match="traj_targets"):
-        sample.require(2)
+    with pytest.raises(ValueError, match="^stage 1 sample requires loc_targets$"):
+        pack_batch([make_sample(SMALL, seed=1, stage=1), sample], 1)
+    with pytest.raises(ValueError, match="^stage 2 sample requires traj_targets$"):
+        pack_batch([sample], 2)
+    assert pack_batch([sample], 3).targets is None
 
 
 # --- tiling ----------------------------------------------------------------------
@@ -383,13 +384,6 @@ def test_lambda_zero_stage1_reduces_to_stage3():
     for name in TRAINABLE_BY_STAGE[3]:
         np.testing.assert_allclose(g1[name], g3[name], atol=1e-15)
     assert np.all(g1["loc_w"] == 0.0)
-
-
-def test_check_shapes():
-    params = init_params(SMALL)
-    params.check_shapes(SMALL)
-    with pytest.raises(ValueError, match="shape"):
-        params.check_shapes(TrainerConfig(d_v=4, d=7, vocab=10, points=2, frames=3))
 
 
 # --- packed batches -----------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from pite.toymodel import (
     ARRAY_NAMES,
     TrainerConfig,
+    TrainingSample,
     init_params,
     pack_batch,
     stage_loss,
@@ -110,7 +111,12 @@ def test_stage3_overfit_decodes_target_sequences(greedy_decode):
     cfg = TrainerConfig(
         d_v=8, d=24, vocab=12, points=1, frames=2, smoothing=0.1, lr=4.0, steps=1200, seed=3
     )
-    data = synthetic_dataset(3, 6, cfg, seed=21, length=4, n_frames=3, distinct_tokens=True)
+    # distinct tokens per sequence: mean-pooled prefixes cannot tell repeated tokens apart
+    rng = np.random.default_rng(21)
+    data = [
+        TrainingSample(rng.normal(size=(3, cfg.d_v)), rng.permutation(cfg.vocab)[:4], np.zeros(4, bool))
+        for _ in range(6)
+    ]
     trained, _, _ = train(init_params(cfg), data, stage=3, cfg=cfg)
     for sample in data:
         decoded = greedy_decode(trained, sample.frames, len(sample.tokens))
@@ -125,7 +131,7 @@ def test_sample_file_round_trip_is_bit_exact(stage, tmp_path):
     data = synthetic_dataset(stage, 3, CFG, seed=13)
     path = tmp_path / "samples.npz"
     save_samples(data, path)
-    for sample, back in zip(data, load_samples(path, CFG), strict=True):
+    for sample, back in zip(data, load_samples(path, CFG, stage), strict=True):
         for name in ("frames", "tokens", "supervised", "loc_targets", "traj_targets"):
             want, got = getattr(sample, name), getattr(back, name)
             assert (want is None and got is None) or np.array_equal(got, want), name
@@ -140,30 +146,33 @@ def test_load_samples_rejects_target_row_count(tmp_path, rewrite_npz):
     # rows stored for tokens that are not supervised
     rewrite_npz(path, supervised=np.zeros_like(supervised))
     with pytest.raises(DataError, match=rf"^{path}: supervised flags mark 0 loc_targets rows, the file holds \d+$"):
-        load_samples(path, CFG)
+        load_samples(path, CFG, 1)
     # supervised tokens without their stored row
     rewrite_npz(path, supervised=np.ones_like(supervised))
     with pytest.raises(DataError, match=rf"^{path}: supervised flags mark {lengths.sum()} loc_targets rows, the file"):
-        load_samples(path, CFG)
+        load_samples(path, CFG, 1)
 
 
 def test_load_samples_rejects_rows_that_do_not_fit_config(tmp_path, rewrite_npz):
     path = tmp_path / "samples.npz"
     save_samples(synthetic_dataset(2, 1, CFG, seed=1), path)
-    swapped = replace(CFG, points=CFG.frames, frames=CFG.points)
-    with pytest.raises(DataError, match=r"sample 0: traj_targets rows have shape \(2, 3, 2\), expected \(3, 2, 2\)"):
-        load_samples(path, swapped)
     with np.load(path) as archive:
         rows = archive["traj_targets"]
+    swapped = replace(CFG, points=CFG.frames, frames=CFG.points)
+    with pytest.raises(
+        DataError,
+        match=rf"^{path}: 'traj_targets' is a \({len(rows)}, 2, 3, 2\) float64 array, expected \(n, 3, 2, 2\)$",
+    ):
+        load_samples(path, swapped, 2)
     rewrite_npz(path, traj_targets=rows[:-1])
     with pytest.raises(DataError, match=f"^{path}: supervised flags mark {len(rows)} traj_targets rows, the file holds {len(rows) - 1}$"):
-        load_samples(path, CFG)
+        load_samples(path, CFG, 2)
     save_samples(synthetic_dataset(1, 1, CFG, seed=1), path)
     with np.load(path) as archive:
         rows = archive["loc_targets"]
     rewrite_npz(path, loc_targets=np.full((len(rows), 3), 0.5))
-    with pytest.raises(DataError, match=r"loc_targets rows have shape \(3,\), expected \(2,\)"):
-        load_samples(path, CFG)
+    with pytest.raises(DataError, match=rf"^{path}: 'loc_targets' is a \({len(rows)}, 3\) float64 array, expected \(n, 2\)$"):
+        load_samples(path, CFG, 1)
 
 
 def test_load_samples_fills_null_rows_from_config(tmp_path):
@@ -173,7 +182,7 @@ def test_load_samples_fills_null_rows_from_config(tmp_path):
     sample.traj_targets[:] = 0.5
     path = tmp_path / "samples.npz"
     save_samples([sample], path)
-    back = load_samples(path, CFG)[0]
+    back = load_samples(path, CFG, 2)[0]
     assert back.traj_targets.shape == (len(sample.tokens), CFG.points, CFG.frames, 2)
     assert not back.traj_targets.any()
 
@@ -182,7 +191,7 @@ def test_samples_file_round_trip(tmp_path):
     data = synthetic_dataset(2, 4, CFG, seed=3)
     path = tmp_path / "samples.npz"
     save_samples(data, path)
-    back = load_samples(path, CFG)
+    back = load_samples(path, CFG, 2)
     assert len(back) == 4
     for a, b in zip(back, data):
         assert np.array_equal(a.traj_targets, b.traj_targets)
@@ -211,7 +220,7 @@ def token_at_6(value):
         ),
         (
             lambda a: {"frames": np.zeros((12, CFG.d_v + 1))},
-            r"sample 0: frames have shape \(4, 5\), expected \(n, 4\)",
+            r"'frames' is a \(12, 5\) float64 array, expected \(n, 4\)",
         ),
         (
             lambda a: {"lengths": a["lengths"] + [0, 0, 1]},
@@ -221,7 +230,7 @@ def token_at_6(value):
             lambda a: {"lengths": a["lengths"] - [0, 0, 1]},
             r"lengths add up to 17 tokens, the file holds 18",
         ),
-        (lambda a: {"tokens": a["tokens"].astype(str)}, r"'tokens' is a 1-D <U21 array"),
+        (lambda a: {"tokens": a["tokens"].astype(str)}, r"'tokens' is a \(18,\) <U21 array, expected \(n,\)"),
         (lambda a: {"frame_counts": a["frame_counts"][:2]}, r"3 lengths and 2 frame_counts"),
     ],
     ids=[
@@ -236,7 +245,7 @@ def test_load_samples_checks_samples_against_config(tmp_path, rewrite_npz, chang
         arrays = dict(archive)
     rewrite_npz(path, **change(arrays))
     with pytest.raises(DataError, match=f"^{path}: {message}$"):
-        load_samples(path, CFG)
+        load_samples(path, CFG, 3)
 
 
 def test_save_samples_rejects_targets_on_some_samples_only(tmp_path):
@@ -256,11 +265,27 @@ def test_params_file_round_trip(tmp_path):
     assert (back.points, back.traj_frames) == (CFG.points, CFG.frames)
     with np.load(path) as archive:
         assert archive["traj_w"].shape == (2 * CFG.points * CFG.frames, CFG.d)
-    with pytest.raises(DataError, match=rf"^{path}: ValueError: traj_w has shape \(12, 8\), expected \(16, 8\)$"):
-        load_params(path, replace(CFG, frames=4))
-    # same head size, other (points, frames) split
-    with pytest.raises(DataError, match=rf"^{path}: ValueError: trajectory head geometry does not match config$"):
-        load_params(path, replace(CFG, points=CFG.frames, frames=CFG.points))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"d": 7}, r"'adapter' is a \(8, 4\) float64 array, expected \(7, 4\)"),
+        ({"vocab": 13}, r"'embeddings' is a \(12, 8\) float64 array, expected \(13, 8\)"),
+        ({"frames": 4}, r"'traj_w' is a \(12, 8\) float64 array, expected \(16, 8\)"),
+        # same head size, other (points, frames) split: every array shape fits
+        (
+            {"points": CFG.frames, "frames": CFG.points},
+            r"\(points, traj_frames\) is \(2, 3\), the config's \(points, frames\) is \(3, 2\)",
+        ),
+    ],
+    ids=["d", "vocab", "frames", "points-frames-swap"],
+)
+def test_load_params_rejects_params_that_do_not_fit_config(tmp_path, change, message):
+    path = tmp_path / "params.npz"
+    save_params(init_params(CFG), path)
+    with pytest.raises(DataError, match=rf"^{path}: {message}$"):
+        load_params(path, replace(CFG, **change))
 
 
 def test_trainer_files_repeat_byte_for_byte(tmp_path, monkeypatch):
