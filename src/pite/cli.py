@@ -9,7 +9,6 @@ verification error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import logging
 import sys
@@ -279,30 +278,46 @@ def cmd_eval_grounding(args) -> int:
 
 def cmd_eval_dense(args) -> int:
     videos = _paired_events(args.pred, args.gt, _captioned_event)
-    idf = metrics.build_idf([e.caption for _, gt_events, _ in videos for e in gt_events])
+    # ground-truth captions are prepared once, for the IDF and for their
+    # video, and popped in video order, so a scored video's are dropped
+    refs = [[metrics.Caption(e.caption) for e in gt_events] for _, gt_events, _ in videos]
+    idf = metrics.build_idf([caption for video in refs for caption in video])
+    refs.reverse()
 
     soda_vals, cider_vals, meteor_vals = [], [], []
     for _, gt_events, pred_events in videos:
         pred_events = pred_events or []
-        # each caption is vectorised and each pair scored once per video, and
-        # shared by SODA and every IoU threshold; the memos start empty per
-        # video, since captions do not repeat across videos
-        vectors = functools.cache(lambda caption: metrics.tfidf_vectors(caption, idf))
-        cider_metric = functools.cache(
-            lambda cand, ref: metrics.cider(vectors(cand), vectors(ref))
-        )
-        meteor_metric = functools.cache(metrics.meteor_lite)
+        gts = refs.pop()
+        preds = [metrics.Caption(e.caption) for e in pred_events]
+        pred_segments = [e.segment for e in pred_events]
+        gt_segments = [e.segment for e in gt_events]
+        ious = metrics.iou_table(pred_segments, gt_segments)
+        # each pair is scored at most once per video, and shared by SODA
+        # and every IoU threshold
+        vectors, cider_memo, meteor_memo = {}, {}, {}
+
+        def vector(caption):
+            if caption not in vectors:
+                vectors[caption] = metrics.tfidf_vectors(caption, idf)
+            return vectors[caption]
+
+        def cider_metric(i, j):
+            if (i, j) not in cider_memo:
+                cider_memo[i, j] = metrics.cider(vector(preds[i]), vector(gts[j]))
+            return cider_memo[i, j]
+
+        def meteor_metric(i, j):
+            if (i, j) not in meteor_memo:
+                meteor_memo[i, j] = metrics.meteor_lite(preds[i], gts[j])
+            return meteor_memo[i, j]
+
         if args.scorer == "cider":
-            soda_scorer = lambda cand, ref: cider_metric(cand, ref) / 10.0
+            soda_scorer = lambda i, j: cider_metric(i, j) / 10.0
         else:
             soda_scorer = meteor_metric
-        soda_vals.append(metrics.soda_c(pred_events, gt_events, scorer=soda_scorer))
-        cider_vals.append(
-            metrics.iou_bucketed_caption_scores(pred_events, gt_events, metric=cider_metric)
-        )
-        meteor_vals.append(
-            metrics.iou_bucketed_caption_scores(pred_events, gt_events, metric=meteor_metric)
-        )
+        soda_vals.append(metrics.soda_c(pred_segments, gt_segments, ious, soda_scorer))
+        cider_vals.append(metrics.iou_bucketed_caption_scores(ious, cider_metric))
+        meteor_vals.append(metrics.iou_bucketed_caption_scores(ious, meteor_metric))
 
     def mean(vals):
         return sum(vals) / len(vals) if vals else 0.0

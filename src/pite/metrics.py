@@ -3,7 +3,9 @@
 Caption metrics use a fixed preprocessing: lowercase, punctuation stripped
 to spaces, whitespace tokenization.  METEOR here is the exact-match-only
 variant (no stemming or synonym tables), so scores are deterministic and
-dependency-free; it is named meteor_lite to flag the deviation.
+dependency-free; it is named meteor_lite to flag the deviation.  Scorers
+take captions prepared once as ``Caption``; SODA and the bucketed scores
+take a video's ``iou_table`` and score pairs by index.
 """
 
 from __future__ import annotations
@@ -48,6 +50,34 @@ def tokenize(text: str) -> list[str]:
     return _PUNCT.sub(" ", text.lower()).split()
 
 
+def _ngrams(tokens: Sequence[str], n: int) -> Iterator[tuple[str, ...]]:
+    """The n-gram tuples of ``tokens`` in order, repeats included."""
+    return zip(*[tokens[i:] for i in range(n)])
+
+
+class Caption:
+    """A caption tokenized once for every scorer.
+
+    ``tokens`` is ``tokenize(text)``; ``ngrams`` counts the n-gram tuples of
+    orders 1..CIDER_MAX_N, the orders in turn (order n ends at index
+    ``ends[n - 1]``), each in order of first occurrence; ``positions`` maps
+    each token to its indices, for METEOR's alignment against this caption.
+    """
+
+    __slots__ = ("tokens", "ngrams", "ends", "positions")
+
+    def __init__(self, text: str):
+        self.tokens = tokenize(text)
+        self.ngrams: Counter = Counter()
+        self.ends: list[int] = []
+        for n in range(1, CIDER_MAX_N + 1):
+            self.ngrams.update(_ngrams(self.tokens, n))
+            self.ends.append(len(self.ngrams))
+        self.positions: dict[str, list[int]] = {}
+        for i, token in enumerate(self.tokens):
+            self.positions.setdefault(token, []).append(i)
+
+
 def temporal_iou(a: TimeSegment, b: TimeSegment) -> float:
     """Intersection over union of two segments; 0 when the union has no length."""
     inter = max(0.0, min(a.end, b.end) - max(a.start, b.start))
@@ -55,6 +85,11 @@ def temporal_iou(a: TimeSegment, b: TimeSegment) -> float:
     if union <= 0:
         return 0.0
     return inter / union
+
+
+def iou_table(preds: Sequence[TimeSegment], gts: Sequence[TimeSegment]) -> list[list[float]]:
+    """``temporal_iou`` of every pair: row j holds ground truth j against each prediction."""
+    return [[temporal_iou(pred, gt) for pred in preds] for gt in gts]
 
 
 def grounding_scores(
@@ -78,12 +113,7 @@ def grounding_scores(
 # --- CIDEr -------------------------------------------------------------------
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Iterator[tuple[str, ...]]:
-    """The n-gram tuples of ``tokens`` in order, repeats included."""
-    return zip(*(tokens[i:] for i in range(n)))
-
-
-def build_idf(captions: Sequence[str]) -> dict[tuple[str, ...], float]:
+def build_idf(captions: Sequence[Caption]) -> dict[tuple[str, ...], float]:
     """idf(g) = log(|captions| / df(g)) for every n-gram, n = 1..CIDER_MAX_N.
 
     df(g) counts the captions containing ``g``; an n-gram is a tuple of n
@@ -93,38 +123,41 @@ def build_idf(captions: Sequence[str]) -> dict[tuple[str, ...], float]:
         raise ValueError("captions must be nonempty")
     df: Counter = Counter()
     for caption in captions:
-        tokens = tokenize(caption)
-        df.update({g for n in range(1, CIDER_MAX_N + 1) for g in _ngrams(tokens, n)})
-    return {g: math.log(len(captions) / c) for g, c in df.items()}
+        df.update(caption.ngrams.keys())
+    n = len(captions)
+    return {g: math.log(n / c) for g, c in df.items()}
 
 
-def tfidf_vectors(caption: str, idf: Mapping[tuple[str, ...], float]) -> list[tuple[dict, float]]:
-    """TF-IDF vector and its L2 norm per n = 1..CIDER_MAX_N; [] for a token-free caption."""
-    tokens = tokenize(caption)
-    if not tokens:
-        return []
-    out = []
-    for n in range(1, CIDER_MAX_N + 1):
-        # Counter keeps first-occurrence order, which fixes the order of the norm's sum
-        vec = {g: tf * idf.get(g, 0.0) for g, tf in Counter(_ngrams(tokens, n)).items()}
-        out.append((vec, math.sqrt(sum(v * v for v in vec.values()))))
-    return out
+def tfidf_vectors(
+    caption: Caption, idf: Mapping[tuple[str, ...], float]
+) -> tuple[dict[tuple[str, ...], float], list[float]]:
+    """TF-IDF weight of each n-gram of ``caption``, and the L2 norm of each order 1..CIDER_MAX_N."""
+    vec = {g: idf.get(g, 0.0) * tf for g, tf in caption.ngrams.items()}
+    weights = list(vec.values())
+    bounds = zip([0, *caption.ends], caption.ends)
+    return vec, [math.sqrt(sum([v * v for v in weights[a:b]])) for a, b in bounds]
 
 
-def cider(candidate: list[tuple[dict, float]], ref: list[tuple[dict, float]]) -> float:
+def cider(candidate: tuple[dict, list[float]], ref: tuple[dict, list[float]]) -> float:
     """Per-n cosine of two ``tfidf_vectors`` results (one ``idf``), averaged over n, times 10."""
+    cand_vec, cand_norms = candidate
+    ref_vec, ref_norms = ref
+    dots: list[list[float]] = [[] for _ in range(CIDER_MAX_N)]
+    for g, v in cand_vec.items():
+        w = ref_vec.get(g)
+        if w is not None:
+            dots[len(g) - 1].append(v * w)
     total = 0.0
-    for (cand_vec, cand_norm), (ref_vec, ref_norm) in zip(candidate, ref):
+    for terms, cand_norm, ref_norm in zip(dots, cand_norms, ref_norms):
         if cand_norm and ref_norm:
-            dot = sum(v * ref_vec[g] for g, v in cand_vec.items() if g in ref_vec)
-            total += dot / (cand_norm * ref_norm)
+            total += sum(terms) / (cand_norm * ref_norm)
     return 10.0 * total / CIDER_MAX_N
 
 
 # --- METEOR (exact-match variant) ---------------------------------------------
 
 
-def meteor_lite(candidate: str, ref: str) -> float:
+def meteor_lite(candidate: Caption, ref: Caption) -> float:
     """Unigram exact-match METEOR: F_mean = 10PR/(R+9P) with a chunk penalty.
 
     Alignment is greedy, left to right over the candidate: each candidate
@@ -132,36 +165,29 @@ def meteor_lite(candidate: str, ref: str) -> float:
     that position holds the same token and is unused, else the first unused
     occurrence.  This need not give the fewest chunks.
     """
-    cand = tokenize(candidate)
-    rtok = tokenize(ref)
-    if not cand or not rtok:
+    rtok = ref.tokens
+    if not candidate.tokens or not rtok:
         return 0.0
-    positions: dict[str, list[int]] = {}
-    for i, tok in enumerate(rtok):
-        positions.setdefault(tok, []).append(i)
-    used = set()
-    pairs: list[tuple[int, int]] = []  # (candidate index, reference index)
-    prev_ref = None
-    for ci, tok in enumerate(cand):
-        open_slots = [i for i in positions.get(tok, ()) if i not in used]
-        if not open_slots:
-            prev_ref = None
-            continue
-        if prev_ref is not None and prev_ref + 1 in open_slots:
-            ri = prev_ref + 1
+    used = [False] * len(rtok)
+    matches = chunks = 0
+    after = len(rtok)  # the position after the previous match; len(rtok) after a miss
+    for tok in candidate.tokens:
+        if after < len(rtok) and rtok[after] == tok and not used[after]:
+            ri = after  # extends the current chunk
         else:
-            ri = open_slots[0]
-        used.add(ri)
-        pairs.append((ci, ri))
-        prev_ref = ri
-    matches = len(pairs)
+            for ri in ref.positions.get(tok, ()):
+                if not used[ri]:
+                    break
+            else:
+                after = len(rtok)
+                continue
+            chunks += 1
+        used[ri] = True
+        matches += 1
+        after = ri + 1
     if matches == 0:
         return 0.0
-    chunks = 1
-    for (c0, r0), (c1, r1) in zip(pairs, pairs[1:]):
-        if c1 != c0 + 1 or r1 != r0 + 1:
-            chunks += 1
-    precision = matches / len(cand)
+    precision = matches / len(candidate.tokens)
     recall = matches / len(rtok)
     f_mean = 10 * precision * recall / (recall + 9 * precision)
     penalty = 0.5 * (chunks / matches) ** 3
@@ -171,66 +197,63 @@ def meteor_lite(candidate: str, ref: str) -> float:
 # --- SODA ----------------------------------------------------------------------
 
 
+def _by_time(segments: Sequence[TimeSegment]) -> list[int]:
+    return sorted(range(len(segments)), key=lambda k: (segments[k].start, segments[k].end))
+
+
 def soda_c(
-    preds: Sequence[CaptionedEvent],
-    gts: Sequence[CaptionedEvent],
-    scorer: Callable[[str, str], float] = meteor_lite,
+    preds: Sequence[TimeSegment],
+    gts: Sequence[TimeSegment],
+    ious: Sequence[Sequence[float]],
+    scorer: Callable[[int, int], float],
 ) -> float:
     """Story-oriented dense-captioning score.
 
     Dynamic programming finds the temporally order-preserving one-to-one
-    matching maximizing the sum of IoU(pred, gt) * scorer(captions); the
-    result is the harmonic mean of sum/|preds| and sum/|gts|.  ``scorer``
-    runs only on pairs that overlap (IoU > 0); the others contribute 0.
+    matching maximizing the sum of IoU(pred, gt) * scorer(pred, gt); the
+    result is the harmonic mean of sum/|preds| and sum/|gts|.  ``ious`` is
+    ``iou_table(preds, gts)``; ``scorer(i, j)`` scores prediction i against
+    ground truth j and runs only on pairs that overlap (IoU > 0), the others
+    contribute 0.
     """
     if not preds or not gts:
         return 0.0
-    preds = sorted(preds, key=lambda e: (e.segment.start, e.segment.end))
-    gts = sorted(gts, key=lambda e: (e.segment.start, e.segment.end))
-    n, m = len(preds), len(gts)
-    score = [[0.0] * m for _ in range(n)]
-    for i, p in enumerate(preds):
-        for j, g in enumerate(gts):
-            iou = temporal_iou(p.segment, g.segment)
-            if iou > 0:
-                score[i][j] = iou * scorer(p.caption, g.caption)
-    # dp[i][j]: best total over preds[:i] x gts[:j]
-    dp = [[0.0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            dp[i][j] = max(
-                dp[i - 1][j],
-                dp[i][j - 1],
-                dp[i - 1][j - 1] + score[i - 1][j - 1],
-            )
-    best = dp[n][m]
-    precision = best / n
-    recall = best / m
+    gt_order = _by_time(gts)
+    # prev[j]: best total over the predictions so far x the first j ground truths
+    prev = [0.0] * (len(gts) + 1)
+    for i in _by_time(preds):
+        row = [0.0]
+        for j, g in enumerate(gt_order):
+            iou = ious[g][i]
+            score = iou * scorer(i, g) if iou > 0 else 0.0
+            row.append(max(prev[j + 1], row[j], prev[j] + score))
+        prev = row
+    best = prev[-1]
+    precision = best / len(preds)
+    recall = best / len(gts)
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
 
 
 def iou_bucketed_caption_scores(
-    preds: Sequence[CaptionedEvent],
-    gts: Sequence[CaptionedEvent],
-    metric: Callable[[str, str], float],
+    ious: Sequence[Sequence[float]], metric: Callable[[int, int], float]
 ) -> float:
     """Average caption score over IoU-thresholded greedy matchings.
 
-    Per threshold of ``CAPTION_IOU_THRESHOLDS``, each ground truth (in
-    order) is matched to the unmatched prediction with the highest
-    IoU >= threshold (prediction ties by lowest index); unmatched ground
-    truths score 0.  The per-threshold means are averaged.
+    ``ious`` is ``iou_table(preds, gts)``.  Per threshold of
+    ``CAPTION_IOU_THRESHOLDS``, each ground truth j (in order) is matched
+    to the unmatched prediction i with the highest IoU >= threshold
+    (prediction ties by lowest index) and scores ``metric(i, j)``;
+    unmatched ground truths score 0.  The per-threshold means are averaged.
     """
-    if not gts:
+    if not ious:
         return 0.0
-    ious = [[temporal_iou(pred.segment, gt.segment) for pred in preds] for gt in gts]
     per_threshold = []
     for threshold in CAPTION_IOU_THRESHOLDS:
         used: set[int] = set()
         total = 0.0
-        for gt, gt_ious in zip(gts, ious):
+        for j, gt_ious in enumerate(ious):
             best_iou = -1.0
             best_idx = None
             for idx, iou in enumerate(gt_ious):
@@ -241,6 +264,6 @@ def iou_bucketed_caption_scores(
                     best_idx = idx
             if best_idx is not None:
                 used.add(best_idx)
-                total += metric(preds[best_idx].caption, gt.caption)
-        per_threshold.append(total / len(gts))
+                total += metric(best_idx, j)
+        per_threshold.append(total / len(ious))
     return sum(per_threshold) / len(per_threshold)

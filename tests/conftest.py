@@ -1,3 +1,4 @@
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +58,8 @@ def greedy_decode():
 
 
 def brute_force_soda(preds, gts, scorer):
-    """Oracle: enumerate every order-preserving one-to-one matching."""
+    """Oracle: the best order-preserving one-to-one matching, recursing over
+    matching, or skipping, the first prediction and ground truth left."""
     preds = sorted(preds, key=lambda e: (e.segment.start, e.segment.end))
     gts = sorted(gts, key=lambda e: (e.segment.start, e.segment.end))
     if not preds or not gts:
@@ -67,6 +69,7 @@ def brute_force_soda(preds, gts, scorer):
         for p in preds
     ]
 
+    @functools.cache  # the recursion reaches each (i, j) along many paths
     def best_from(i, j):
         if i >= len(preds) or j >= len(gts):
             return 0.0

@@ -17,11 +17,13 @@ import numpy as np
 from conftest import brute_force_soda
 from pite.cli import main as cli_main
 from pite.metrics import (
+    Caption,
     CaptionedEvent,
     TimeSegment,
     build_idf,
     cider,
     grounding_scores,
+    iou_table,
     soda_c,
     tfidf_vectors,
 )
@@ -164,14 +166,19 @@ def test_metric_oracles():
     ok = abs(scores["miou"] - 1.0) < 1e-9
     ok &= all(abs(scores["r_at"][m] - 1.0) < 1e-9 for m in (0.3, 0.5, 0.7))
 
+    def soda(preds, gts, scorer):
+        """soda_c of two event lists, ``scorer`` taking the two captions' texts."""
+        p, g = [e.segment for e in preds], [e.segment for e in gts]
+        return soda_c(p, g, iou_table(p, g), lambda i, j: scorer(preds[i].caption, gts[j].caption))
+
     events = [
         CaptionedEvent(TimeSegment(0, 4), "a big dog runs past"),
         CaptionedEvent(TimeSegment(5, 9), "two people shake hands firmly"),
     ]
-    ok &= abs(soda_c(events, events, scorer=lambda a, b: 1.0) - 1.0) < 1e-9
+    ok &= abs(soda(events, events, lambda a, b: 1.0) - 1.0) < 1e-9
 
-    idf = build_idf(["a big dog runs past", "two people shake hands firmly"])
-    vectors = tfidf_vectors("a big dog runs past", idf)
+    idf = build_idf([Caption("a big dog runs past"), Caption("two people shake hands firmly")])
+    vectors = tfidf_vectors(Caption("a big dog runs past"), idf)
     ok &= abs(cider(vectors, vectors) - 10.0) < 1e-9
 
     rng = np.random.default_rng(31)
@@ -192,7 +199,7 @@ def test_metric_oracles():
 
         preds = batch(int(rng.integers(1, 5)))
         gts = batch(int(rng.integers(1, 5)))
-        ok &= abs(soda_c(preds, gts, scorer) - brute_force_soda(preds, gts, scorer)) < 1e-9
+        ok &= abs(soda(preds, gts, scorer) - brute_force_soda(preds, gts, scorer)) < 1e-9
     report(
         "metric oracles: perfect-prediction scores and SODA brute-force parity",
         ok,

@@ -12,6 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import brute_force_soda
+from test_metrics import reference_cider, reference_idf, reference_meteor
+
 from pite import cli, metrics, pipeline, toymodel
 from pite.cli import build_parser, main
 from pite.toymodel import ARRAY_NAMES, TrainerConfig, init_params, tile_init
@@ -1093,10 +1096,8 @@ def test_eval_grounding_ignores_caption(capsys, tmp_path):
     assert json.loads(out)["mIoU"] == 100.0
 
 
-def test_eval_dense_matches_unmemoised_scoring(capsys, tmp_path):
-    # eval-dense vectorises each caption and scores each pair once per video;
-    # scoring every pair afresh, with a new IDF table per call, must give the
-    # same floats
+def random_dense_inputs(tmp_path):
+    """Six videos of one to five events drawn from ten words; v3 has no prediction."""
     rng = np.random.default_rng(3)
     words = ["a", "dog", "man", "runs", "jumps", "over", "the", "red", "fence", "ball"]
 
@@ -1115,38 +1116,81 @@ def test_eval_dense_matches_unmemoised_scoring(capsys, tmp_path):
         path.write_text(
             "".join(json.dumps({"video_id": v, "events": e}) + "\n" for v, e in videos.items())
         )
+    return pred, gt
 
-    def captioned(evs):
-        return [
-            metrics.CaptionedEvent(metrics.TimeSegment(e["start"], e["end"]), e["caption"])
-            for e in evs
-        ]
 
-    corpus = [e["caption"] for v in sorted(gts) for e in gts[v]]
+def perfbench_dense_inputs(tmp_path):
+    """The benchmark's evaluate inputs for seed 7: 40 videos, predicted event
+    counts off by up to two, two videos without a prediction."""
+    out = tmp_path / "evaluate"
+    root = Path(__file__).resolve().parents[1]
+    subprocess.run(
+        [sys.executable, str(root / "perfbench" / "inputs.py"), "--workload", "evaluate",
+         "--seed", "7", "--out", str(out)],
+        check=True,
+    )
+    return out / "pred.jsonl", out / "gt.jsonl"
 
-    def fresh_cider(cand, ref):
-        idf = metrics.build_idf(corpus)
-        return metrics.cider(metrics.tfidf_vectors(cand, idf), metrics.tfidf_vectors(ref, idf))
+
+@pytest.mark.parametrize("make_inputs", [random_dense_inputs, perfbench_dense_inputs])
+def test_eval_dense_matches_oracles(capsys, tmp_path, make_inputs):
+    # every caption score comes from a string-level oracle that tokenizes on
+    # each call, and SODA from the brute-force matching; CIDEr and METEOR
+    # must agree bit for bit, SODA up to its different order of summation
+    pred, gt = make_inputs(tmp_path)
+
+    def videos(path):
+        records = map(json.loads, path.read_text().splitlines())
+        return {
+            r["video_id"]: [
+                metrics.CaptionedEvent(metrics.TimeSegment(e["start"], e["end"]), e["caption"])
+                for e in r["events"]
+            ]
+            for r in records
+        }
+
+    gts, preds = videos(gt), videos(pred)
+    idf = reference_idf([e.caption for v in sorted(gts) for e in gts[v]])
+    cider_oracle = lambda cand, ref: reference_cider(cand, ref, idf)
 
     for scorer, soda_scorer in (
-        ("meteor", metrics.meteor_lite),
-        ("cider", lambda cand, ref: fresh_cider(cand, ref) / 10.0),
+        ("meteor", reference_meteor),
+        ("cider", lambda cand, ref: cider_oracle(cand, ref) / 10.0),
     ):
         soda, cider, meteor = [], [], []
         for v in sorted(gts):
-            p, g = captioned(preds.get(v, [])), captioned(gts[v])
-            soda.append(metrics.soda_c(p, g, scorer=soda_scorer))
-            cider.append(metrics.iou_bucketed_caption_scores(p, g, metric=fresh_cider))
-            meteor.append(metrics.iou_bucketed_caption_scores(p, g, metric=metrics.meteor_lite))
+            p, g = preds.get(v, []), gts[v]
+            soda.append(brute_force_soda(p, g, soda_scorer))
+            ious = metrics.iou_table([e.segment for e in p], [e.segment for e in g])
+            for vals, oracle in ((cider, cider_oracle), (meteor, reference_meteor)):
+                by_index = lambda i, j: oracle(p[i].caption, g[j].caption)
+                vals.append(metrics.iou_bucketed_caption_scores(ious, by_index))
         code, out, _ = run_cli(
             capsys, "eval-dense", "--pred", str(pred), "--gt", str(gt), "--scorer", scorer
         )
         assert code == 0
-        assert json.loads(out) == {
-            "SODA_c": 100.0 * (sum(soda) / len(soda)),
-            "CIDEr": 10.0 * (sum(cider) / len(cider)),
-            "METEOR": 100.0 * (sum(meteor) / len(meteor)),
-        }
+        scores = json.loads(out)
+        assert scores["CIDEr"] == 10.0 * (sum(cider) / len(cider))
+        assert scores["METEOR"] == 100.0 * (sum(meteor) / len(meteor))
+        assert scores["SODA_c"] == pytest.approx(100.0 * (sum(soda) / len(soda)), rel=1e-12)
+
+
+@pytest.mark.parametrize("scorer", ["meteor", "cider"])
+def test_eval_dense_tokenizes_each_caption_once(capsys, tmp_path, monkeypatch, scorer):
+    pred, gt = random_dense_inputs(tmp_path)
+    captions = sum(
+        len(json.loads(line)["events"])
+        for path in (pred, gt)
+        for line in path.read_text().splitlines()
+    )
+    calls = []
+    tokenize = metrics.tokenize
+    monkeypatch.setattr(metrics, "tokenize", lambda text: calls.append(text) or tokenize(text))
+    code, _, _ = run_cli(
+        capsys, "eval-dense", "--pred", str(pred), "--gt", str(gt), "--scorer", scorer
+    )
+    assert code == 0
+    assert 0 < len(calls) <= captions
 
 
 def test_eval_dense_missing_pred_video_scores_zero(capsys, tmp_path):

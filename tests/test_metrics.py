@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from conftest import brute_force_soda
 
 from pite.metrics import (
+    Caption,
     CaptionedEvent,
     TimeSegment,
     build_idf,
     cider,
     grounding_scores,
     iou_bucketed_caption_scores,
+    iou_table,
     meteor_lite,
     soda_c,
     temporal_iou,
@@ -29,6 +31,32 @@ def seg(a, b):
 
 def ev(a, b, caption):
     return CaptionedEvent(segment=seg(a, b), caption=caption)
+
+
+def idf_of(corpus):
+    return build_idf([Caption(c) for c in corpus])
+
+
+def meteor(candidate, ref):
+    return meteor_lite(Caption(candidate), Caption(ref))
+
+
+def caption_scores(preds, gts, score=meteor_lite):
+    """Segments, IoU table and index scorer of two event lists for ``soda_c``
+    and ``iou_bucketed_caption_scores``; ``score`` takes prepared captions."""
+    cands, refs = [Caption(e.caption) for e in preds], [Caption(e.caption) for e in gts]
+    pred_segments, gt_segments = [e.segment for e in preds], [e.segment for e in gts]
+    ious = iou_table(pred_segments, gt_segments)
+    return pred_segments, gt_segments, ious, lambda i, j: score(cands[i], refs[j])
+
+
+def soda(preds, gts, score=meteor_lite):
+    return soda_c(*caption_scores(preds, gts, score))
+
+
+def bucketed(preds, gts, score):
+    _, _, ious, scorer = caption_scores(preds, gts, score)
+    return iou_bucketed_caption_scores(ious, scorer)
 
 
 # --- temporal IoU / grounding ---------------------------------------------------
@@ -111,22 +139,22 @@ def test_iou_properties(segments):
 
 
 def score_cider(candidate, ref, idf):
-    return cider(tfidf_vectors(candidate, idf), tfidf_vectors(ref, idf))
+    return cider(tfidf_vectors(Caption(candidate), idf), tfidf_vectors(Caption(ref), idf))
 
 
 def test_cider_perfect_match_scores_ten():
-    idf = build_idf(["a big dog runs today", "yellow cats sleep deeply now"])
+    idf = idf_of(["a big dog runs today", "yellow cats sleep deeply now"])
     score = score_cider("a big dog runs today", "a big dog runs today", idf)
     assert score == pytest.approx(10.0, abs=1e-9)
 
 
 def test_cider_no_overlap():
-    idf = build_idf(["the cat sat", "a dog ran"])
+    idf = idf_of(["the cat sat", "a dog ran"])
     assert score_cider("elephants fly north", "the cat sat", idf) == 0.0
 
 
 def test_cider_empty_candidate():
-    assert score_cider("", "the cat sat", build_idf(["the cat sat"])) == 0.0
+    assert score_cider("", "the cat sat", idf_of(["the cat sat"])) == 0.0
 
 
 def test_build_idf_rejects_empty_corpus():
@@ -145,7 +173,7 @@ def test_cider_hand_computed_fixture():
     cos2 = 2 / math.sqrt(10)  # both bigrams shared, ref has 5 bigrams all idf log 3
     cos3 = 0.5  # one shared trigram of ref's four
     expected = 10.0 * (cos1 + cos2 + cos3 + 0.0) / 4
-    got = score_cider("the cat sat", "the cat sat on the mat", build_idf(corpus))
+    got = score_cider("the cat sat", "the cat sat on the mat", idf_of(corpus))
     assert got == pytest.approx(expected, rel=1e-12)
     assert got == pytest.approx(4.4583, abs=1e-3)
 
@@ -153,7 +181,7 @@ def test_cider_hand_computed_fixture():
 @given(st.text(alphabet="abc XYZ.,!", min_size=0, max_size=30))
 @settings(max_examples=40, deadline=None)
 def test_cider_case_invariance(text):
-    idf = build_idf(["a b c", "x y z", text or "filler words here"])
+    idf = idf_of(["a b c", "x y z", text or "filler words here"])
     up = score_cider(text.upper(), (text or "q").upper(), idf)
     lo = score_cider(text.lower(), (text or "q").lower(), idf)
     assert up == pytest.approx(lo, abs=1e-12)
@@ -205,7 +233,7 @@ def test_cider_matches_reference_bit_for_bit():
 
     for _ in range(40):
         corpus = [caption(words) for _ in range(int(rng.integers(1, 13)))]
-        idf = build_idf(corpus)
+        idf = idf_of(corpus)
         assert idf == reference_idf(corpus)
         for _ in range(15):
             if rng.random() < 0.7:
@@ -219,26 +247,81 @@ def test_cider_matches_reference_bit_for_bit():
 # --- METEOR ------------------------------------------------------------------------
 
 
+def reference_meteor(candidate: str, ref: str) -> float:
+    """Oracle: greedy exact-match METEOR on two texts, tokenizing both on each call."""
+    cand = tokenize(candidate)
+    rtok = tokenize(ref)
+    if not cand or not rtok:
+        return 0.0
+    positions: dict[str, list[int]] = {}
+    for i, tok in enumerate(rtok):
+        positions.setdefault(tok, []).append(i)
+    used = set()
+    pairs: list[tuple[int, int]] = []  # (candidate index, reference index)
+    prev_ref = None
+    for ci, tok in enumerate(cand):
+        open_slots = [i for i in positions.get(tok, ()) if i not in used]
+        if not open_slots:
+            prev_ref = None
+            continue
+        if prev_ref is not None and prev_ref + 1 in open_slots:
+            ri = prev_ref + 1
+        else:
+            ri = open_slots[0]
+        used.add(ri)
+        pairs.append((ci, ri))
+        prev_ref = ri
+    matches = len(pairs)
+    if matches == 0:
+        return 0.0
+    chunks = 1
+    for (c0, r0), (c1, r1) in zip(pairs, pairs[1:]):
+        if c1 != c0 + 1 or r1 != r0 + 1:
+            chunks += 1
+    precision = matches / len(cand)
+    recall = matches / len(rtok)
+    f_mean = 10 * precision * recall / (recall + 9 * precision)
+    penalty = 0.5 * (chunks / matches) ** 3
+    return f_mean * (1.0 - penalty)
+
+
+def test_meteor_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    # few distinct words, so captions repeat tokens and alignments branch
+    words = ["a", "dog", "Dog", "runs", "runs!", "the", "ball,", "A", "red"]
+    token_free = ["", "...", "?! ,"]
+
+    def caption():
+        if rng.random() < 0.1:
+            return str(rng.choice(token_free))
+        return " ".join(rng.choice(words, size=int(rng.integers(1, 12))))
+
+    for _ in range(600):
+        candidate, ref = caption(), caption()
+        assert meteor(candidate, ref) == reference_meteor(candidate, ref)
+        assert meteor(ref, ref) == reference_meteor(ref, ref)
+
+
 def test_meteor_identical():
     m = 4  # "the big dog runs"
-    score = meteor_lite("the big dog runs", "the big dog runs")
+    score = meteor("the big dog runs", "the big dog runs")
     assert score == pytest.approx(1.0 - 0.5 * (1 / m) ** 3)
 
 
 def test_meteor_no_match():
-    assert meteor_lite("alpha beta", "gamma delta") == 0.0
+    assert meteor("alpha beta", "gamma delta") == 0.0
 
 
 def test_meteor_hand_computed():
     # matches: the, cat (one chunk of 2); P = R = 2/3
     # F = 10*(2/3)*(2/3) / (2/3 + 9*2/3) = 2/3; penalty = 0.5*(1/2)^3 = 1/16
-    assert meteor_lite("the cat sat", "the cat ran") == pytest.approx((2 / 3) * (15 / 16))
-    assert meteor_lite("the cat sat", "the cat ran") == pytest.approx(0.625)
+    assert meteor("the cat sat", "the cat ran") == pytest.approx((2 / 3) * (15 / 16))
+    assert meteor("the cat sat", "the cat ran") == pytest.approx(0.625)
 
 
 def test_meteor_chunk_break():
     # matched words in reversed order -> two chunks
-    score = meteor_lite("dog cat", "cat dog")
+    score = meteor("dog cat", "cat dog")
     f_mean = 1.0  # P = R = 1
     penalty = 0.5 * (2 / 2) ** 3
     assert score == pytest.approx(f_mean * (1 - penalty))
@@ -246,11 +329,11 @@ def test_meteor_chunk_break():
 
 def test_meteor_duplicate_tokens():
     # each reference occurrence can absorb only one candidate token
-    assert meteor_lite("a a", "a b") < meteor_lite("a b", "a b")
+    assert meteor("a a", "a b") < meteor("a b", "a b")
 
 
 def test_meteor_case_and_punct_invariance():
-    assert meteor_lite("The cat sat.", "the CAT sat") == meteor_lite(
+    assert meteor("The cat sat.", "the CAT sat") == meteor(
         "the cat sat", "the cat sat"
     )
 
@@ -264,18 +347,18 @@ def test_tokenize():
 
 def test_soda_perfect():
     events = [ev(0, 2, "one"), ev(3, 5, "two")]
-    assert soda_c(events, events, scorer=lambda a, b: 1.0) == pytest.approx(1.0)
+    assert soda(events, events, lambda a, b: 1.0) == pytest.approx(1.0)
 
 
 def test_soda_disjoint():
     preds = [ev(0, 1, "x")]
     gts = [ev(5, 6, "x")]
-    assert soda_c(preds, gts) == 0.0
+    assert soda(preds, gts) == 0.0
 
 
 def test_soda_empty():
-    assert soda_c([], [ev(0, 1, "x")]) == 0.0
-    assert soda_c([ev(0, 1, "x")], []) == 0.0
+    assert soda([], [ev(0, 1, "x")]) == 0.0
+    assert soda([ev(0, 1, "x")], []) == 0.0
 
 
 def test_soda_matches_bruteforce_random():
@@ -293,8 +376,8 @@ def test_soda_matches_bruteforce_random():
 
         preds = rand_events(int(rng.integers(1, 5)))
         gts = rand_events(int(rng.integers(1, 5)))
-        got = soda_c(preds, gts)
-        want = brute_force_soda(preds, gts, meteor_lite)
+        got = soda(preds, gts)
+        want = brute_force_soda(preds, gts, reference_meteor)
         assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -310,18 +393,18 @@ def test_soda_scores_only_overlapping_pairs():
 
         preds = rand_events("p", int(rng.integers(1, 6)))
         gts = rand_events("g", int(rng.integers(1, 6)))
-        segments = {e.caption: e.segment for e in preds + gts}
+        pred_segments, gt_segments, ious, score = caption_scores(preds, gts)
         seen = []
 
-        def scorer(cand, ref):
-            seen.append(temporal_iou(segments[cand], segments[ref]))
-            return meteor_lite(cand, ref)
+        def scorer(i, j):
+            seen.append(temporal_iou(pred_segments[i], gt_segments[j]))
+            return score(i, j)
 
-        got = soda_c(preds, gts, scorer=scorer)
+        got = soda_c(pred_segments, gt_segments, ious, scorer)
         assert all(iou > 0 for iou in seen)
         overlapping = sum(temporal_iou(p.segment, g.segment) > 0 for p in preds for g in gts)
         assert len(seen) == overlapping
-        assert got == pytest.approx(brute_force_soda(preds, gts, meteor_lite), abs=1e-9)
+        assert got == pytest.approx(brute_force_soda(preds, gts, reference_meteor), abs=1e-9)
 
 
 interval = st.tuples(st.floats(0, 10), st.floats(0.1, 4)).map(
@@ -337,8 +420,8 @@ interval = st.tuples(st.floats(0, 10), st.floats(0.1, 4)).map(
 def test_soda_bruteforce_property(pred_ivs, gt_ivs):
     preds = [ev(a, b, "alpha beta") for a, b in pred_ivs]
     gts = [ev(a, b, "alpha gamma") for a, b in gt_ivs]
-    assert soda_c(preds, gts) == pytest.approx(
-        brute_force_soda(preds, gts, meteor_lite), abs=1e-9
+    assert soda(preds, gts) == pytest.approx(
+        brute_force_soda(preds, gts, reference_meteor), abs=1e-9
     )
 
 
@@ -347,15 +430,15 @@ def test_soda_bruteforce_property(pred_ivs, gt_ivs):
 
 def test_bucketed_perfect():
     events = [ev(0, 4, "the big dog runs"), ev(5, 9, "a cat sits still")]
-    out = iou_bucketed_caption_scores(events, events, metric=meteor_lite)
-    self_scores = [meteor_lite(e.caption, e.caption) for e in events]
+    out = bucketed(events, events, meteor_lite)
+    self_scores = [meteor(e.caption, e.caption) for e in events]
     assert out == pytest.approx(sum(self_scores) / len(self_scores))
 
 
 def test_bucketed_no_overlap():
     preds = [ev(0, 1, "x y")]
     gts = [ev(8, 9, "x y")]
-    assert iou_bucketed_caption_scores(preds, gts, metric=meteor_lite) == 0.0
+    assert bucketed(preds, gts, meteor_lite) == 0.0
 
 
 def test_bucketed_hand_traced_two_by_two():
@@ -363,12 +446,12 @@ def test_bucketed_hand_traced_two_by_two():
     # gt1 [0,5]  vs pred0 iou=0.5;        pred1 iou=1.0
     preds = [ev(0, 10, "aa bb"), ev(0, 5, "cc dd")]
     gts = [ev(0, 10, "aa bb"), ev(0, 5, "cc dd")]
-    metric = lambda a, b: 1.0 if a == b else 0.0
+    metric = lambda a, b: 1.0 if a.tokens == b.tokens else 0.0
     # thresholds 0.3/0.5: gt0 takes pred0 (iou 1.0), gt1 takes pred1 (iou 1.0) -> 1.0
     # thresholds 0.7/0.9: same pairing, crossings below threshold -> 1.0
-    assert iou_bucketed_caption_scores(preds, gts, metric=metric) == 1.0
+    assert bucketed(preds, gts, metric) == 1.0
     # drop pred1: gt1 unmatched at >=0.7 (iou 0.5 only)
-    out = iou_bucketed_caption_scores(preds[:1], gts, metric=metric)
+    out = bucketed(preds[:1], gts, metric)
     assert out == pytest.approx((0.5 + 0.5 + 0.5 + 0.5) / 4)
 
 
@@ -379,5 +462,5 @@ def test_bucketed_greedy_prefers_highest_iou():
     preds = [ev(0, 10, "hit hit")]
     gts = [ev(2, 14, "hit hit"), ev(0, 10, "hit hit")]
     metric = lambda a, b: 1.0
-    out = iou_bucketed_caption_scores(preds, gts, metric=metric)
+    out = bucketed(preds, gts, metric)
     assert out == pytest.approx(0.5)
