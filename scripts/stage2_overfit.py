@@ -11,7 +11,7 @@ initial loss.
 import argparse
 import json
 
-from pite.toymodel import TrainerConfig, init_params
+from pite.toymodel import TrainerConfig, init_params, pack_batch
 from pite.trainer import run_stage, synthetic_dataset, write_loss_curve
 
 SAMPLES = 50
@@ -29,7 +29,7 @@ def main():
 
     data = synthetic_dataset(2, SAMPLES, CONFIG, seed=DATA_SEED)
     params = init_params(CONFIG)
-    _, curve, grad_norms = run_stage(params, data, 2, CONFIG)
+    _, curve, grad_norms = run_stage(params, pack_batch(data, 2), 2, CONFIG)
     write_loss_curve(curve, grad_norms, args.curve)
     print(
         json.dumps(

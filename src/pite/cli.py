@@ -155,14 +155,14 @@ def cmd_train_toy(args) -> int:
 
     with naming(args.config):
         cfg = toymodel.TrainerConfig.from_json(json.loads(Path(args.config).read_text(encoding="utf-8")))
-    data = trainer.load_samples(args.data, cfg, args.stage)
+    batch = trainer.load_samples(args.data, cfg, args.stage)
     if args.params_in:
         params = trainer.load_params(args.params_in, cfg)
     else:
         with naming(args.config):  # numpy rejects a dimension too large to allocate
             params = toymodel.init_params(cfg)
     params, curve, grad_norms = trainer.run_stage(
-        params, data, args.stage, cfg, tile=not args.no_tile_init
+        params, batch, args.stage, cfg, tile=not args.no_tile_init
     )
     trainer.save_params(params, args.out)
     curve_path = args.curve or str(Path(args.out).with_suffix("")) + ".curve.csv"
@@ -170,7 +170,7 @@ def cmd_train_toy(args) -> int:
     log.info(
         "stage %d: %d samples, %d steps, loss %.6f -> %.6f",
         args.stage,
-        len(data),
+        len(batch.starts),
         cfg.steps,
         curve[0],
         curve[-1],
@@ -363,7 +363,7 @@ def cmd_ablate_points(args) -> int:
             records = list(read_jsonl(out_path, dict))
         samples = trainer.samples_from_records(records, cfg)
         params = toymodel.init_params(cfg)
-        _, curve, _ = trainer.run_stage(params, samples, 2, cfg)
+        _, curve, _ = trainer.run_stage(params, toymodel.pack_batch(samples, 2), 2, cfg)
         rows.append(
             {
                 "P": P,

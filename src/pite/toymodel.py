@@ -6,6 +6,8 @@ a (2*P*N)-D trajectory head, all hanging off a frozen random affine+tanh
 backbone that pools the visual tokens, the token prefix, and the sequence
 position.  Losses and their analytic gradients run over one packed batch:
 the samples' tokens concatenated into T rows, each weighted 1/(B * L_b).
+``pack_rows`` builds every batch, from in-memory samples (``pack_batch``)
+or straight from a samples file, whose unsupervised target rows load as zeros.
 The gradients are checked against central finite differences; all +-eps
 probes of one trainable array run as one stacked loss pass.
 
@@ -77,6 +79,8 @@ class TrainerConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "TrainerConfig":
         """A config from a JSON object: ``float`` fields read through ``real``, the rest ``integer``."""
+        if not isinstance(obj, dict):
+            raise TypeError(f"config must be a JSON object, got {obj!r}")
         fields = cls.__dataclass_fields__
         unknown = set(obj) - set(fields)
         if unknown:
@@ -181,6 +185,17 @@ def init_params(cfg: TrainerConfig, seed: int | None = None) -> ToyModelParams:
     return ToyModelParams(**arrays, points=cfg.points, traj_frames=cfg.frames)
 
 
+def pack_rows(lengths, tokens, supervised, targets, frame_means) -> PackedBatch:
+    """The batch of samples of ``lengths`` rows each, whose rows lie end to end in the arrays."""
+    sample = np.repeat(np.arange(len(lengths)), lengths)
+    starts = np.cumsum(lengths) - lengths
+    prefix = np.arange(len(sample)) - starts[sample]
+    inv_prefix = np.divide(1.0, prefix, out=np.zeros(len(prefix)), where=prefix > 0)
+    position = (prefix + 1.0) / lengths[sample]
+    weight = 1.0 / (len(lengths) * lengths[sample])
+    return PackedBatch(tokens, sample, starts, inv_prefix, position, weight, supervised, targets, frame_means)
+
+
 def pack_batch(samples: Sequence[TrainingSample], stage: int) -> PackedBatch:
     """Concatenate the samples' tokens and stage targets into one batch."""
     if stage not in TRAINABLE_BY_STAGE:
@@ -190,20 +205,12 @@ def pack_batch(samples: Sequence[TrainingSample], stage: int) -> PackedBatch:
     target = STAGE_TARGETS.get(stage)
     if target and any(getattr(s, target) is None for s in samples):
         raise ValueError(f"stage {stage} sample requires {target}")
-    lengths = np.array([len(s.tokens) for s in samples])
-    sample = np.repeat(np.arange(len(samples)), lengths)
-    starts = np.cumsum(lengths) - lengths
-    prefix = np.arange(len(sample)) - starts[sample]
-    return PackedBatch(
-        tokens=np.concatenate([s.tokens for s in samples]),
-        sample=sample,
-        starts=starts,
-        inv_prefix=np.divide(1.0, prefix, out=np.zeros(len(prefix)), where=prefix > 0),
-        position=(prefix + 1.0) / lengths[sample],
-        weight=1.0 / (len(samples) * lengths[sample]),
-        supervised=np.concatenate([s.supervised for s in samples]),
-        targets=np.concatenate([getattr(s, target) for s in samples]) if target else None,
-        frame_means=np.array([s.frames.mean(axis=0) for s in samples]),
+    return pack_rows(
+        np.array([len(s.tokens) for s in samples]),
+        np.concatenate([s.tokens for s in samples]),
+        np.concatenate([s.supervised for s in samples]),
+        np.concatenate([getattr(s, target) for s in samples]) if target else None,
+        np.array([s.frames.mean(axis=0) for s in samples]),
     )
 
 
@@ -256,8 +263,9 @@ def _forward_loss(params, batch, stage, lam, smoothing, signs=False):
         # in place unless only the bias is stacked: a fresh (T, 2PN) array per step is slow
         dist = np.add(dist, bias, out=dist if dist.ndim >= bias.ndim else None)
         shape = (2,) if stage == 1 else (params.points, params.traj_frames, 2)
-        if batch.targets.shape[1:] != shape:
-            raise ValueError(f"target rows of shape {batch.targets.shape[1:]}, expected {shape}")
+        rows = None if batch.targets is None else batch.targets.shape[1:]
+        if rows != shape:  # also a batch packed for another stage
+            raise ValueError(f"target rows of shape {rows}, expected {shape}")
         dist -= batch.targets.reshape(dist.shape[-2:])
         if signs:  # int8 residual signs are all the backward pass needs of the residuals
             sign = np.sign(dist, out=np.empty(dist.shape, np.int8), casting="unsafe")

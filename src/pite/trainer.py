@@ -1,11 +1,14 @@
 """Three-stage training loop over the surrogate model, plus data plumbing.
 
-Training is plain full-batch gradient descent: each stage packs its samples
-into one batch once, and every step takes the loss and analytic gradients
-from one fused pass over it.  The stage decides which parameter groups move
-(the backbone never does, the adapter only in stage 1).  A stage trains a
-copy of the parameters it is given and returns it, so the next stage starts
-from that copy.  Everything is deterministic for a given seed.
+Training is plain full-batch gradient descent on one packed batch, and
+every step takes the loss and analytic gradients from one fused pass over
+it.  A samples file already stores the batch's rows end to end, so
+``load_samples`` maps it straight onto the batch, unsupervised target rows
+as zeros; samples built in memory go through ``pack_batch``.  The stage
+decides which parameter groups move (the backbone never does, the adapter
+only in stage 1).  A stage trains a copy of the parameters it is given and
+returns it, so the next stage starts from that copy.  Everything is
+deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -22,11 +25,12 @@ from .toymodel import (
     ARRAY_NAMES,
     STAGE_TARGETS,
     TRAINABLE_BY_STAGE,
+    PackedBatch,
     ToyModelParams,
     TrainerConfig,
     TrainingSample,
     gradients,
-    pack_batch,
+    pack_rows,
     param_shapes,
     stage_loss,
     tile_init,
@@ -41,21 +45,22 @@ SYNTHETIC_TOKENS = 6  # tokens per synthetic_dataset sample
 SAMPLE_FRAMES = 4  # visual feature rows per synthesized sample, here and in samples_from_records
 
 
-def train(
+def run_stage(
     params: ToyModelParams,
-    dataset: Sequence[TrainingSample],
+    batch: PackedBatch,
     stage: int,
     cfg: TrainerConfig,
+    tile: bool = True,
 ) -> tuple[ToyModelParams, list[float], list[float]]:
-    """Gradient-descend the stage loss; returns new params, losses and gradient norms.
+    """Gradient-descend the stage loss on ``batch``; returns new params, losses and gradient norms.
 
-    The losses have cfg.steps + 1 entries: the loss before each update and
-    one final entry after the last update.  The gradient norms are the L2
-    norms over the stage's trainable groups of the cfg.steps updates.  The
-    input params are not mutated.
+    Stage 2 starts from the tiled localization head (``tile_init``) unless
+    ``tile`` is False.  The losses have cfg.steps + 1 entries: the loss
+    before each update and one final entry after the last update.  The
+    gradient norms are the L2 norms over the stage's trainable groups of the
+    cfg.steps updates.  The input params are not mutated.
     """
-    batch = pack_batch(dataset, stage)
-    params = params.copy()
+    params = tile_init(params) if stage == 2 and tile else params.copy()
     trainable = TRAINABLE_BY_STAGE[stage]
     losses, grad_norms = [], []
     for _ in range(cfg.steps):
@@ -66,19 +71,6 @@ def train(
             getattr(params, name)[...] -= cfg.lr * grads[name]
     losses.append(stage_loss(params, batch, stage, cfg.lam, cfg.smoothing))
     return params, losses, grad_norms
-
-
-def run_stage(
-    params: ToyModelParams,
-    dataset: Sequence[TrainingSample],
-    stage: int,
-    cfg: TrainerConfig,
-    tile: bool = True,
-) -> tuple[ToyModelParams, list[float], list[float]]:
-    """Stage protocol wrapper: stage 2 starts from the tiled localization head."""
-    if stage == 2 and tile:
-        params = tile_init(params)
-    return train(params, dataset, stage, cfg)
 
 
 # --- synthetic data ----------------------------------------------------------
@@ -153,8 +145,6 @@ def samples_from_records(records: Iterable[dict], cfg: TrainerConfig) -> list[Tr
         rng = np.random.default_rng((cfg.seed, video_seed))
         for event in record["events"]:
             words = event["formatted_text"].split()
-            if not words:
-                continue
             tokens = np.array([stable_token_id(w, cfg.vocab) for w in words])
             supervised = np.zeros(len(words), dtype=bool)
             traj_targets = np.zeros((len(words), cfg.points, cfg.frames, 2))
@@ -241,8 +231,8 @@ def save_samples(samples: Sequence[TrainingSample], path: str | Path) -> None:
     _save_npz(path, arrays)
 
 
-def load_samples(path: str | Path, cfg: TrainerConfig, stage: int) -> list[TrainingSample]:
-    """Split a file written by ``save_samples`` back into per-sample views for ``stage``.
+def load_samples(path: str | Path, cfg: TrainerConfig, stage: int) -> PackedBatch:
+    """The ``stage`` batch of a file written by ``save_samples``: ``pack_batch`` of its samples.
 
     Every array read must fit ``cfg`` (see ``_load_npz``), and the file must
     hold the stage's target array (``STAGE_TARGETS``); no other target array
@@ -261,41 +251,37 @@ def load_samples(path: str | Path, cfg: TrainerConfig, stage: int) -> list[Train
         spec[target] = ("f", (None, 2) if stage == 1 else (None, cfg.points, cfg.frames, 2))
     a = _load_npz(path, spec)
     lengths, frame_counts = a["lengths"], a["frame_counts"]
+    tokens, supervised, frames = a["tokens"], a["supervised"], a["frames"]
     if not len(lengths) or len(frame_counts) != len(lengths):
         raise DataError(f"{path}: {len(lengths)} lengths and {len(frame_counts)} frame_counts")
 
     def fail(i, message):
         raise DataError(f"{path}: sample {i}: {message}")
 
-    def split(rows, counts, counted, noun):
-        """Views of ``counts`` rows each; a sum other than ``len(rows)`` fails the file."""
-        ends = np.cumsum(counts)
-        if ends[-1] != len(rows):
-            raise DataError(f"{path}: {counted} {ends[-1]} {noun}, the file holds {len(rows)}")
-        return np.split(rows, ends[:-1])
-
     for name, counts in (("tokens", lengths), ("frames", frame_counts)):
         for i in np.flatnonzero(counts < 1)[:1]:
             fail(i, f"{counts[i]} {name}, expected at least 1")
-    columns = [
-        split(a["tokens"], lengths, "lengths add up to", "tokens"),
-        split(a["supervised"], lengths, "lengths add up to", "supervised flags"),
-        split(a["frames"], frame_counts, "frame_counts add up to", "frames"),
+    totals = [
+        (lengths.sum(), "lengths add up to", tokens, "tokens"),
+        (lengths.sum(), "lengths add up to", supervised, "supervised flags"),
+        (frame_counts.sum(), "frame_counts add up to", frames, "frames"),
     ]
     if target:
-        n_supervised = [int(s.sum()) for s in columns[1]]
-        rows = split(a[target], n_supervised, "supervised flags mark", f"{target} rows")
-    samples = []
-    for i, (tokens, supervised, frames) in enumerate(zip(*columns)):
-        bad = ~((tokens >= 0) & (tokens < cfg.vocab) & (tokens == np.floor(tokens)))
-        if bad.any():
-            fail(i, f"token {tokens[bad][0]} is not an integer in [0, {cfg.vocab})")
-        full = {}
-        if target:
-            full[target] = np.zeros((len(tokens), *rows[i].shape[1:]))
-            full[target][supervised] = rows[i]
-        samples.append(TrainingSample(frames, tokens, supervised, **full))
-    return samples
+        totals.append((supervised.sum(), "supervised flags mark", a[target], f"{target} rows"))
+    for total, counted, rows, noun in totals:
+        if total != len(rows):
+            raise DataError(f"{path}: {counted} {total} {noun}, the file holds {len(rows)}")
+    bad = ~((tokens >= 0) & (tokens < cfg.vocab) & (tokens == np.floor(tokens)))
+    for j in np.flatnonzero(bad)[:1]:
+        i = np.searchsorted(np.cumsum(lengths), j, side="right")
+        fail(i, f"token {tokens[j]} is not an integer in [0, {cfg.vocab})")
+    targets = None
+    if target:
+        targets = np.zeros((len(tokens), *a[target].shape[1:]))
+        targets[supervised] = a[target]
+    # float64 before the means, as in pack_batch: a float32 mean rounds differently
+    means = [f.mean(axis=0) for f in np.split(frames.astype(float), np.cumsum(frame_counts)[:-1])]
+    return pack_rows(lengths.astype(int), tokens.astype(int), supervised, targets, np.array(means))
 
 
 def save_params(params: ToyModelParams, path: str | Path) -> None:

@@ -926,6 +926,26 @@ def test_train_toy_rejects_config_value(capsys, tmp_path, field, value, message)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, shown",
+    [('"abc"', "'abc'"), ("[]", "[]"), ("5", "5"), ("null", "None")],
+    ids=["string", "array", "number", "null"],
+)
+def test_train_toy_rejects_config_that_is_not_an_object(capsys, tmp_path, text, shown):
+    samples = tmp_path / "stage2.npz"
+    save_samples(synthetic_dataset(2, 3, STAGE2_CFG, seed=8), samples)
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    out = tmp_path / "p.npz"
+    code, stdout, err = run_cli(
+        capsys, "train-toy", "--stage", "2", "--data", str(samples),
+        "--config", str(config), "--out", str(out),
+    )
+    assert (code, stdout) == (2, "")
+    assert err == f"error: {config}: TypeError: config must be a JSON object, got {shown}\n"
+    assert not out.exists()
+
+
 def test_train_toy_no_tile_init_keeps_trained_trajectory_head(capsys, tmp_path):
     samples = tmp_path / "stage2.npz"
     save_samples(synthetic_dataset(2, 3, STAGE2_CFG, seed=8), samples)

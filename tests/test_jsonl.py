@@ -163,3 +163,21 @@ def test_only_load_npz_calls_np_load():
     trainer = ast.parse((Path(__file__).resolve().parents[1] / "src" / "pite" / "trainer.py").read_text())
     assert sum(map(is_np_load, ast.walk(trainer))) == 1  # the matcher finds the call inside _load_npz
     assert [f"{name}:{node.lineno}" for name, node in nodes_outside_load_npz() if is_np_load(node)] == []
+
+
+def test_only_pack_rows_builds_a_packed_batch():
+    """Samples files and in-memory samples become a batch through ``toymodel.pack_rows`` alone."""
+
+    def is_packed_batch(node):
+        return isinstance(node, ast.Call) and "PackedBatch" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        )
+
+    src = Path(__file__).resolve().parents[1] / "src" / "pite"
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
+    calls = [f"{name}:{node.lineno}" for name, tree in trees.items() for node in ast.walk(tree) if is_packed_batch(node)]
+    pack_rows = next(
+        node for node in ast.walk(trees["toymodel.py"]) if isinstance(node, ast.FunctionDef) and node.name == "pack_rows"
+    )
+    assert len(calls) == 1
+    assert sum(map(is_packed_batch, ast.walk(pack_rows))) == 1

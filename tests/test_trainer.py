@@ -6,6 +6,8 @@ import pytest
 
 from pite.toymodel import (
     ARRAY_NAMES,
+    STAGE_TARGETS,
+    PackedBatch,
     TrainerConfig,
     TrainingSample,
     init_params,
@@ -22,7 +24,6 @@ from pite.trainer import (
     save_samples,
     stable_token_id,
     synthetic_dataset,
-    train,
     write_loss_curve,
 )
 
@@ -33,7 +34,7 @@ def test_zero_lr_keeps_params_and_curve_flat():
     cfg = replace(CFG, lr=0.0, steps=4)
     params = init_params(cfg)
     data = synthetic_dataset(1, 3, cfg, seed=5)
-    trained, curve, grad_norms = train(params, data, stage=1, cfg=cfg)
+    trained, curve, grad_norms = run_stage(params, pack_batch(data, 1), 1, cfg)
     for name in ARRAY_NAMES:
         assert np.array_equal(getattr(trained, name), getattr(params, name))
     assert len(curve) == 5
@@ -45,25 +46,24 @@ def test_zero_lr_keeps_params_and_curve_flat():
 def test_training_reduces_loss(stage):
     cfg = replace(CFG, steps=40, lr=1.0, smoothing=0.0)
     data = synthetic_dataset(stage, 6, cfg, seed=9)
-    trained, curve, _ = train(init_params(cfg), data, stage=stage, cfg=cfg)
+    batch = pack_batch(data, stage)
+    trained, curve, _ = run_stage(init_params(cfg), batch, stage, cfg, tile=False)
     assert curve[-1] < curve[0]
-    assert curve[-1] == pytest.approx(
-        stage_loss(trained, pack_batch(data, stage), stage, cfg.lam, cfg.smoothing)
-    )
+    assert curve[-1] == pytest.approx(stage_loss(trained, batch, stage, cfg.lam, cfg.smoothing))
 
 
 def test_frozen_groups_bitwise_unchanged():
     cfg = replace(CFG, steps=10)
     params = init_params(cfg)
     data2 = synthetic_dataset(2, 4, cfg, seed=2)
-    trained, _, _ = train(params, data2, stage=2, cfg=cfg)
+    trained, _, _ = run_stage(params, pack_batch(data2, 2), 2, cfg, tile=False)
     assert np.array_equal(trained.backbone_w, params.backbone_w)
     assert np.array_equal(trained.backbone_b, params.backbone_b)
     assert np.array_equal(trained.adapter, params.adapter)  # frozen in stage 2
     assert not np.array_equal(trained.embeddings, params.embeddings)
 
     data3 = synthetic_dataset(3, 4, cfg, seed=3)
-    trained3, _, _ = train(params, data3, stage=3, cfg=cfg)
+    trained3, _, _ = run_stage(params, pack_batch(data3, 3), 3, cfg)
     assert np.array_equal(trained3.adapter, params.adapter)
     assert np.array_equal(trained3.loc_w, params.loc_w)
     assert np.array_equal(trained3.traj_w, params.traj_w)
@@ -72,8 +72,8 @@ def test_frozen_groups_bitwise_unchanged():
 def test_same_seed_identical_curves():
     cfg = replace(CFG, steps=15)
     data = synthetic_dataset(1, 5, cfg, seed=11)
-    _, curve_a, norms_a = train(init_params(cfg), data, stage=1, cfg=cfg)
-    _, curve_b, norms_b = train(init_params(cfg), data, stage=1, cfg=cfg)
+    _, curve_a, norms_a = run_stage(init_params(cfg), pack_batch(data, 1), 1, cfg)
+    _, curve_b, norms_b = run_stage(init_params(cfg), pack_batch(data, 1), 1, cfg)
     assert curve_a == curve_b
     assert norms_a == norms_b
 
@@ -81,27 +81,28 @@ def test_same_seed_identical_curves():
 def test_stage_schema_mismatch():
     data = synthetic_dataset(3, 2, CFG, seed=0)
     with pytest.raises(ValueError, match="traj_targets"):
-        train(init_params(CFG), data, stage=2, cfg=CFG)
+        run_stage(init_params(CFG), pack_batch(data, 2), 2, CFG)
+    with pytest.raises(ValueError, match=r"^target rows of shape None, expected \(2, 3, 2\)$"):
+        run_stage(init_params(CFG), pack_batch(data, 3), 2, CFG)
 
 
 def test_run_stage_tiles_before_stage2():
     cfg = replace(CFG, steps=0)
     params = init_params(cfg)
-    tiled, _, _ = run_stage(params, synthetic_dataset(2, 2, cfg, seed=1), 2, cfg)
+    batch = pack_batch(synthetic_dataset(2, 2, cfg, seed=1), 2)
+    tiled, _, _ = run_stage(params, batch, 2, cfg)
     reps = cfg.points * cfg.frames
     assert np.array_equal(tiled.traj_w, np.tile(params.loc_w, (reps, 1)))
-    plain, _, _ = run_stage(
-        params, synthetic_dataset(2, 2, cfg, seed=1), 2, cfg, tile=False
-    )
+    plain, _, _ = run_stage(params, batch, 2, cfg, tile=False)
     assert np.array_equal(plain.traj_w, params.traj_w)
 
 
 def test_three_stage_chain_carries_params():
     cfg = replace(CFG, steps=8)
     params = init_params(cfg)
-    p1, _, _ = run_stage(params, synthetic_dataset(1, 3, cfg, seed=4), 1, cfg)
-    p2, _, _ = run_stage(p1, synthetic_dataset(2, 3, cfg, seed=5), 2, cfg)
-    p3, _, _ = run_stage(p2, synthetic_dataset(3, 3, cfg, seed=6), 3, cfg)
+    p1, _, _ = run_stage(params, pack_batch(synthetic_dataset(1, 3, cfg, seed=4), 1), 1, cfg)
+    p2, _, _ = run_stage(p1, pack_batch(synthetic_dataset(2, 3, cfg, seed=5), 2), 2, cfg)
+    p3, _, _ = run_stage(p2, pack_batch(synthetic_dataset(3, 3, cfg, seed=6), 3), 3, cfg)
     # the adapter trained in stage 1 survives stages 2 and 3 untouched
     assert np.array_equal(p3.adapter, p1.adapter)
     assert np.array_equal(p3.backbone_w, params.backbone_w)
@@ -117,7 +118,7 @@ def test_stage3_overfit_decodes_target_sequences(greedy_decode):
         TrainingSample(rng.normal(size=(3, cfg.d_v)), rng.permutation(cfg.vocab)[:4], np.zeros(4, bool))
         for _ in range(6)
     ]
-    trained, _, _ = train(init_params(cfg), data, stage=3, cfg=cfg)
+    trained, _, _ = run_stage(init_params(cfg), pack_batch(data, 3), 3, cfg)
     for sample in data:
         decoded = greedy_decode(trained, sample.frames, len(sample.tokens))
         assert np.array_equal(decoded, sample.tokens)
@@ -126,16 +127,54 @@ def test_stage3_overfit_decodes_target_sequences(greedy_decode):
 # --- serialization -------------------------------------------------------------
 
 
+def ragged_samples(stage, seed):
+    """16 samples of 8 to 23 tokens and 1 to 5 frames, as the train benchmark packs them.
+
+    Unsupervised target rows are zero, as a samples file loads them.
+    """
+    rng = np.random.default_rng(seed)
+    samples = []
+    for length in rng.permutation(np.arange(8, 24)):
+        supervised = rng.random(length) < 0.5
+        targets = {}
+        if stage in STAGE_TARGETS:
+            rows = rng.random((length, 2) if stage == 1 else (length, CFG.points, CFG.frames, 2))
+            rows[~supervised] = 0.0
+            targets[STAGE_TARGETS[stage]] = rows
+        frames = rng.normal(size=(rng.integers(1, 6), CFG.d_v))
+        samples.append(TrainingSample(frames, rng.integers(0, CFG.vocab, length), supervised, **targets))
+    return samples
+
+
+def assert_same_batch(got, want):
+    """Every ``PackedBatch`` field equal in values and dtype, or None in both."""
+    for name, a, b in zip(PackedBatch._fields, got, want, strict=True):
+        if b is None:
+            assert a is None, name
+        else:
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 @pytest.mark.parametrize("stage", [1, 2, 3])
 def test_sample_file_round_trip_is_bit_exact(stage, tmp_path):
-    data = synthetic_dataset(stage, 3, CFG, seed=13)
+    """A saved file loads as exactly the batch ``pack_batch`` makes of its samples."""
+    samples = ragged_samples(stage, seed=13)
     path = tmp_path / "samples.npz"
-    save_samples(data, path)
-    for sample, back in zip(data, load_samples(path, CFG, stage), strict=True):
-        for name in ("frames", "tokens", "supervised", "loc_targets", "traj_targets"):
-            want, got = getattr(sample, name), getattr(back, name)
-            assert (want is None and got is None) or np.array_equal(got, want), name
-        assert back.tokens.dtype == sample.tokens.dtype and back.supervised.dtype == bool
+    save_samples(samples, path)
+    assert_same_batch(load_samples(path, CFG, stage), pack_batch(samples, stage))
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3])
+def test_sample_file_round_trip_casts_stored_dtypes(stage, tmp_path, rewrite_npz):
+    """float32 frames and integral float64 tokens load as the batch of the samples they round to."""
+    samples = ragged_samples(stage, seed=14)
+    path = tmp_path / "samples.npz"
+    save_samples(samples, path)
+    with np.load(path) as archive:
+        frames, tokens = archive["frames"].astype(np.float32), archive["tokens"].astype(float)
+    rewrite_npz(path, frames=frames, tokens=tokens)
+    rounded = [replace(s, frames=s.frames.astype(np.float32)) for s in samples]
+    assert_same_batch(load_samples(path, CFG, stage), pack_batch(rounded, stage))
 
 
 def test_load_samples_rejects_target_row_count(tmp_path, rewrite_npz):
@@ -182,19 +221,9 @@ def test_load_samples_fills_null_rows_from_config(tmp_path):
     sample.traj_targets[:] = 0.5
     path = tmp_path / "samples.npz"
     save_samples([sample], path)
-    back = load_samples(path, CFG, 2)[0]
-    assert back.traj_targets.shape == (len(sample.tokens), CFG.points, CFG.frames, 2)
-    assert not back.traj_targets.any()
-
-
-def test_samples_file_round_trip(tmp_path):
-    data = synthetic_dataset(2, 4, CFG, seed=3)
-    path = tmp_path / "samples.npz"
-    save_samples(data, path)
     back = load_samples(path, CFG, 2)
-    assert len(back) == 4
-    for a, b in zip(back, data):
-        assert np.array_equal(a.traj_targets, b.traj_targets)
+    assert back.targets.shape == (len(sample.tokens), CFG.points, CFG.frames, 2)
+    assert not back.targets.any()
 
 
 def token_at_6(value):
