@@ -164,6 +164,16 @@ def test_sample_file_round_trip_is_bit_exact(stage, tmp_path):
     assert_same_batch(load_samples(path, CFG, stage), pack_batch(samples, stage))
 
 
+def test_samples_file_round_trip(tmp_path):
+    data = synthetic_dataset(2, 4, CFG, seed=3)
+    path = tmp_path / "samples.npz"
+    save_samples(data, path)
+    back = load_samples(path, CFG, 2)
+    assert len(back.starts) == 4
+    rows = [b.traj_targets[b.supervised] for b in data]
+    assert np.array_equal(back.targets[back.supervised], np.concatenate(rows))
+
+
 @pytest.mark.parametrize("stage", [1, 2, 3])
 def test_sample_file_round_trip_casts_stored_dtypes(stage, tmp_path, rewrite_npz):
     """float32 frames and integral float64 tokens load as the batch of the samples they round to."""
