@@ -7,7 +7,7 @@ backbone that pools the visual tokens, the token prefix, and the sequence
 position.  Losses and their analytic gradients run over one packed batch:
 the samples' tokens concatenated into T rows, each weighted 1/(B * L_b).
 ``pack_rows`` builds every batch, from in-memory samples (``pack_batch``)
-or straight from a samples file, whose unsupervised target rows load as zeros.
+or straight from a samples file; a batch holds supervised target rows only.
 The gradients are checked against central finite differences; all +-eps
 probes of one trainable array run as one stacked loss pass.
 
@@ -145,8 +145,8 @@ class PackedBatch(NamedTuple):
     inv_prefix: np.ndarray  # (T,) 1 / (tokens before the row in its sample), 0 for none
     position: np.ndarray  # (T,) (i + 1) / L_b for the i-th token of sample b
     weight: np.ndarray  # (T,) 1 / (B * L_b): per-sample mean, then mean over samples
-    supervised: np.ndarray  # (T,) bool
-    targets: np.ndarray | None  # (T, 2) in stage 1, (T, P, N, 2) in stage 2, else None
+    rows: np.ndarray  # (S,) ascending indices of the supervised rows
+    targets: np.ndarray | None  # (S, 2) in stage 1, (S, P, N, 2) in stage 2, else None
     frame_means: np.ndarray  # (B, d_v) mean visual feature of each sample
 
 
@@ -186,18 +186,19 @@ def init_params(cfg: TrainerConfig, seed: int | None = None) -> ToyModelParams:
 
 
 def pack_rows(lengths, tokens, supervised, targets, frame_means) -> PackedBatch:
-    """The batch of samples of ``lengths`` rows each, whose rows lie end to end in the arrays."""
+    """The batch of samples of ``lengths`` rows each, laid end to end; ``targets`` has supervised rows only."""
     sample = np.repeat(np.arange(len(lengths)), lengths)
     starts = np.cumsum(lengths) - lengths
     prefix = np.arange(len(sample)) - starts[sample]
     inv_prefix = np.divide(1.0, prefix, out=np.zeros(len(prefix)), where=prefix > 0)
     position = (prefix + 1.0) / lengths[sample]
     weight = 1.0 / (len(lengths) * lengths[sample])
-    return PackedBatch(tokens, sample, starts, inv_prefix, position, weight, supervised, targets, frame_means)
+    rows = np.flatnonzero(supervised)
+    return PackedBatch(tokens, sample, starts, inv_prefix, position, weight, rows, targets, frame_means)
 
 
 def pack_batch(samples: Sequence[TrainingSample], stage: int) -> PackedBatch:
-    """Concatenate the samples' tokens and stage targets into one batch."""
+    """Concatenate the samples' tokens and supervised stage target rows into one batch."""
     if stage not in TRAINABLE_BY_STAGE:
         raise ValueError(f"unknown stage {stage}")
     if not samples:
@@ -209,7 +210,7 @@ def pack_batch(samples: Sequence[TrainingSample], stage: int) -> PackedBatch:
         np.array([len(s.tokens) for s in samples]),
         np.concatenate([s.tokens for s in samples]),
         np.concatenate([s.supervised for s in samples]),
-        np.concatenate([getattr(s, target) for s in samples]) if target else None,
+        np.concatenate([getattr(s, target)[s.supervised] for s in samples]) if target else None,
         np.array([s.frames.mean(axis=0) for s in samples]),
     )
 
@@ -258,18 +259,20 @@ def _forward_loss(params, batch, stage, lam, smoothing, signs=False):
     sign = None
     if stage in _HEADS:
         w_name, b_name = _HEADS[stage]
-        dist = H @ np.swapaxes(getattr(params, w_name), -1, -2)
+        dist = H[..., batch.rows, :] @ np.swapaxes(getattr(params, w_name), -1, -2)
         bias = getattr(params, b_name)[..., None, :]
-        # in place unless only the bias is stacked: a fresh (T, 2PN) array per step is slow
+        # in place unless only the bias is stacked: a fresh (S, 2PN) array per step is slow
         dist = np.add(dist, bias, out=dist if dist.ndim >= bias.ndim else None)
         shape = (2,) if stage == 1 else (params.points, params.traj_frames, 2)
-        rows = None if batch.targets is None else batch.targets.shape[1:]
-        if rows != shape:  # also a batch packed for another stage
-            raise ValueError(f"target rows of shape {rows}, expected {shape}")
+        got = None if batch.targets is None else batch.targets.shape[1:]
+        if got != shape:  # also a batch packed for another stage
+            raise ValueError(f"target rows of shape {got}, expected {shape}")
         dist -= batch.targets.reshape(dist.shape[-2:])
         if signs:  # int8 residual signs are all the backward pass needs of the residuals
             sign = np.sign(dist, out=np.empty(dist.shape, np.int8), casting="unsafe")
-        l1 = np.where(batch.supervised, np.abs(dist, out=dist).sum(axis=-1), 0.0)
+        # stacked like dist, which a bias-only probe stacks although H is not
+        l1 = np.zeros(dist.shape[:-2] + (len(batch.tokens),))
+        l1[..., batch.rows] = np.abs(dist, out=dist).sum(axis=-1)
         terms = terms + _head_scale(params, stage, lam) * l1
     loss = terms @ batch.weight
     return H, logp, sign, float(loss) if loss.ndim == 0 else loss
@@ -312,11 +315,11 @@ def gradients(
 
     if sign is not None:
         w_name, b_name = _HEADS[stage]
-        coef = _head_scale(params, stage, lam) * batch.weight * batch.supervised
+        coef = _head_scale(params, stage, lam) * batch.weight[batch.rows]
         g_head = np.multiply(sign, coef[:, None])  # L1 subgradient, per-token weighted
-        grads[w_name] = g_head.T @ H
+        grads[w_name] = g_head.T @ H[batch.rows]
         grads[b_name] = g_head.sum(axis=0)
-        g_h += g_head @ getattr(params, w_name)
+        g_h[batch.rows] += g_head @ getattr(params, w_name)  # rows are unique: one add each
 
     g_h *= 1.0 - H**2  # through tanh; the backbone itself stays frozen
     w = params.backbone_w

@@ -3,8 +3,8 @@
 Training is plain full-batch gradient descent on one packed batch, and
 every step takes the loss and analytic gradients from one fused pass over
 it.  A samples file already stores the batch's rows end to end, so
-``load_samples`` maps it straight onto the batch, unsupervised target rows
-as zeros; samples built in memory go through ``pack_batch``.  The stage
+``load_samples`` maps it straight onto the batch, supervised target rows
+only; samples built in memory go through ``pack_batch``.  The stage
 decides which parameter groups move (the backbone never does, the adapter
 only in stage 1).  A stage trains a copy of the parameters it is given and
 returns it, so the next stage starts from that copy.  Everything is
@@ -105,7 +105,6 @@ def synthetic_dataset(
         traj_targets = None
         if stage == 1:
             loc_targets = np.clip(0.2 + 0.6 * base[None, :] + loc_drift, 0.0, 1.0)
-            loc_targets[~supervised] = 0.0
         elif stage == 2:
             matrix = np.clip(0.2 + 0.6 * base[None, None, :] + traj_drift, 0.0, 1.0)
             matrix[sentinel_mask] = -1.0
@@ -156,9 +155,8 @@ def samples_from_records(records: Iterable[dict], cfg: TrainerConfig) -> list[Tr
                         f"trajectory shape {matrix.shape} does not match config "
                         f"({cfg.points}, {cfg.frames}, 2)"
                     )
-                for t in range(lo, min(hi, len(words))):
-                    supervised[t] = True
-                    traj_targets[t] = matrix
+                supervised[lo:hi] = True
+                traj_targets[lo:hi] = matrix
             samples.append(
                 TrainingSample(
                     frames=rng.normal(size=(SAMPLE_FRAMES, cfg.d_v)),
@@ -236,7 +234,7 @@ def load_samples(path: str | Path, cfg: TrainerConfig, stage: int) -> PackedBatc
 
     Every array read must fit ``cfg`` (see ``_load_npz``), and the file must
     hold the stage's target array (``STAGE_TARGETS``); no other target array
-    is read.  Unsupervised target rows load as zeros.  Stored counts that do
+    is read; the batch holds the stored supervised rows.  Stored counts that do
     not add up to the stored rows raise DataError ``<path>: ...``; a bad
     token raises DataError ``<path>: sample <i>: ...`` naming the first such
     sample.
@@ -275,10 +273,7 @@ def load_samples(path: str | Path, cfg: TrainerConfig, stage: int) -> PackedBatc
     for j in np.flatnonzero(bad)[:1]:
         i = np.searchsorted(np.cumsum(lengths), j, side="right")
         fail(i, f"token {tokens[j]} is not an integer in [0, {cfg.vocab})")
-    targets = None
-    if target:
-        targets = np.zeros((len(tokens), *a[target].shape[1:]))
-        targets[supervised] = a[target]
+    targets = a[target].astype(float) if target else None
     # float64 before the means, as in pack_batch: a float32 mean rounds differently
     means = [f.mean(axis=0) for f in np.split(frames.astype(float), np.cumsum(frame_counts)[:-1])]
     return pack_rows(lengths.astype(int), tokens.astype(int), supervised, targets, np.array(means))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -393,15 +394,28 @@ def ragged_batch(cfg, stage, seed, lengths=(1, 5, 9)):
     return [make_sample(cfg, seed=seed + i, stage=stage, length=n) for i, n in enumerate(lengths)]
 
 
+def unsupervised(sample):
+    """``sample`` supervising no token."""
+    return replace(sample, supervised=np.zeros(len(sample.tokens), bool))
+
+
+def partly_unsupervised(cfg, stage, seed):
+    """``ragged_batch`` whose middle sample supervises no token."""
+    samples = ragged_batch(cfg, stage, seed)
+    samples[1] = unsupervised(samples[1])
+    return samples
+
+
 @pytest.mark.parametrize("stage", [1, 2, 3])
 def test_packed_loss_is_mean_of_oracle_sample_losses(stage):
     lam, eps = 0.7, 0.13
     for seed in range(3):
         params = init_params(SMALL, seed=seed + 20)
-        samples = ragged_batch(SMALL, stage, seed=10 * seed + 30)
-        got = stage_loss(params, pack_batch(samples, stage), stage, lam, eps)
-        want = np.mean([oracle_loss(params, s, stage, lam, eps) for s in samples])
-        assert abs(got - want) <= 1e-12
+        for make in (ragged_batch, partly_unsupervised):
+            samples = make(SMALL, stage, seed=10 * seed + 30)
+            got = stage_loss(params, pack_batch(samples, stage), stage, lam, eps)
+            want = np.mean([oracle_loss(params, s, stage, lam, eps) for s in samples])
+            assert abs(got - want) <= 1e-12
 
 
 @pytest.mark.parametrize("stage", [1, 2, 3])
@@ -431,6 +445,9 @@ def grad_check_fixtures(stage):
     yield init_params(SMALL, seed=80), [make_sample(SMALL, seed=81, stage=stage)]
     yield init_params(SMALL, seed=82), [make_sample(SMALL, seed=83, stage=stage, length=9)]
     yield init_params(SMALL, seed=84), ragged_batch(SMALL, stage, seed=85)
+    yield init_params(SMALL, seed=86), partly_unsupervised(SMALL, stage, seed=87)
+    if stage in toymodel.STAGE_TARGETS:  # a batch without a single target row
+        yield init_params(SMALL, seed=88), [unsupervised(s) for s in ragged_batch(SMALL, stage, seed=89)]
 
 
 @pytest.mark.parametrize("stage", [1, 2, 3])

@@ -13,6 +13,7 @@ from pite.toymodel import (
     init_params,
     pack_batch,
     stage_loss,
+    tile_init,
 )
 from pite.jsonl import DataError
 from pite.trainer import (
@@ -128,19 +129,15 @@ def test_stage3_overfit_decodes_target_sequences(greedy_decode):
 
 
 def ragged_samples(stage, seed):
-    """16 samples of 8 to 23 tokens and 1 to 5 frames, as the train benchmark packs them.
-
-    Unsupervised target rows are zero, as a samples file loads them.
-    """
+    """16 samples of 8 to 23 tokens and 1 to 5 frames, as the train benchmark packs them."""
     rng = np.random.default_rng(seed)
     samples = []
     for length in rng.permutation(np.arange(8, 24)):
         supervised = rng.random(length) < 0.5
         targets = {}
         if stage in STAGE_TARGETS:
-            rows = rng.random((length, 2) if stage == 1 else (length, CFG.points, CFG.frames, 2))
-            rows[~supervised] = 0.0
-            targets[STAGE_TARGETS[stage]] = rows
+            shape = (length, 2) if stage == 1 else (length, CFG.points, CFG.frames, 2)
+            targets[STAGE_TARGETS[stage]] = rng.random(shape)
         frames = rng.normal(size=(rng.integers(1, 6), CFG.d_v))
         samples.append(TrainingSample(frames, rng.integers(0, CFG.vocab, length), supervised, **targets))
     return samples
@@ -170,8 +167,8 @@ def test_samples_file_round_trip(tmp_path):
     save_samples(data, path)
     back = load_samples(path, CFG, 2)
     assert len(back.starts) == 4
-    rows = [b.traj_targets[b.supervised] for b in data]
-    assert np.array_equal(back.targets[back.supervised], np.concatenate(rows))
+    assert np.array_equal(back.targets, np.concatenate([b.traj_targets[b.supervised] for b in data]))
+    assert np.array_equal(back.rows, np.flatnonzero(np.concatenate([b.supervised for b in data])))
 
 
 @pytest.mark.parametrize("stage", [1, 2, 3])
@@ -225,15 +222,20 @@ def test_load_samples_rejects_rows_that_do_not_fit_config(tmp_path, rewrite_npz)
 
 
 def test_load_samples_fills_null_rows_from_config(tmp_path):
-    """Unsupervised rows are not stored and load as zeros of the config's geometry."""
+    """A file with no supervised token loads no target row, and training leaves the head as tiled."""
     sample = synthetic_dataset(2, 1, CFG, seed=1)[0]
     sample.supervised[:] = False  # no traj_targets row is written
     sample.traj_targets[:] = 0.5
     path = tmp_path / "samples.npz"
     save_samples([sample], path)
     back = load_samples(path, CFG, 2)
-    assert back.targets.shape == (len(sample.tokens), CFG.points, CFG.frames, 2)
-    assert not back.targets.any()
+    assert back.targets.shape == (0, CFG.points, CFG.frames, 2)
+    assert back.rows.size == 0
+    params = init_params(CFG)
+    trained, _, _ = run_stage(params, back, 2, CFG)
+    tiled = tile_init(params)
+    assert np.array_equal(trained.traj_w, tiled.traj_w)
+    assert np.array_equal(trained.traj_b, tiled.traj_b)
 
 
 def token_at_6(value):
