@@ -6,6 +6,9 @@ and a bad line, undecodable bytes included, is named as ``<path>:<line>:
 <Type>: <message>`` by ``naming``, the one translation of bad input to DataError.
 ``read_jsonl`` pauses the cyclic garbage collector per record: decoded JSON
 holds no cycles, so collecting during a track line would only rescan its lists.
+It passes an optional ``object_hook`` to ``json.loads``; the track reader's
+hook turns each track into arrays as it is decoded, so a line's nested lists
+are never all alive at once.  Other readers keep the default decoder.
 
 Named scalar fields of JSON inputs are read by ``integer`` (an int, not a
 bool), ``real`` (a finite int or float, as a float) or ``text`` (a nonempty
@@ -97,19 +100,25 @@ def read_lines(path: str | Path) -> Iterator[tuple[str, str]]:
                 yield location, line
 
 
-def read_jsonl(path: str | Path, parse: Callable[[object], T]) -> Iterator[T]:
+def read_jsonl(
+    path: str | Path,
+    parse: Callable[[object], T],
+    object_hook: Callable[[dict], object] | None = None,
+) -> Iterator[T]:
     """Yield ``parse(record)`` for each non-blank line of ``path``.
 
-    A line that is not JSON, or whose record ``parse`` rejects, raises
-    DataError naming the file and the 1-based line number.  The collector is
-    paused for each decode and parse, never across the ``yield``.
+    ``object_hook`` is passed to ``json.loads``; without one the default
+    decoder runs.  A line that is not JSON, or whose record ``parse`` (or the
+    hook) rejects, raises DataError naming the file and the 1-based line
+    number.  The collector is paused for each decode and parse, never across
+    the ``yield``.
     """
     for location, line in read_lines(path):
         enabled = gc.isenabled()
         gc.disable()
         try:
             with naming(location):
-                item = parse(json.loads(line))
+                item = parse(json.loads(line, object_hook=object_hook))
         finally:
             if enabled:
                 gc.enable()

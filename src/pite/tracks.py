@@ -2,6 +2,10 @@
 
 Dense per-frame point tracks come from an external tracker and are held as
 one ``Tracks`` array pair: pixel positions (T, F, 2) and visibility (T, F).
+A track file is decoded one track at a time: ``decode_track``, a ``json``
+object_hook, turns each ``{xy, vis}`` object into its two arrays as soon as
+the decoder closes it, so a clip line's peak memory is about three times the
+line rather than the ten times its nested lists of floats would take.
 A first-frame object mask selects the tracks belonging to one object.  Those
 tracks are condensed to at most P key points by k-means++ on their
 first-frame positions, then resampled onto an N-frame grid of normalized
@@ -18,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .jsonl import integer, naming, read_jsonl, text, unique
+from .jsonl import BAD_INPUT, integer, naming, read_jsonl, text, unique
 
 SENTINEL = -1.0  # both coordinates of an absent sample
 
@@ -128,10 +132,12 @@ class TrajectoryMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TrajectoryMatrix":
-        """Read one matrix in one typed flat pass, in the manner of ``ClipTracks.from_json``.
+        """Read one matrix in one typed pass over its flattened ``coords``.
 
         ``coords`` holds ``points`` rows of ``frames`` (x, y) pairs of JSON
-        numbers (not bools); a ragged or misdeclared shape raises ValueError.
+        numbers (not bools); a ragged or misdeclared shape raises ValueError
+        and any other entry TypeError.  The same checks that ``track_arrays``
+        makes per track run here over the whole matrix at once.
         """
         points, frames = integer(obj["points"], "points"), integer(obj["frames"], "frames")
         rows = obj["coords"]
@@ -375,6 +381,39 @@ def to_matrix(keypoints: Tracks, P: int, N: int, width: int, height: int) -> Tra
 # --- file formats ----------------------------------------------------------
 
 
+def track_arrays(track: dict, frames: int) -> tuple[np.ndarray, np.ndarray]:
+    """One track's float64 (frames, 2) ``xy`` and bool (frames,) ``vis`` arrays.
+
+    ``xy`` must hold ``frames`` (x, y) pairs of JSON numbers (not bools) and
+    ``vis`` ``frames`` JSON booleans, else ValueError or TypeError; finiteness
+    is left to ``Tracks``.
+    """
+    xy, vis = track["xy"], track["vis"]
+    pairs = list(xy)  # a number or null xy fails as not iterable before the length check
+    if {len(pairs), len(vis)} - {frames} or set(map(len, pairs)) - {2}:
+        raise ValueError(f"each track needs {frames} (x, y) pairs and {frames} vis flags")
+    flat = list(chain.from_iterable(pairs))
+    if set(map(type, flat)) - {int, float} or set(map(type, vis)) - {bool}:
+        raise TypeError("xy entries must be JSON numbers and vis entries JSON booleans")
+    return np.fromiter(flat, float).reshape(frames, 2), np.fromiter(vis, bool)
+
+
+def decode_track(obj: dict) -> object:
+    """``json`` object_hook: a track becomes its ``(xy, vis)`` arrays as the decoder closes it.
+
+    Only an object with exactly the keys ``xy`` and ``vis`` that ``track_arrays``
+    accepts converts.  Any other object, the clip and a bad track included, is
+    returned unchanged: ``ClipTracks.from_json`` converts a bad track again and
+    raises its error under the clip's name.
+    """
+    if obj.keys() == {"xy", "vis"}:
+        try:
+            return track_arrays(obj, len(obj["xy"]))
+        except BAD_INPUT:
+            pass
+    return obj
+
+
 @dataclass
 class ClipTracks:
     """One tracked clip: dimensions and its point tracks."""
@@ -388,23 +427,23 @@ class ClipTracks:
     def from_json(cls, obj: dict) -> "ClipTracks":
         """Parse one clip; DataError naming the clip on tracks that do not fit ``frames``.
 
-        ``clip_id`` is a nonempty string; each track holds ``frames`` ``xy`` pairs of
-        JSON numbers (not bools) and ``frames`` ``vis`` JSON booleans.
+        ``clip_id`` is a nonempty string.  Each track is an ``(xy, vis)`` array
+        pair that ``decode_track`` made while the line was decoded, or an object
+        that ``track_arrays`` converts here (raising its error for a bad track);
+        every track must have ``frames`` frames, and the pairs are stacked into
+        one ``Tracks``.  A decoded track of another length is reported before
+        any track that does not convert.
         """
         clip_id = text(obj["clip_id"], "clip_id")
         frames = integer(obj["frames"], "frames")
         rows = obj["tracks"]
         with naming(f"clip {clip_id}"):
-            xys, vis = [t["xy"] for t in rows], [t["vis"] for t in rows]
-            pairs = list(chain.from_iterable(xys))
-            if (set(map(len, xys)) | set(map(len, vis))) - {frames} or set(map(len, pairs)) - {2}:
+            if any(isinstance(row, tuple) and len(row[1]) != frames for row in rows):
                 raise ValueError(f"each track needs {frames} (x, y) pairs and {frames} vis flags")
-            flat_xy, flat_vis = list(chain.from_iterable(pairs)), list(chain.from_iterable(vis))
-            if set(map(type, flat_xy)) - {int, float} or set(map(type, flat_vis)) - {bool}:
-                raise TypeError("xy entries must be JSON numbers and vis entries JSON booleans")
+            pairs = [row if isinstance(row, tuple) else track_arrays(row, frames) for row in rows]
             tracks = Tracks(
-                xy=np.array(flat_xy, dtype=float).reshape(len(rows), frames, 2),
-                vis=np.array(flat_vis, dtype=bool).reshape(len(rows), frames),
+                xy=np.array([xy for xy, _ in pairs], dtype=float).reshape(len(rows), frames, 2),
+                vis=np.array([vis for _, vis in pairs], dtype=bool).reshape(len(rows), frames),
             )
         return cls(
             clip_id=clip_id,
@@ -415,8 +454,12 @@ class ClipTracks:
 
 
 def iter_clip_tracks(path: str | Path) -> Iterator[ClipTracks]:
-    """Read a JSONL track file, one clip per line; a bad or repeated clip raises DataError."""
-    yield from read_jsonl(path, unique(ClipTracks.from_json, "clip_id"))
+    """Read a JSONL track file, one clip per line; a bad or repeated clip raises DataError.
+
+    Each track is decoded into its arrays by ``decode_track`` as the line is
+    parsed, so a line's nested lists are never all alive at once.
+    """
+    yield from read_jsonl(path, unique(ClipTracks.from_json, "clip_id"), object_hook=decode_track)
 
 
 def load_mask(path: str | Path) -> Mask:

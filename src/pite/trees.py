@@ -17,7 +17,7 @@ from .jsonl import naming
 
 
 class ParseError(ValueError):
-    """Malformed bracketed tree. ``offset`` is the byte offset of the problem."""
+    """Malformed bracketed tree. ``offset`` is the character offset of the problem in the parsed text."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
@@ -67,7 +67,7 @@ def parse_bracketed(text: str) -> ParseTree:
     """Parse one balanced bracketed expression into a ParseTree.
 
     Spans are token-index intervals [lo, hi) computed left to right over the
-    leaves.  Raises ParseError (with byte offset) on unbalanced brackets,
+    leaves.  Raises ParseError (with character offset) on unbalanced brackets,
     empty constituents, or labeled constituents containing no word.
     """
     tokens = [(m.group(), m.start()) for m in _TOKEN.finditer(text)]

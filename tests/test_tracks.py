@@ -1,6 +1,9 @@
 import itertools
 import json
 import math
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from pite.tracks import (
     _sse,
     condense,
     filter_tracks_by_mask,
+    iter_clip_tracks,
     kmeans_pp,
     to_matrix,
 )
@@ -236,6 +240,14 @@ def walk(n, visible=True):
     return {"xy": [[1.0, float(i)] for i in range(n)], "vis": [visible] * n}
 
 
+def read_clip_file(obj):
+    """Clip ``obj`` written as a one-line track file and read back by ``iter_clip_tracks``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "clips.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        return next(iter_clip_tracks(path))
+
+
 @pytest.mark.parametrize(
     "tracks",
     [
@@ -262,8 +274,12 @@ def walk(n, visible=True):
     ],
 )
 def test_clip_tracks_rejects_tracks_that_do_not_fit(tracks):
-    with pytest.raises(ValueError, match="clip v:0"):
+    with pytest.raises(ValueError, match="clip v:0") as direct:
         ClipTracks.from_json(clip_json(tracks))
+    with pytest.raises(ValueError, match="clip v:0") as decoded:
+        read_clip_file(clip_json(tracks))
+    # decoding tracks as the line is parsed keeps from_json's message
+    assert str(decoded.value).endswith(f".jsonl:1: DataError: {direct.value}")
 
 
 def test_clip_tracks_without_tracks():
@@ -292,9 +308,38 @@ def test_clip_tracks_flat_pass_matches_nested_conversion(obj):
     rows, shape = obj["tracks"], (len(obj["tracks"]), obj["frames"])
     xy = np.array([t["xy"] for t in rows], dtype=float).reshape(*shape, 2)
     vis = np.array([t["vis"] for t in rows], dtype=bool).reshape(shape)
-    tracks = ClipTracks.from_json(obj).tracks
-    assert tracks.xy.dtype == xy.dtype and np.array_equal(tracks.xy, xy)
-    assert tracks.vis.dtype == vis.dtype and np.array_equal(tracks.vis, vis)
+    for tracks in (ClipTracks.from_json(obj).tracks, read_clip_file(obj).tracks):
+        assert tracks.xy.dtype == xy.dtype and np.array_equal(tracks.xy, xy)
+        assert tracks.vis.dtype == vis.dtype and np.array_equal(tracks.vis, vis)
+
+
+def test_track_with_other_keys_loads_as_before():
+    # only {xy, vis} objects are decoded as the line is parsed; this one is converted by from_json
+    tracks = read_clip_file(clip_json([dict(walk(3), id=7), walk(3, visible=False)])).tracks
+    assert np.array_equal(tracks.xy, [walk(3)["xy"]] * 2)
+    assert tracks.vis.tolist() == [[True] * 3, [False] * 3]
+
+
+def test_decoding_a_clip_peaks_under_four_times_its_line(tmp_path):
+    # each track becomes arrays as the decoder closes it, so the nested lists
+    # of the whole line (about 10x its length) are never alive at once
+    rng = np.random.default_rng(0)
+    tracks = [
+        {"xy": (rng.random((150, 2)) * 300).round(2).tolist(), "vis": (rng.random(150) < 0.9).tolist()}
+        for _ in range(400)
+    ]
+    line = json.dumps(clip_json(tracks, frames=150))
+    path = tmp_path / "clips.jsonl"
+    path.write_text(line + "\n")
+    del tracks
+    tracemalloc.start()
+    try:
+        clips = list(iter_clip_tracks(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert clips[0].tracks.xy.shape == (400, 150, 2)
+    assert peak < 4 * len(line)
 
 
 # --- kmeans_pp ----------------------------------------------------------------

@@ -60,6 +60,12 @@ def test_unbalanced_error_offset():
     assert err.value.offset == 13
 
 
+def test_unbalanced_error_offset_counts_characters_not_bytes():
+    with pytest.raises(ParseError) as err:
+        parse_bracketed("(NP café) )")
+    assert err.value.offset == 10  # its UTF-8 byte offset is 11
+
+
 def test_empty_constituent():
     with pytest.raises(ParseError, match="empty constituent"):
         parse_bracketed("(TOP () )")
