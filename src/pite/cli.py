@@ -288,7 +288,7 @@ def cmd_eval_dense(args) -> int:
     for _, gt_events, pred_events in videos:
         pred_events = pred_events or []
         gts = refs.pop()
-        preds = [metrics.Caption(e.caption) for e in pred_events]
+        preds = [metrics.Caption(e.caption, reference=False) for e in pred_events]
         pred_segments = [e.segment for e in pred_events]
         gt_segments = [e.segment for e in gt_events]
         ious = metrics.iou_table(pred_segments, gt_segments)
@@ -320,7 +320,7 @@ def cmd_eval_dense(args) -> int:
         meteor_vals.append(metrics.iou_bucketed_caption_scores(ious, meteor_metric))
 
     def mean(vals):
-        return sum(vals) / len(vals) if vals else 0.0
+        return sum(vals) / len(vals)
 
     # everything lands on a 0-100 scale (CIDEr is already x10 internally)
     result = {

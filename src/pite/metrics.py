@@ -61,20 +61,20 @@ class Caption:
     ``tokens`` is ``tokenize(text)``; ``ngrams`` counts the n-gram tuples of
     orders 1..CIDER_MAX_N, the orders in turn (order n ends at index
     ``ends[n - 1]``), each in order of first occurrence; ``positions`` maps
-    each token to its indices, for METEOR's alignment against this caption.
+    each token to its indices for METEOR to align against (None unless ``reference``).
     """
 
     __slots__ = ("tokens", "ngrams", "ends", "positions")
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, reference: bool = True):
         self.tokens = tokenize(text)
         self.ngrams: Counter = Counter()
         self.ends: list[int] = []
         for n in range(1, CIDER_MAX_N + 1):
             self.ngrams.update(_ngrams(self.tokens, n))
             self.ends.append(len(self.ngrams))
-        self.positions: dict[str, list[int]] = {}
-        for i, token in enumerate(self.tokens):
+        self.positions: dict | None = {} if reference else None
+        for i, token in enumerate(self.tokens if reference else ()):
             self.positions.setdefault(token, []).append(i)
 
 
@@ -254,14 +254,10 @@ def iou_bucketed_caption_scores(
         used: set[int] = set()
         total = 0.0
         for j, gt_ious in enumerate(ious):
-            best_iou = -1.0
-            best_idx = None
+            best_iou, best_idx = -1.0, None
             for idx, iou in enumerate(gt_ious):
-                if idx in used:
-                    continue
-                if iou >= threshold and iou > best_iou:
-                    best_iou = iou
-                    best_idx = idx
+                if idx not in used and iou >= threshold and iou > best_iou:
+                    best_iou, best_idx = iou, idx
             if best_idx is not None:
                 used.add(best_idx)
                 total += metric(best_idx, j)

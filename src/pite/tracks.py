@@ -10,6 +10,10 @@ A first-frame object mask selects the tracks belonging to one object.  Those
 tracks are condensed to at most P key points by k-means++ on their
 first-frame positions, then resampled onto an N-frame grid of normalized
 coordinates with (-1, -1) marking absent samples.
+The k-means restarts run in lockstep: the Lloyd, sweep and SSE helpers take
+a batch of R runs as (R, k, 2) centers and (R, n) assignments, and a run
+drops out of the batch at the step where it would stop alone, so the result
+is bit-identical to running the restarts one after another.
 """
 
 from __future__ import annotations
@@ -181,15 +185,24 @@ def kmeans_pp(
     iterations (at most ``MAX_ITER``, stopping once no center moves by
     ``TOL`` or more).  From that fixed point it alternates a single-point
     reassignment sweep (``_reassign_pass``) with Lloyd iterations, for at
-    most 50 rounds, while the sweep moves a point and the SSE falls.  The
-    run with the lowest SSE wins; ties keep the earliest run.
+    most 50 rounds, while the sweep moves a point and the SSE falls; the
+    round whose SSE does not fall still keeps its centers and assignment.
+    The run with the lowest SSE wins; ties keep the earliest run.
+
+    The runs advance in lockstep as (R, n, k) arrays.  Their seeds are drawn
+    run by run from one generator; each run leaves the batch exactly where
+    it would stop alone (Lloyd on ``TOL`` or ``MAX_ITER``, a sweep when no
+    point after its last move moves, the rounds when the sweep moves nothing,
+    the SSE does not fall or 50 rounds are done), and each run's arithmetic
+    is that of the run alone.
 
     Returns (centers (k,2), assignments (n,), sse).  Deterministic for a given
-    seed.  Raises ValueError when k exceeds the number of points.
+    seed.  Raises ValueError when the points are not a nonempty (n, 2) array
+    or k is not in 1..n.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("points must be a nonempty list of (x, y) pairs")
+    if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] != 2:
+        raise ValueError(f"points must be a nonempty (n, 2) array, got shape {pts.shape}")
     n = pts.shape[0]
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -197,27 +210,25 @@ def kmeans_pp(
         raise ValueError(f"k={k} exceeds the number of points ({n})")
 
     rng = np.random.default_rng(seed)
-    best: tuple[np.ndarray, np.ndarray, float] | None = None
-    for _ in range(RESTARTS):
-        centers = _seed_centers(pts, k, rng)
-        centers, assign, sse = _lloyd(pts, centers)
-        # Lloyd fixed points are not always optima even on tiny inputs;
-        # single-point reassignment passes are a strict descent beyond them
-        for _round in range(50):
-            assign, moved = _reassign_pass(pts, assign, k)
-            if not moved:
-                break
-            centers = _means(pts, assign, centers)
-            centers, assign, new_sse = _lloyd(pts, centers)
-            if new_sse >= sse:
-                break
-            sse = new_sse
-        centers = _means(pts, assign, centers)
-        sse = _sse(pts, centers, assign)
-        if best is None or sse < best[2]:
-            best = (centers, assign, sse)
-    assert best is not None
-    return best
+    centers, assign = _lloyd(pts, np.stack([_seed_centers(pts, k, rng) for _ in range(RESTARTS)]))
+    sse = _sse(pts, centers, assign)
+    # Lloyd fixed points are not always optima even on tiny inputs;
+    # single-point reassignment passes are a strict descent beyond them
+    live = np.arange(RESTARTS)
+    for _round in range(50):
+        assign[live], moved = _reassign_pass(pts, assign[live], k)
+        live = live[moved]
+        if not live.size:
+            break
+        centers[live], assign[live] = _lloyd(pts, _means(pts, assign[live], centers[live]))
+        new_sse = _sse(pts, centers[live], assign[live])
+        fell = new_sse < sse[live]
+        sse[live[fell]] = new_sse[fell]
+        live = live[fell]
+    centers = _means(pts, assign, centers)
+    sse = _sse(pts, centers, assign)
+    best = int(np.argmin(sse))  # the first of equal minima
+    return centers[best], assign[best], float(sse[best])
 
 
 def _seed_centers(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -237,44 +248,65 @@ def _seed_centers(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def _lloyd(pts: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def _lloyd(pts: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd iterations from R center sets (R, k, 2): the final centers and (R, n) assignments.
+
+    A run stops after the step on which none of its centers moved by ``TOL``
+    or more, or after ``MAX_ITER`` steps.
+    """
+    centers = centers.copy()
     assign = _assign(pts, centers)
+    live = np.arange(len(centers))
     for _ in range(MAX_ITER):
-        new_centers = _means(pts, assign, centers)
-        move = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max()
-        centers = new_centers
-        assign = _assign(pts, centers)
-        if move < TOL:
+        new_centers = _means(pts, assign[live], centers[live])
+        move = np.sqrt(np.sum((new_centers - centers[live]) ** 2, axis=2)).max(axis=1)
+        centers[live] = new_centers
+        assign[live] = _assign(pts, new_centers)
+        live = live[move >= TOL]
+        if not live.size:
             break
-    return centers, assign, _sse(pts, centers, assign)
+    return centers, assign
 
 
 def _assign(pts: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-    return np.argmin(d2, axis=1)
+    """Each point's nearest center (lowest index on ties) under (R, k, 2) centers: (R, n)."""
+    dx = pts[:, 0, None] - centers[:, None, :, 0]
+    dy = pts[:, 1, None] - centers[:, None, :, 1]
+    return np.argmin(dx * dx + dy * dy, axis=2)
+
+
+def _cluster_sums(pts: np.ndarray, assign: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Member counts (R, k) and coordinate sums (R, k, 2) of (R, n) assignments.
+
+    The sums are one ``bincount`` over the bins ``2 * (run * k + cluster) + axis``,
+    which adds each cluster's members in index order, starting from 0.
+    """
+    runs = len(assign)
+    bins = 2 * (assign + k * np.arange(runs)[:, None]).ravel()
+    counts = np.bincount(bins, minlength=2 * runs * k)[::2]
+    sums = np.bincount(
+        np.concatenate((bins, bins + 1)),
+        weights=pts.T.repeat(runs, axis=0).ravel(),
+        minlength=2 * runs * k,
+    )
+    return counts.reshape(runs, k), sums.reshape(runs, k, 2)
 
 
 def _means(pts: np.ndarray, assign: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """Cluster means; an empty cluster keeps its ``fallback`` row.
+    """Cluster means of (R, n) assignments; an empty cluster keeps its (R, k, 2) ``fallback`` row.
 
-    ``bincount`` adds each cluster's members in index order and divides
-    once, so each row equals ``mean(axis=0)`` over the members bit for bit.
+    The members are added in index order and divided once, so each row
+    equals ``mean(axis=0)`` over the members bit for bit.
     """
-    k = fallback.shape[0]
-    counts = np.bincount(assign, minlength=k)
-    sums = np.stack(
-        [np.bincount(assign, weights=pts[:, d], minlength=k) for d in range(pts.shape[1])],
-        axis=1,
-    )
-    centers = fallback.copy()
-    filled = counts > 0
-    centers[filled] = sums[filled] / counts[filled, None]
-    return centers
+    counts, sums = _cluster_sums(pts, assign, fallback.shape[1])
+    counts = counts[:, :, None]
+    return np.where(counts > 0, sums / np.maximum(counts, 1), fallback)
 
 
-def _reassign_pass(pts: np.ndarray, assign: np.ndarray, k: int) -> tuple[np.ndarray, bool]:
-    """One Hartigan-Wong sweep of single-point moves, each strictly reducing the SSE.
+def _reassign_pass(pts: np.ndarray, assign: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """One Hartigan-Wong sweep of single-point moves per row of (R, n) assignments.
 
+    Returns the new (R, n) assignments and whether each row moved a point.
     Points are visited in index order.  Moving x from cluster A (size na,
     mean ma) to B != A changes the SSE by nb/(nb+1)*|x-mb|^2 - na/(na-1)*|x-ma|^2;
     an empty target costs nothing and a point alone in its cluster stays.
@@ -283,50 +315,49 @@ def _reassign_pass(pts: np.ndarray, assign: np.ndarray, k: int) -> tuple[np.ndar
     before the next point is visited.
 
     Every point before the first mover sees the clusters unchanged, so each
-    step scores all points still to visit against the current clusters at
-    once, applies the move of the first point that improves and resumes
-    after it.  The moves, their order and the arithmetic are those of a
-    point-by-point sweep.
+    step scores every point against the current clusters of every row still
+    sweeping, applies in each such row the move of the first improving point
+    at or after its ``start`` and resumes after it; a row with no such point
+    is done.  The moves, their order and the arithmetic are those of a
+    point-by-point sweep of each row.
     """
     assign = assign.copy()
-    counts = np.bincount(assign, minlength=k).astype(float)
-    sums = np.zeros((k, pts.shape[1]))
-    np.add.at(sums, assign, pts)
-    moved = False
-    start = 0
-    while start < len(pts):
-        rest, own = pts[start:], assign[start:]
-        rows = np.arange(len(rest))
+    counts, sums = _cluster_sums(pts, assign, k)
+    counts = counts.astype(float)
+    moved = np.zeros(len(assign), dtype=bool)
+    start = np.zeros(len(assign), dtype=np.intp)
+    live = np.arange(len(assign))
+    index = np.arange(len(pts))
+    while live.size:
+        count, own = counts[live], assign[live]
         # a singleton never moves, so an empty cluster stays empty with sums 0
-        means = sums / np.maximum(counts, 1)[:, None]
-        sq = np.sum((rest[:, None, :] - means[None]) ** 2, axis=2)
-        cost = counts / (counts + 1) * sq  # 0 for an empty target
-        own_count = counts[own]
-        movable = own_count > 1
-        gain = np.zeros(len(rest))
-        gain[movable] = (
-            own_count[movable] / (own_count[movable] - 1) * sq[rows[movable], own[movable]]
-        )
-        delta = cost - gain[:, None]
-        delta[rows, own] = np.inf
-        delta[~movable] = np.inf
-        movers = np.flatnonzero(delta.min(axis=1) < -1e-12)
-        if not movers.size:
-            break
-        row = movers[0]
-        i, a, b = start + row, own[row], int(np.argmin(delta[row]))
-        sums[a] -= pts[i]
-        counts[a] -= 1
-        sums[b] += pts[i]
-        counts[b] += 1
-        assign[i] = b
-        moved = True
-        start = i + 1
+        means = sums[live] / np.maximum(count, 1)[:, :, None]
+        dx = pts[:, 0, None] - means[:, None, :, 0]
+        dy = pts[:, 1, None] - means[:, None, :, 1]
+        sq = dx * dx + dy * dy
+        cost = (count / (count + 1))[:, None, :] * sq  # 0 for an empty target
+        rows = np.arange(len(live))[:, None]
+        own_count = count[rows, own]
+        delta = cost - (own_count / np.maximum(own_count - 1, 1) * sq[rows, index, own])[:, :, None]
+        delta[rows, index, own] = np.inf
+        improves = (delta.min(axis=2) < -1e-12) & (own_count > 1) & (index >= start[live, None])
+        hit = improves.any(axis=1)
+        go, i = live[hit], improves[hit].argmax(axis=1)  # each row's first improving point
+        a, b = own[hit, i], delta[hit, i].argmin(axis=1)
+        sums[go, a] -= pts[i]
+        counts[go, a] -= 1
+        sums[go, b] += pts[i]
+        counts[go, b] += 1
+        assign[go, i] = b
+        moved[go] = True
+        start[go] = i + 1
+        live = go[i + 1 < len(pts)]
     return assign, moved
 
 
-def _sse(pts: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> float:
-    return float(np.sum((pts - centers[assign]) ** 2))
+def _sse(pts: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarray:
+    """Each run's sum of squared distances to its assigned centers: (R,) float64."""
+    return np.array([np.sum((pts - c[a]) ** 2) for c, a in zip(centers, assign)])
 
 
 def condense(tracks: Tracks, P: int, seed: int = 0) -> Tracks:

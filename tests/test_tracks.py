@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import math
@@ -107,6 +108,61 @@ def loop_means(pts: np.ndarray, assign: np.ndarray, fallback: np.ndarray) -> np.
         if len(members):
             centers[j] = members.mean(axis=0)
     return centers
+
+
+def serial_kmeans_pp(points, k: int, seed: int = 0):
+    """Reference for ``kmeans_pp``: its restarts run one after another, on the loop oracles.
+
+    Each restart seeds with ``_seed_centers`` from the one generator, runs
+    Lloyd to its fixed point, then alternates ``serial_reassign_pass`` with
+    Lloyd while a point moves and the SSE falls (at most 50 rounds); the
+    lowest SSE wins, the earliest restart on ties.
+    """
+    pts = np.asarray(points, dtype=float)
+
+    def assign_of(centers):
+        return np.argmin(np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2), axis=1)
+
+    def sse_of(centers, assign):
+        return float(np.sum((pts - centers[assign]) ** 2))
+
+    def lloyd(centers):
+        assign = assign_of(centers)
+        for _ in range(tracks_module.MAX_ITER):
+            new_centers = loop_means(pts, assign, centers)
+            move = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max()
+            centers, assign = new_centers, assign_of(new_centers)
+            if move < tracks_module.TOL:
+                break
+        return centers, assign, sse_of(centers, assign)
+
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(tracks_module.RESTARTS):
+        centers, assign, sse = lloyd(_seed_centers(pts, k, rng))
+        for _round in range(50):
+            assign, moved = serial_reassign_pass(pts, assign, k)
+            if not moved:
+                break
+            centers, assign, new_sse = lloyd(loop_means(pts, assign, centers))
+            if new_sse >= sse:
+                break
+            sse = new_sse
+        centers = loop_means(pts, assign, centers)
+        sse = sse_of(centers, assign)
+        if best is None or sse < best[2]:
+            best = (centers, assign, sse)
+    return best
+
+
+def grid_starts(rng: np.random.Generator, count: int, w: float, h: float) -> np.ndarray:
+    """``count`` start positions on a jittered grid over a w x h box, as bench clips place them."""
+    cols = max(1, round(np.sqrt(count * w / h)))
+    rows = max(1, -(-count // cols))
+    cell = np.arange(count)
+    xs = (cell % cols + rng.uniform(0.25, 0.75, size=count)) * (w / cols)
+    ys = (cell // cols + rng.uniform(0.25, 0.75, size=count)) * (h / rows)
+    return np.round(np.stack([xs, ys], axis=1) + rng.uniform(0, 300, size=2), 2)
 
 
 def sweep_case(rng: np.random.Generator, case: int):
@@ -384,27 +440,34 @@ def test_kmeans_within_one_percent_of_bruteforce():
         assert sse <= optimum * 1.01 + 1e-9
 
 
+def test_kmeans_rejects_points_that_are_not_n_by_2():
+    for shape in [(5, 1), (5, 3), (5,), (0, 2)]:
+        with pytest.raises(ValueError, match=rf"shape \({shape[0]},"):
+            kmeans_pp(np.zeros(shape), 2)
+
+
 def test_lloyd_steps_never_raise_sse():
     """Step Lloyd's loop by hand: neither a mean nor an assignment step raises the SSE."""
     pts = np.random.default_rng(7).random((30, 2))
-    for seed in range(10):
-        start = _seed_centers(pts, 4, np.random.default_rng(seed))
-        centers, assign = start, _assign(pts, start)
-        sse = _sse(pts, centers, assign)
+    starts = np.stack([_seed_centers(pts, 4, np.random.default_rng(seed)) for seed in range(10)])
+    batch_centers, batch_assign = _lloyd(pts, starts)
+    for start, got_centers, got_assign in zip(starts, batch_centers, batch_assign):
+        centers, assign = start, _assign(pts, start[None])[0]
+        sse = _sse(pts, centers[None], assign[None])[0]
         for _ in range(tracks_module.MAX_ITER):
-            new_centers = _means(pts, assign, centers)
-            moved_sse = _sse(pts, new_centers, assign)
+            new_centers = _means(pts, assign[None], centers[None])[0]
+            moved_sse = _sse(pts, new_centers[None], assign[None])[0]
             assert moved_sse <= sse + 1e-12
             move = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max()
-            centers, assign = new_centers, _assign(pts, new_centers)
-            sse = _sse(pts, centers, assign)
+            centers, assign = new_centers, _assign(pts, new_centers[None])[0]
+            sse = _sse(pts, centers[None], assign[None])[0]
             assert sse <= moved_sse + 1e-12
             if move < tracks_module.TOL:
                 break
-        # the hand-stepped loop is the one kmeans_pp runs
-        want_centers, want_assign, want_sse = _lloyd(pts, start)
-        assert np.array_equal(centers, want_centers) and np.array_equal(assign, want_assign)
-        assert sse == want_sse
+        # the hand-stepped loop is the one kmeans_pp runs, alone and in a batch
+        (want_centers,), (want_assign,) = _lloyd(pts, start[None])
+        for c, a in [(want_centers, want_assign), (got_centers, got_assign)]:
+            assert np.array_equal(centers, c) and np.array_equal(assign, a)
 
 
 def test_reassign_pass_matches_serial_sweep():
@@ -412,10 +475,16 @@ def test_reassign_pass_matches_serial_sweep():
     moves = 0
     for case in range(900):
         pts, k, start = sweep_case(rng, case)
-        assign, moved = _reassign_pass(pts, start, k)
-        want_assign, want_moved = serial_reassign_pass(pts, start, k)
-        assert np.array_equal(assign, want_assign), case
-        assert moved == want_moved, case
+        other = rng.integers(0, k, size=len(pts))
+        want = [serial_reassign_pass(pts, row, k) for row in (start, other)]
+        (assign,), (moved,) = _reassign_pass(pts, start[None], k)
+        assert np.array_equal(assign, want[0][0]), case
+        assert moved == want[0][1], case
+        # a batch sweeps each row as that row alone
+        batch, batch_moved = _reassign_pass(pts, np.stack([start, other, start]), k)
+        for row, moved, (want_assign, want_moved) in zip(batch, batch_moved, want + want[:1]):
+            assert np.array_equal(row, want_assign), case
+            assert moved == want_moved, case
         moves += int(np.sum(assign != start))
     assert moves > 900  # the cases exercise many moves, not just fixed points
 
@@ -426,25 +495,35 @@ def test_reassign_pass_applies_first_improving_move():
     # A sweep that applied the best move first would move point 4 instead.
     pts = np.array([[2.0, 0.0], [5.0, 0.0], [0.0, 0.0], [3.0, 0.0], [2.0, 0.0]])
     start = np.array([1, 0, 1, 0, 0])
-    assign, moved = _reassign_pass(pts, start, 2)
+    (assign,), (moved,) = _reassign_pass(pts, start[None], 2)
     assert moved
     assert assign.tolist() == [0, 0, 1, 0, 0]
     assert assign.tolist() == serial_reassign_pass(pts, start, 2)[0].tolist()
 
 
-def test_kmeans_matches_serial_sweep(monkeypatch):
+def assert_kmeans_matches_reference(pts, k, seed):
+    centers, assign, sse = kmeans_pp(pts, k, seed)
+    want_centers, want_assign, want_sse = serial_kmeans_pp(pts, k, seed)
+    assert centers.tobytes() == want_centers.tobytes(), (len(pts), k, seed)
+    assert np.array_equal(assign, want_assign), (len(pts), k, seed)
+    assert type(sse) is float and sse == want_sse, (len(pts), k, seed)
+
+
+def test_kmeans_matches_serial_sweep():
     rng = np.random.default_rng(77)
-    cases = []
     for case in range(150):
         pts, k, _ = sweep_case(rng, case)
-        cases.append((pts, min(k, len(pts)), case))
-    got = [kmeans_pp([tuple(p) for p in pts], k, seed=seed) for pts, k, seed in cases]
-    monkeypatch.setattr(tracks_module, "_reassign_pass", serial_reassign_pass)
-    for (pts, k, seed), (centers, assign, sse) in zip(cases, got):
-        want_centers, want_assign, want_sse = kmeans_pp([tuple(p) for p in pts], k, seed=seed)
-        assert np.array_equal(centers, want_centers), seed
-        assert np.array_equal(assign, want_assign), seed
-        assert sse == want_sse, seed
+        for seed in (case, case + 1000):
+            assert_kmeans_matches_reference([tuple(p) for p in pts], min(k, len(pts)), seed)
+
+
+def test_kmeans_matches_serial_reference_on_bench_shaped_clouds():
+    rng = np.random.default_rng(640)
+    for case in range(10):
+        pts = np.round(rng.uniform(0.0, 1.0, size=(int(rng.integers(50, 401)), 2)) * (640, 360), 2)
+        assert_kmeans_matches_reference(pts, case % 5 + 1, case)
+    for case, count in enumerate([4, 96, 200] * 2):
+        assert_kmeans_matches_reference(grid_starts(rng, count, 120.0, 90.0), 3, 100 + case)
 
 
 def test_means_matches_per_cluster_loop():
@@ -455,7 +534,14 @@ def test_means_matches_per_cluster_loop():
             pts = rng.uniform(0.0, 640.0, size=(400, 2))
             assign = rng.integers(0, k, size=400)
         fallback = rng.normal(size=(k, 2))
-        assert np.array_equal(_means(pts, assign, fallback), loop_means(pts, assign, fallback)), case
+        want = loop_means(pts, assign, fallback)
+        assert np.array_equal(_means(pts, assign[None], fallback[None])[0], want), case
+        # a batch of runs: each row is the means of that run alone
+        others = rng.integers(0, k, size=(2, len(pts)))
+        batch = _means(pts, np.vstack([assign, others]), np.stack([fallback, -fallback, fallback]))
+        wants = [want] + [loop_means(pts, a, f) for a, f in zip(others, [-fallback, fallback])]
+        for row, want_row in zip(batch, wants):
+            assert np.array_equal(row, want_row), case
 
 
 # --- condense -----------------------------------------------------------------
@@ -471,6 +557,21 @@ def test_condense_exact_p_distinct():
 def test_condense_single_track():
     track = static_tracks([(4.0, 4.0)])
     assert rows_of(condense(track, P=3, seed=0)) == rows_of(track)
+
+
+def test_condense_calls_kmeans_through_the_module_name(monkeypatch):
+    # the benchmark's tracks.kmeans span wraps pite.tracks.kmeans_pp and
+    # counts len(args[0]); a call that bypassed the name would read 0
+    calls = []
+    kmeans = tracks_module.kmeans_pp
+    monkeypatch.setattr(
+        tracks_module, "kmeans_pp", lambda *args, **kw: calls.append((args, kw)) or kmeans(*args, **kw)
+    )
+    tracks = static_tracks([(0.0, 0.0), (9.0, 1.0), (0.0, 5.0), (9.0, 1.0)])
+    condense(tracks, P=2, seed=17)
+    [(args, kw)] = calls
+    assert np.array_equal(args[0], tracks.xy[:, 0]) and len(args[0]) == 4
+    assert inspect.signature(kmeans).bind(*args, **kw).arguments == {"points": args[0], "k": 2, "seed": 17}
 
 
 def test_condense_three_blobs():
