@@ -9,6 +9,7 @@ verification error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -294,23 +295,9 @@ def cmd_eval_dense(args) -> int:
         ious = metrics.iou_table(pred_segments, gt_segments)
         # each pair is scored at most once per video, and shared by SODA
         # and every IoU threshold
-        vectors, cider_memo, meteor_memo = {}, {}, {}
-
-        def vector(caption):
-            if caption not in vectors:
-                vectors[caption] = metrics.tfidf_vectors(caption, idf)
-            return vectors[caption]
-
-        def cider_metric(i, j):
-            if (i, j) not in cider_memo:
-                cider_memo[i, j] = metrics.cider(vector(preds[i]), vector(gts[j]))
-            return cider_memo[i, j]
-
-        def meteor_metric(i, j):
-            if (i, j) not in meteor_memo:
-                meteor_memo[i, j] = metrics.meteor_lite(preds[i], gts[j])
-            return meteor_memo[i, j]
-
+        vector = functools.cache(lambda caption: metrics.tfidf_vectors(caption, idf))
+        cider_metric = functools.cache(lambda i, j: metrics.cider(vector(preds[i]), vector(gts[j])))
+        meteor_metric = functools.cache(lambda i, j: metrics.meteor_lite(preds[i], gts[j]))
         if args.scorer == "cider":
             soda_scorer = lambda i, j: cider_metric(i, j) / 10.0
         else:

@@ -10,7 +10,8 @@ File layout consumed by run_pipeline:
     manifest.jsonl   one video per line (see VideoManifest)
     trees file       one bracketed tree per event line, in manifest order
                      (read in step with the manifest, one video at a time)
-    masks_dir/{video_id}/ev{k}/{np_slug}.json   missing file = rejected NP
+    masks_dir/{video_id}/ev{k}/{np_slug}.json   the phrase's mask; no file =
+                                                rejected NP, other files unread
                                                 (np_slug escapes %, _ and /
                                                 and writes spaces as _)
     tracks_dir/{video_id}.jsonl                 one event clip per line,
@@ -32,7 +33,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 from .jsonl import DataError, integer, naming, read_jsonl, read_lines, real, text, unique
 from .tracks import (
@@ -151,7 +152,7 @@ _SLUG_ESCAPES = {"%": "%25", "_": "%5F", "/": "%2F"}
 
 
 def np_slug(text: str) -> str:
-    """Mask file stem for a phrase; ``np_from_slug`` inverts it.
+    """Mask file stem for a phrase: the one statement of the mask-naming rule.
 
     ``%``, ``_`` and ``/`` are percent-escaped first, then each whitespace
     run becomes ``_``, so the stem never names a subdirectory.
@@ -159,12 +160,6 @@ def np_slug(text: str) -> str:
     for char, escape in _SLUG_ESCAPES.items():
         text = text.replace(char, escape)
     return re.sub(r"\s+", "_", text.strip())
-
-
-def np_from_slug(stem: str) -> str:
-    """The phrase whose mask file stem is ``stem`` (single-spaced words)."""
-    unescape = {escape: char for char, escape in _SLUG_ESCAPES.items()}
-    return re.sub("%25|%5F|%2F", lambda m: unescape[m.group()], stem.replace("_", " "))
 
 
 def derive_seed(seed: int, *salt: object) -> int:
@@ -205,7 +200,7 @@ def phrase_trajectory(
 def annotate_event(
     event: ManifestEvent,
     tree: ParseTree,
-    masks: Mapping[str, Mask],
+    masks: Callable[[str], Mask | None],
     tracks: Tracks,
     config: PipelineConfig,
     duration: float,
@@ -215,7 +210,8 @@ def annotate_event(
 ) -> EventAnnotation:
     """Annotate one event: NP extraction, then ``phrase_trajectory`` per phrase.
 
-    ``masks`` maps NP surface text to its first-frame mask.  Phrase ``i``
+    ``masks(text)`` is the first-frame mask of the NP with surface text
+    ``text``, or None if the mask provider rejected it.  Phrase ``i``
     seeds k-means with ``derive_seed(config.seed, clip_id, i)``; a phrase
     that gets a drop reason is left out of the objects, and one whose
     ``phrase_trajectory`` fails raises DataError naming ``clip_id`` and it.
@@ -229,7 +225,7 @@ def annotate_event(
         formatted_text=format_temporal(event.caption, start_frame, end_frame),
     )
     for np_idx, phrase in enumerate(extract_lowest_np(tree)):
-        mask = masks.get(phrase.text)
+        mask = masks(phrase.text)
         seed = derive_seed(config.seed, clip_id, np_idx)
         with naming(f"{clip_id}: {phrase.text!r}"):
             matrix = phrase_trajectory(tracks, mask, width, height, config, seed)
@@ -245,13 +241,14 @@ def annotate_event(
     return annotation
 
 
-def load_event_masks(masks_dir: Path, video_id: str, event_idx: int) -> dict[str, Mask]:
-    event_dir = masks_dir / video_id / f"ev{event_idx}"
-    masks = {}
-    if event_dir.is_dir():
-        for mask_path in sorted(event_dir.glob("*.json")):
-            masks[np_from_slug(mask_path.stem)] = load_mask(mask_path)
-    return masks
+def _phrase_mask(event_dir: Path, phrase: str) -> Mask | None:
+    """The mask ``np_slug`` names for ``phrase`` in ``event_dir``, or None if it is no regular file.
+
+    ``os.path.isfile``, unlike ``Path.is_file``, reads a name too long for
+    the file system as no file instead of raising.
+    """
+    path = event_dir / f"{np_slug(phrase)}.json"
+    return load_mask(path) if os.path.isfile(path) else None
 
 
 def parse_tree(location: str, line: str) -> ParseTree:
@@ -293,12 +290,11 @@ def annotate_video(
                 f"{clip_id}: tree leaves {tree_caption!r} do not spell the "
                 f"caption {event.caption!r}"
             )
-        masks = load_event_masks(masks_dir, video.video_id, idx)
         events.append(
             annotate_event(
                 event,
                 tree,
-                masks,
+                functools.partial(_phrase_mask, masks_dir / video.video_id / f"ev{idx}"),
                 clip.tracks,
                 config,
                 duration=video.duration,

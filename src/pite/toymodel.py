@@ -114,7 +114,7 @@ class ToyModelParams:
 
 @dataclass
 class TrainingSample:
-    """One training example; target rows are meaningful only where supervised."""
+    """One training example; each target array has one row per token, meaningful only where supervised."""
 
     frames: np.ndarray  # (n_frames, d_v)
     tokens: np.ndarray  # (L,) int
@@ -130,10 +130,13 @@ class TrainingSample:
             raise ValueError("tokens must be a nonempty 1-D sequence")
         if self.supervised.shape != self.tokens.shape:
             raise ValueError("supervised mask must align with tokens")
-        if self.loc_targets is not None:
-            self.loc_targets = np.asarray(self.loc_targets, dtype=float)
-        if self.traj_targets is not None:
-            self.traj_targets = np.asarray(self.traj_targets, dtype=float)
+        for name in STAGE_TARGETS.values():
+            value = getattr(self, name)
+            if value is not None:
+                value = np.asarray(value, dtype=float)
+                if value.shape[:1] != self.tokens.shape:
+                    raise ValueError(f"{name} has shape {value.shape}, not one row per token ({len(self.tokens)})")
+                setattr(self, name, value)
 
 
 class PackedBatch(NamedTuple):

@@ -214,6 +214,8 @@ def _load_npz(path: str | Path, spec: dict[str, tuple]) -> dict:
 
 def save_samples(samples: Sequence[TrainingSample], path: str | Path) -> None:
     """Pack ``samples`` into one .npz file; a target kind must be on every sample or none."""
+    if not samples:
+        raise ValueError("dataset is empty")
     arrays = {
         name: np.concatenate([getattr(s, name) for s in samples])
         for name in ("tokens", "supervised", "frames")

@@ -253,6 +253,18 @@ def test_bad_mask_file_is_named(capsys, caplog, toy_fixture_dir, tmp_path, conte
     assert err.startswith(f"error: {mask}: {message}")
 
 
+def test_mask_file_no_phrase_names_is_not_read(capsys, toy_fixture_dir, tmp_path):
+    masks = tmp_path / "masks"
+    shutil.copytree(toy_fixture_dir / "masks", masks)
+    (masks / "vid_dog" / "ev0" / "stray.json").write_text("{not json")
+    args = toy_build_args(toy_fixture_dir, tmp_path / "stray.jsonl") + ["--strict"]
+    args[args.index("--masks") + 1] = str(masks)
+    stray = run_cli(capsys, *args)
+    clean = run_cli(capsys, *toy_build_args(toy_fixture_dir, tmp_path / "clean.jsonl"), "--strict")
+    assert stray == clean and stray[0] == 0
+    assert (tmp_path / "stray.jsonl").read_bytes() == (tmp_path / "clean.jsonl").read_bytes()
+
+
 @pytest.mark.parametrize(
     "flag, value, field",
     [

@@ -181,3 +181,29 @@ def test_only_pack_rows_builds_a_packed_batch():
     )
     assert len(calls) == 1
     assert sum(map(is_packed_batch, ast.walk(pack_rows))) == 1
+
+
+def test_src_lists_no_directory():
+    """Every input is found by a path built from its id (``np_slug`` for masks), never by a directory listing."""
+
+    def lists_directory(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        if isinstance(func, ast.Name):
+            return func.id in ("glob", "iglob", "listdir", "scandir", "walk")
+        return isinstance(func, ast.Attribute) and (
+            func.attr in ("glob", "iglob", "rglob", "iterdir")
+            or (func.attr in ("listdir", "scandir", "walk") and getattr(func.value, "id", None) == "os")
+        )
+
+    probes = ["d.glob('*.json')", "d.rglob('*')", "d.iterdir()", "os.listdir(d)", "os.scandir(d)", "os.walk(d)"]
+    assert all(lists_directory(ast.parse(probe).body[0].value) for probe in probes)
+    src = Path(__file__).resolve().parents[1] / "src" / "pite"
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if lists_directory(node)
+    ]
+    assert offenders == []

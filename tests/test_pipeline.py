@@ -26,15 +26,13 @@ from pite.pipeline import (
     annotate_event,
     derive_seed,
     format_temporal,
-    load_event_masks,
-    np_from_slug,
     np_slug,
     phrase_trajectory,
     run_pipeline,
     timestamp_to_frame,
     validate_record,
 )
-from pite.tracks import Mask, Tracks, save_mask
+from pite.tracks import Mask, Tracks, load_mask
 from pite.trees import parse_bracketed
 
 
@@ -74,7 +72,7 @@ def test_small_object_policy():
         annotation = annotate_event(
             ManifestEvent(caption="a dog", start=0.0, end=1.0),
             parse_bracketed("(TOP (NP a dog))"),
-            {"a dog": mask},
+            {"a dog": mask}.get,
             tracks_at([(0.5, 0.5)]),
             config,
             duration=10.0,
@@ -106,17 +104,60 @@ def test_np_slug():
     assert np_slug(" two  people ") == "two_people"
 
 
-def test_np_slug_round_trips_through_mask_files(tmp_path):
+def dog_video_inputs(toy_fixture_dir, dest, phrases, masked):
+    """Inputs for vid_dog alone, its caption the NPs ``phrases`` joined by "and".
+
+    Each phrase in ``masked`` gets the dog's mask, saved under its ``np_slug``.
+    Returns the four ``run_pipeline`` input paths.
+    """
+    video = json.loads((toy_fixture_dir / "manifest.jsonl").read_text().splitlines()[1])
+    video["events"][0]["caption"] = " and ".join(phrases)
+    (dest / "manifest.jsonl").write_text(json.dumps(video) + "\n")
+    (dest / "trees.txt").write_text("(TOP (S " + " (CC and) ".join(f"(NP {p})" for p in phrases) + "))\n")
+    event_dir = dest / "masks" / "vid_dog" / "ev0"
+    event_dir.mkdir(parents=True)
+    dog_mask = toy_fixture_dir / "masks" / "vid_dog" / "ev0" / "a_dog.json"
+    for phrase in masked:
+        shutil.copy(dog_mask, event_dir / f"{np_slug(phrase)}.json")
+    return dest / "manifest.jsonl", dest / "trees.txt", dest / "masks", toy_fixture_dir / "tracks"
+
+
+def test_phrases_find_the_masks_named_by_np_slug(toy_fixture_dir, tmp_path):
     phrases = ["t_shirt", "a/b", "50%", "a white table", "%5F_%2F/", "the 100 %_x/ y"]
     assert np_slug("t_shirt") == "t%5Fshirt" and np_slug("a/b") == "a%2Fb"
-    event_dir = tmp_path / "v" / "ev0"
-    event_dir.mkdir(parents=True)
-    mask = Mask.from_array(np.ones((2, 2), dtype=bool))
-    for phrase in phrases:
-        assert "/" not in np_slug(phrase)
-        assert np_from_slug(np_slug(phrase)) == phrase
-        save_mask(mask, event_dir / f"{np_slug(phrase)}.json")
-    assert sorted(load_event_masks(tmp_path, "v", 0)) == sorted(phrases)
+    assert not any("/" in np_slug(phrase) for phrase in phrases)
+    out = tmp_path / "out.jsonl"
+    run_pipeline(*dog_video_inputs(toy_fixture_dir, tmp_path, phrases, phrases), out, strict=True)
+    (event,) = json.loads(out.read_text())["events"]
+    assert [o["np"]["text"] for o in event["objects"]] == phrases
+
+
+@pytest.mark.parametrize("phrase", ["x" * 300, "a\0b"], ids=["too-long-for-a-file-name", "nul"])
+def test_phrase_without_a_possible_mask_file_drops_as_no_mask(toy_fixture_dir, tmp_path, capsys, caplog, phrase):
+    inputs = dog_video_inputs(toy_fixture_dir, tmp_path, ["a dog", phrase], ["a dog"])
+    args = ["build-dataset", "--strict", "--out", str(tmp_path / "out.jsonl")]
+    for flag, path in zip(["--manifest", "--trees", "--masks", "--tracks"], inputs):
+        args += [flag, str(path)]
+    with caplog.at_level(logging.DEBUG, logger="pite.pipeline"):
+        assert main(args) == 0
+    assert json.loads(capsys.readouterr().out) == {"videos": 1, "events": 1, "trajectories": 1}
+    assert f"vid_dog:0: {phrase!r} dropped: {NO_MASK}" in caplog.text
+    (event,) = json.loads((tmp_path / "out.jsonl").read_text())["events"]
+    assert [o["np"]["text"] for o in event["objects"]] == ["a dog"]
+
+
+def test_pipeline_loads_masks_through_the_module_name(toy_fixture_dir, tmp_path, monkeypatch):
+    loaded = []
+
+    def counting_load_mask(path):
+        loaded.append(Path(path))
+        return load_mask(path)
+
+    # the bench's tracks.load_mask span wraps this binding
+    monkeypatch.setattr(pipeline, "load_mask", counting_load_mask)
+    run_pipeline(*fixture_args(toy_fixture_dir, tmp_path / "out.jsonl"), strict=True)
+    assert len(loaded) == 8
+    assert sorted(loaded) == sorted((toy_fixture_dir / "masks").rglob("*.json"))
 
 
 # --- annotate_event -----------------------------------------------------------
@@ -148,7 +189,7 @@ def test_annotate_event_drops_unmasked_phrase(fig3_trees):
     annotation = annotate_event(
         event,
         tree,
-        masks,
+        masks.get,
         tracks,
         EVENT_CONFIG,
         duration=10.0,
@@ -185,7 +226,7 @@ def test_annotate_event_drops_small_mask(fig3_trees):
     annotation = annotate_event(
         event,
         tree,
-        masks,
+        masks.get,
         tracks,
         EVENT_CONFIG,
         duration=10.0,
@@ -205,7 +246,7 @@ def test_annotate_event_zero_surviving_nps():
     annotation = annotate_event(
         event,
         tree,
-        {},
+        {}.get,
         tracks_at([(2.0, 2.0)]),
         EVENT_CONFIG,
         duration=10.0,
@@ -226,7 +267,7 @@ def test_annotate_event_mask_dimension_mismatch():
         annotate_event(
             event,
             tree,
-            {"a dog": full_mask(8, 8)},
+            {"a dog": full_mask(8, 8)}.get,
             tracks,
             EVENT_CONFIG,
             duration=10.0,
@@ -243,7 +284,7 @@ def test_annotate_event_names_clip_and_phrase_of_point_outside_frame():
         annotate_event(
             ManifestEvent(caption="a dog", start=0.0, end=1.0),
             parse_bracketed("(TOP (NP a dog))"),
-            {"a dog": full_mask(16, 16)},
+            {"a dog": full_mask(16, 16)}.get,
             tracks,
             EVENT_CONFIG,
             duration=10.0,
@@ -263,7 +304,7 @@ def test_annotate_event_drops_trackless_object():
     annotation = annotate_event(
         event,
         tree,
-        {"a dog": Mask.from_array(left)},
+        {"a dog": Mask.from_array(left)}.get,
         tracks,
         EVENT_CONFIG,
         duration=10.0,

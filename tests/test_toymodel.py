@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -180,6 +181,21 @@ def test_training_sample_rejects_bad_tokens():
         TrainingSample(frames=frames, tokens=[[0, 1]], supervised=[[False, False]])
     with pytest.raises(ValueError, match="align"):
         TrainingSample(frames=frames, tokens=[0, 1], supervised=[False])
+
+
+@pytest.mark.parametrize(
+    "name, rows",
+    [("loc_targets", np.zeros((2, 2))), ("traj_targets", np.zeros((4, 2, 3, 2))), ("loc_targets", np.float64(0.5))],
+    ids=["loc-short", "traj-long", "loc-scalar"],
+)
+def test_training_sample_rejects_targets_of_another_length(name, rows):
+    frames = np.zeros((2, SMALL.d_v))
+    message = f"{name} has shape {rows.shape}, not one row per token (3)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TrainingSample(frames=frames, tokens=[0, 1, 2], supervised=[True, False, True], **{name: rows})
+    # one row per token passes
+    full = np.zeros((3, *rows.shape[1:]))
+    assert getattr(TrainingSample(frames, [0, 1, 2], [True, False, True], **{name: full}), name).shape == full.shape
 
 
 # --- losses ---------------------------------------------------------------------

@@ -526,6 +526,37 @@ def test_kmeans_matches_serial_reference_on_bench_shaped_clouds():
         assert_kmeans_matches_reference(grid_starts(rng, count, 120.0, 90.0), 3, 100 + case)
 
 
+def tiny_cloud(case):
+    """Up to 80 points spread over 1e-6 to 1e-2: a Lloyd step moves its centers by less than 1e-3."""
+    rng = np.random.default_rng([0, case])
+    n, k = int(rng.integers(8, 81)), int(rng.integers(2, 7))
+    pts = rng.normal(size=(n, 2)) * 10 ** rng.uniform(-6, -2) + rng.uniform(0, 640, size=2)
+    return pts, min(k, n)
+
+
+def offset_grid_cloud(case):
+    """Up to 80 points on a small grid far from the origin.
+
+    Rounding there makes some single-point moves that the sweep scores as
+    improving leave the SSE equal or higher, so the refine rounds' SSE rule decides.
+    """
+    rng = np.random.default_rng([1, case])
+    n, k = int(rng.integers(8, 81)), int(rng.integers(2, 7))
+    step = rng.choice([0.5, 1.0, 3.0])
+    pts = rng.integers(0, int(rng.integers(2, 5)), size=(n, 2)) * step + np.round(10 ** rng.uniform(2, 9), 2)
+    return pts.astype(float), min(k, n)
+
+
+def test_kmeans_matches_serial_reference_where_the_stop_rules_decide():
+    # found by a seeded search: each cloud is one where kmeans_pp changes if
+    # Lloyd stops at TOL * 1e3 (tiny), or if the refine rounds go on after a
+    # round whose SSE rose (offset grid 2522) or stayed equal (385, 2980)
+    for case in (13, 15):
+        assert_kmeans_matches_reference(*tiny_cloud(case), case)
+    for case in (385, 2522, 2980):
+        assert_kmeans_matches_reference(*offset_grid_cloud(case), case)
+
+
 def test_means_matches_per_cluster_loop():
     rng = np.random.default_rng(91)
     for case in range(900):

@@ -296,6 +296,12 @@ def test_save_samples_rejects_targets_on_some_samples_only(tmp_path):
         save_samples(data, tmp_path / "samples.npz")
 
 
+def test_save_samples_rejects_empty_dataset(tmp_path):
+    with pytest.raises(ValueError, match="^dataset is empty$"):
+        save_samples([], tmp_path / "samples.npz")
+    assert not (tmp_path / "samples.npz").exists()
+
+
 def test_params_file_round_trip(tmp_path):
     params = init_params(CFG)
     path = tmp_path / "params.npz"
