@@ -2,8 +2,8 @@
 
 Subcommands: extract-np, build-dataset, train-toy, grad-check,
 eval-grounding, eval-dense, ablate-points.  Data goes to stdout or files,
-logs go to stderr.  Exit codes: 0 success, 1 usage error, 2 data or
-verification error.
+notes and warnings go to stderr.  Exit codes: 0 success, 1 usage error, 2
+data or verification error.
 """
 
 from __future__ import annotations
@@ -11,17 +11,16 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
 import sys
 from pathlib import Path
 from typing import Callable
 
 # numpy and the modules built on it are imported by the handlers that use
-# them, so extract-np and the eval commands start without it
+# them, so extract-np and the eval commands start without it; nothing here
+# imports logging or dataclasses (pipeline's skip warnings reach stderr
+# through logging's last-resort handler, as the bare message)
 from . import metrics, trees
 from .jsonl import DataError, naming, read_jsonl, read_lines, real, text, unique
-
-log = logging.getLogger("pite")
 
 
 class UsageError(Exception):
@@ -114,6 +113,11 @@ def _write(payload: str, out: str | None) -> None:
         sys.stdout.write(payload)
 
 
+def _note(message: str) -> None:
+    """Write one line to the current ``sys.stderr``."""
+    sys.stderr.write(message + "\n")
+
+
 def cmd_extract_np(args) -> int:
     records = []
     for location, line in read_lines(args.trees):
@@ -168,13 +172,9 @@ def cmd_train_toy(args) -> int:
     trainer.save_params(params, args.out)
     curve_path = args.curve or str(Path(args.out).with_suffix("")) + ".curve.csv"
     trainer.write_loss_curve(curve, grad_norms, curve_path)
-    log.info(
-        "stage %d: %d samples, %d steps, loss %.6f -> %.6f",
-        args.stage,
-        len(batch.starts),
-        cfg.steps,
-        curve[0],
-        curve[-1],
+    _note(
+        f"stage {args.stage}: {len(batch.starts)} samples, {cfg.steps} steps, "
+        f"loss {curve[0]:.6f} -> {curve[-1]:.6f}"
     )
     sys.stdout.write(
         json.dumps(
@@ -228,8 +228,8 @@ def _paired_events(
 
     Each event goes through ``parse_event`` as its line is read, so a bad
     event fails naming its file and line, and so does a repeated video id.
-    Logs one line counting the ground-truth videos with no prediction, and
-    one counting the predicted videos missing from the ground truth.
+    Writes one stderr line counting the ground-truth videos with no
+    prediction, and one counting the predicted videos missing from the ground truth.
     """
     video = lambda record: (
         text(record["video_id"], "video_id"),
@@ -243,17 +243,12 @@ def _paired_events(
         raise DataError(f"{gt_path}: no ground-truth events")
     missing = len(gts.keys() - preds.keys())
     if missing:
-        log.warning(
-            "%d of %d videos have no prediction; their events score as misses",
-            missing,
-            len(gts),
-        )
+        _note(f"{missing} of {len(gts)} videos have no prediction; their events score as misses")
     unknown = len(preds.keys() - gts.keys())
     if unknown:
-        log.warning(
-            "%d of %d prediction records name videos not in the ground truth; they are ignored",
-            unknown,
-            len(preds),
+        _note(
+            f"{unknown} of {len(preds)} prediction records name videos not in the ground truth; "
+            "they are ignored"
         )
     return [(video_id, gts[video_id], preds.get(video_id)) for video_id in sorted(gts)]
 
@@ -375,7 +370,6 @@ def cmd_ablate_points(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -5,7 +5,9 @@ to spaces, whitespace tokenization.  METEOR here is the exact-match-only
 variant (no stemming or synonym tables), so scores are deterministic and
 dependency-free; it is named meteor_lite to flag the deviation.  Scorers
 take captions prepared once as ``Caption``; SODA and the bucketed scores
-take a video's ``iou_table`` and score pairs by index.
+take a video's ``iou_table`` and score pairs by index.  ``TimeSegment`` and
+``CaptionedEvent`` are named tuples, so the eval commands need no
+``dataclasses``.
 """
 
 from __future__ import annotations
@@ -13,31 +15,28 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 GROUNDING_THRESHOLDS = (0.3, 0.5, 0.7)  # Recall@1 IoU thresholds
 CAPTION_IOU_THRESHOLDS = (0.3, 0.5, 0.7, 0.9)  # iou_bucketed_caption_scores
 CIDER_MAX_N = 4  # CIDEr n-gram orders 1..4
 
 
-@dataclass(frozen=True)
-class TimeSegment:
-    start: float
-    end: float
+class TimeSegment(NamedTuple("TimeSegment", [("start", float), ("end", float)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.start) and math.isfinite(self.end)):
-            raise ValueError(f"segment bounds must be finite, got {self.start}, {self.end}")
-        if self.start > self.end:
-            raise ValueError(f"segment start {self.start} > end {self.end}")
+    def __new__(cls, start: float, end: float):
+        if not (math.isfinite(start) and math.isfinite(end)):
+            raise ValueError(f"segment bounds must be finite, got {start}, {end}")
+        if start > end:
+            raise ValueError(f"segment start {start} > end {end}")
+        return super().__new__(cls, start, end)
 
     def length(self) -> float:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class CaptionedEvent:
+class CaptionedEvent(NamedTuple):
     segment: TimeSegment
     caption: str
 

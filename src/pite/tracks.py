@@ -376,7 +376,9 @@ def condense(tracks: Tracks, P: int, seed: int = 0) -> Tracks:
     if P < 1:
         raise ValueError("P must be >= 1")
     starts = tracks.xy[:, 0]
-    k = min(P, len(np.unique(starts, axis=0)))
+    # a set of float pairs counts -0.0 and 0.0 as one, as np.unique(starts,
+    # axis=0) does, without that call's import of numpy.ma
+    k = min(P, len(set(map(tuple, starts.tolist()))))
     centers, assign, _ = kmeans_pp(starts, k, seed=seed)
     medoids = []
     for j in range(k):

@@ -4,14 +4,15 @@ Trees arrive as Penn-style bracketed expressions, one per line, e.g.
 ``(TOP (S (NP woman) (VP is ...)))``.  A node is either an internal
 constituent ``(LABEL child ...)`` or a bare word, which becomes a leaf.
 Leaf spans are single token positions; internal spans cover their children.
+``ParseTree`` and ``NounPhrase`` are named tuples, so ``extract-np`` needs
+no ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .jsonl import naming
 
@@ -24,8 +25,7 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class ParseTree:
+class ParseTree(NamedTuple):
     """One constituency-tree node. A node has a token iff it has no children."""
 
     label: str
@@ -54,8 +54,7 @@ class ParseTree:
             stack.extend(reversed(node.children))
 
 
-@dataclass(frozen=True)
-class NounPhrase:
+class NounPhrase(NamedTuple):
     text: str
     span: tuple[int, int]
 

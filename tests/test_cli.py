@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import logging
 import os
@@ -33,6 +34,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_fresh(*args):
+    """``python *args`` in a fresh interpreter that imports pite from this checkout."""
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+
+
 def test_no_command_is_usage_error(capsys):
     code, _, err = run_cli(capsys)
     assert code == 1
@@ -65,7 +76,7 @@ NUMPY_PROBE = """
 import sys
 from pite import cli
 code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-print(code, "numpy" in sys.modules)
+print(code, [m for m in ("dataclasses", "inspect", "logging", "numpy", "numpy.ma") if m in sys.modules])
 """
 
 
@@ -82,7 +93,9 @@ print(code, "numpy" in sys.modules)
 def test_numpy_is_imported_only_by_the_commands_that_use_it(
     fixtures_dir, toy_fixture_dir, tmp_path, command, loads_numpy
 ):
-    # a fresh interpreter each time, since this one has numpy loaded already
+    # a fresh interpreter each time, since this one has numpy loaded already;
+    # build-dataset loads logging and dataclasses through pipeline, which
+    # shows that the probe sees them, but not numpy.ma
     events = [{"start": 0.0, "end": 10.0, "caption": "a big dog runs"}]
     pred, gt = write_eval_files(tmp_path, events, events)
     out = str(tmp_path / "out")
@@ -94,14 +107,23 @@ def test_numpy_is_imported_only_by_the_commands_that_use_it(
         "eval-dense": ["eval-dense", *eval_args],
         "build-dataset": toy_build_args(toy_fixture_dir, out),
     }[command]
-    done = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
-    )
+    done = run_fresh("-c", NUMPY_PROBE, *argv)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == f"0 {loads_numpy}"
+    loaded = ["dataclasses", "inspect", "logging", "numpy"] if loads_numpy else []
+    assert done.stdout.splitlines()[-1] == f"0 {loaded}"
+
+
+def test_each_main_call_writes_notes_to_its_own_stderr(monkeypatch, tmp_path):
+    pred, gt = write_eval_files(tmp_path, [], [{"start": 0.0, "end": 1.0, "caption": "a"}])
+    pred.write_text("")
+    streams = [io.StringIO(), io.StringIO()]
+    for stream in streams:
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        monkeypatch.setattr(sys, "stderr", stream)
+        assert main(["eval-grounding", "--pred", str(pred), "--gt", str(gt)]) == 0
+    monkeypatch.undo()
+    line = "1 of 1 videos have no prediction; their events score as misses\n"
+    assert [stream.getvalue() for stream in streams] == [line, line]
 
 
 def test_extract_np_fig3(capsys, fixtures_dir):
@@ -223,6 +245,11 @@ def test_build_dataset_names_file_and_line_of_malformed_tree(capsys, caplog, toy
     code, _, err = run_cli(capsys, *args, "--strict")
     assert code == 2
     assert err == f"error: {message}\n"
+    # caplog reads records before any handler: a fresh process shows what a
+    # user sees, the line through logging's last-resort handler
+    done = run_fresh("-m", "pite.cli", *args)
+    assert (done.returncode, done.stdout) == (0, out)
+    assert done.stderr == f"skipping video vid_dog: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -1244,7 +1271,7 @@ def test_eval_dense_missing_pred_video_scores_zero(capsys, tmp_path):
     assert scores == {"SODA_c": 0.0, "CIDEr": 0.0, "METEOR": 0.0}
 
 
-def test_eval_scores_video_without_prediction_as_miss(capsys, tmp_path, caplog):
+def test_eval_scores_video_without_prediction_as_miss(capsys, tmp_path):
     first = [
         {"start": 0.0, "end": 10.0, "caption": "a big dog runs fast"},
         {"start": 20.0, "end": 30.0, "caption": "two people shake hands firmly"},
@@ -1260,20 +1287,18 @@ def test_eval_scores_video_without_prediction_as_miss(capsys, tmp_path, caplog):
     gt_a = tmp_path / "gt_a.jsonl"
     gt_a.write_text(pred.read_text())
 
-    with caplog.at_level(logging.WARNING, logger="pite"):
-        code, out, _ = run_cli(capsys, "eval-grounding", "--pred", str(pred), "--gt", str(gt))
+    note = "1 of 2 videos have no prediction; their events score as misses\n"
+    code, out, err = run_cli(capsys, "eval-grounding", "--pred", str(pred), "--gt", str(gt))
     assert code == 0
     scores = json.loads(out)
     # events of "a" have IoU 1, the one event of "b" IoU 0
     assert scores["mIoU"] == pytest.approx(200.0 / 3)
     assert scores["R@0.3"] == scores["R@0.5"] == scores["R@0.7"] == pytest.approx(200.0 / 3)
-    assert "1 of 2 videos have no prediction" in caplog.text
+    assert err == note
 
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="pite"):
-        code, out, _ = run_cli(capsys, "eval-dense", "--pred", str(pred), "--gt", str(gt))
+    code, out, err = run_cli(capsys, "eval-dense", "--pred", str(pred), "--gt", str(gt))
     assert code == 0
-    assert "1 of 2 videos have no prediction" in caplog.text
+    assert err == note
     # "b" scores 0, so each video-averaged score is half that of "a" alone;
     # CIDEr's document frequencies come from every ground-truth video
     code, out_a, _ = run_cli(capsys, "eval-dense", "--pred", str(pred), "--gt", str(gt_a))
@@ -1285,7 +1310,7 @@ def test_eval_scores_video_without_prediction_as_miss(capsys, tmp_path, caplog):
 
 
 @pytest.mark.parametrize("command", EVAL_COMMANDS)
-def test_eval_counts_predictions_for_unknown_videos(capsys, tmp_path, caplog, command):
+def test_eval_counts_predictions_for_unknown_videos(capsys, tmp_path, command):
     events = [{"start": 0.0, "end": 10.0, "caption": "a big dog runs fast"}]
     pred = tmp_path / "pred.jsonl"
     pred.write_text(
@@ -1293,12 +1318,9 @@ def test_eval_counts_predictions_for_unknown_videos(capsys, tmp_path, caplog, co
     )
     gt = tmp_path / "gt.jsonl"
     gt.write_text(json.dumps({"video_id": "a", "events": events}) + "\n")
-    with caplog.at_level(logging.WARNING, logger="pite"):
-        code, _, _ = run_cli(capsys, command, "--pred", str(pred), "--gt", str(gt))
+    code, _, err = run_cli(capsys, command, "--pred", str(pred), "--gt", str(gt))
     assert code == 0
-    assert caplog.messages == [
-        "2 of 3 prediction records name videos not in the ground truth; they are ignored"
-    ]
+    assert err == "2 of 3 prediction records name videos not in the ground truth; they are ignored\n"
 
 
 def test_ablate_points_cli(capsys, toy_fixture_dir, tmp_path):

@@ -605,6 +605,23 @@ def test_condense_calls_kmeans_through_the_module_name(monkeypatch):
     assert inspect.signature(kmeans).bind(*args, **kw).arguments == {"points": args[0], "k": 2, "seed": 17}
 
 
+def test_condense_counts_distinct_starts_as_np_unique_does(monkeypatch):
+    # seeded clouds with repeated rows and both signed zeros, which
+    # np.unique(axis=0) counts as one value although their bytes differ
+    ks = []
+    kmeans = tracks_module.kmeans_pp
+    monkeypatch.setattr(tracks_module, "kmeans_pp", lambda pts, k, seed: ks.append(k) or kmeans(pts, k, seed))
+    signed_zeros_decided = False
+    for case in range(30):
+        rng = np.random.default_rng(case)
+        starts = rng.choice([-0.0, 0.0, 1.5, -2.0], size=(int(rng.integers(1, 40)), 2))
+        ks.clear()
+        condense(static_tracks(starts), P=len(starts), seed=case)
+        assert ks == [len(np.unique(starts, axis=0))]
+        signed_zeros_decided |= len({row.tobytes() for row in starts}) > ks[0]
+    assert signed_zeros_decided
+
+
 def test_condense_three_blobs():
     rng = np.random.default_rng(11)
     blobs = [(5.0, 5.0), (50.0, 5.0), (25.0, 45.0)]
