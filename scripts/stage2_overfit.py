@@ -11,7 +11,7 @@ initial loss.
 import argparse
 import json
 
-from pite.toymodel import TrainerConfig, init_params, pack_batch
+from pite.toymodel import TrainerConfig, init_params, pack_rows, sample_arrays
 from pite.trainer import run_stage, synthetic_dataset, write_loss_curve
 
 SAMPLES = 50
@@ -27,9 +27,8 @@ def main():
     parser.add_argument("--curve", default="stage2_overfit_curve.csv")
     args = parser.parse_args()
 
-    data = synthetic_dataset(2, SAMPLES, CONFIG, seed=DATA_SEED)
-    params = init_params(CONFIG)
-    _, curve, grad_norms = run_stage(params, pack_batch(data, 2), 2, CONFIG)
+    batch = pack_rows(sample_arrays(synthetic_dataset(2, SAMPLES, CONFIG, seed=DATA_SEED)), 2)
+    _, curve, grad_norms = run_stage(init_params(CONFIG), batch, 2, CONFIG)
     write_loss_curve(curve, grad_norms, args.curve)
     print(
         json.dumps(

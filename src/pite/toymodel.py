@@ -6,8 +6,8 @@ a (2*P*N)-D trajectory head, all hanging off a frozen random affine+tanh
 backbone that pools the visual tokens, the token prefix, and the sequence
 position.  Losses and their analytic gradients run over one packed batch:
 the samples' tokens concatenated into T rows, each weighted 1/(B * L_b).
-``pack_rows`` builds every batch, from in-memory samples (``pack_batch``)
-or straight from a samples file; a batch holds supervised target rows only.
+``sample_arrays`` lays samples end to end as the arrays of a samples file,
+and ``pack_rows`` turns such arrays, in memory or read back, into a batch.
 The gradients are checked against central finite differences; all +-eps
 probes of one trainable array run as one stacked loss pass.
 
@@ -126,8 +126,10 @@ class TrainingSample:
         self.frames = np.asarray(self.frames, dtype=float)
         self.tokens = np.asarray(self.tokens, dtype=int)
         self.supervised = np.asarray(self.supervised, dtype=bool)
-        if self.tokens.ndim != 1 or len(self.tokens) == 0:
-            raise ValueError("tokens must be a nonempty 1-D sequence")
+        if self.frames.ndim != 2 or len(self.frames) == 0:
+            raise ValueError(f"frames has shape {self.frames.shape}, expected (n_frames >= 1, d_v)")
+        if self.tokens.ndim != 1 or len(self.tokens) == 0 or self.tokens.min() < 0:
+            raise ValueError("tokens must be a nonempty 1-D sequence of ids >= 0")
         if self.supervised.shape != self.tokens.shape:
             raise ValueError("supervised mask must align with tokens")
         for name in STAGE_TARGETS.values():
@@ -137,6 +139,30 @@ class TrainingSample:
                 if value.shape[:1] != self.tokens.shape:
                     raise ValueError(f"{name} has shape {value.shape}, not one row per token ({len(self.tokens)})")
                 setattr(self, name, value)
+
+
+def sample_arrays(samples: Sequence[TrainingSample]) -> dict[str, np.ndarray]:
+    """The arrays of a samples file, the samples laid end to end.
+
+    ``tokens``, ``supervised`` and ``frames`` concatenated, the per-sample
+    ``lengths`` and ``frame_counts``, and the supervised rows of each
+    ``STAGE_TARGETS`` kind, which must be on every sample or none.
+    """
+    if not samples:
+        raise ValueError("dataset is empty")
+    arrays = {
+        name: np.concatenate([getattr(s, name) for s in samples])
+        for name in ("tokens", "supervised", "frames")
+    }
+    arrays["lengths"] = np.array([len(s.tokens) for s in samples])
+    arrays["frame_counts"] = np.array([len(s.frames) for s in samples])
+    for name in STAGE_TARGETS.values():
+        rows = [getattr(s, name)[s.supervised] for s in samples if getattr(s, name) is not None]
+        if len(rows) not in (0, len(samples)):
+            raise ValueError(f"{name} on some samples only")
+        if rows:
+            arrays[name] = np.concatenate(rows)
+    return arrays
 
 
 class PackedBatch(NamedTuple):
@@ -188,34 +214,27 @@ def init_params(cfg: TrainerConfig, seed: int | None = None) -> ToyModelParams:
     return ToyModelParams(**arrays, points=cfg.points, traj_frames=cfg.frames)
 
 
-def pack_rows(lengths, tokens, supervised, targets, frame_means) -> PackedBatch:
-    """The batch of samples of ``lengths`` rows each, laid end to end; ``targets`` has supervised rows only."""
+def pack_rows(arrays: dict[str, np.ndarray], stage: int) -> PackedBatch:
+    """The ``stage`` batch of samples-file arrays (``sample_arrays``), with the stage's target rows."""
+    if stage not in TRAINABLE_BY_STAGE:
+        raise ValueError(f"unknown stage {stage}")
+    target = STAGE_TARGETS.get(stage)
+    if target and target not in arrays:
+        raise ValueError(f"stage {stage} sample requires {target}")
+    lengths = arrays["lengths"].astype(int)
     sample = np.repeat(np.arange(len(lengths)), lengths)
     starts = np.cumsum(lengths) - lengths
     prefix = np.arange(len(sample)) - starts[sample]
     inv_prefix = np.divide(1.0, prefix, out=np.zeros(len(prefix)), where=prefix > 0)
     position = (prefix + 1.0) / lengths[sample]
     weight = 1.0 / (len(lengths) * lengths[sample])
-    rows = np.flatnonzero(supervised)
+    rows = np.flatnonzero(arrays["supervised"])
+    targets = arrays[target].astype(float) if target else None
+    # float64 before the means: a float32 file's mean rounds differently
+    frames = np.split(arrays["frames"].astype(float), np.cumsum(arrays["frame_counts"])[:-1])
+    frame_means = np.array([f.mean(axis=0) for f in frames])
+    tokens = arrays["tokens"].astype(int)
     return PackedBatch(tokens, sample, starts, inv_prefix, position, weight, rows, targets, frame_means)
-
-
-def pack_batch(samples: Sequence[TrainingSample], stage: int) -> PackedBatch:
-    """Concatenate the samples' tokens and supervised stage target rows into one batch."""
-    if stage not in TRAINABLE_BY_STAGE:
-        raise ValueError(f"unknown stage {stage}")
-    if not samples:
-        raise ValueError("dataset is empty")
-    target = STAGE_TARGETS.get(stage)
-    if target and any(getattr(s, target) is None for s in samples):
-        raise ValueError(f"stage {stage} sample requires {target}")
-    return pack_rows(
-        np.array([len(s.tokens) for s in samples]),
-        np.concatenate([s.tokens for s in samples]),
-        np.concatenate([s.supervised for s in samples]),
-        np.concatenate([getattr(s, target)[s.supervised] for s in samples]) if target else None,
-        np.array([s.frames.mean(axis=0) for s in samples]),
-    )
 
 
 def _hidden(params: ToyModelParams, batch: PackedBatch) -> np.ndarray:
@@ -359,15 +378,10 @@ def tile_init(params: ToyModelParams) -> ToyModelParams:
 GRAD_CHECK_EPS = 1e-5  # central-difference step
 
 
-def grad_check(
-    params: ToyModelParams,
-    samples: Sequence[TrainingSample],
-    stage: int,
-    cfg: TrainerConfig,
-) -> float:
+def grad_check(params: ToyModelParams, batch: PackedBatch, stage: int, cfg: TrainerConfig) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
-    Sweeps every trainable scalar of the stage over the packed samples, with
+    Sweeps every trainable scalar of the stage over ``batch``, with
     the loss weights of ``cfg``; the error for one scalar is
     |analytic - numeric| / max(1, |numeric|), and a NaN error makes the result NaN.
     All probes of an array of K scalars go through one ``stage_loss`` call as
@@ -375,7 +389,6 @@ def grad_check(
     -eps, so the memory of a check grows with K**2.
     """
     lam, smoothing, eps = cfg.lam, cfg.smoothing, GRAD_CHECK_EPS
-    batch = pack_batch(samples, stage)
     _, analytic = gradients(params, batch, stage, lam, smoothing)
     worst = 0.0
     for name in TRAINABLE_BY_STAGE[stage]:

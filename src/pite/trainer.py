@@ -2,9 +2,9 @@
 
 Training is plain full-batch gradient descent on one packed batch, and
 every step takes the loss and analytic gradients from one fused pass over
-it.  A samples file already stores the batch's rows end to end, so
-``load_samples`` maps it straight onto the batch, supervised target rows
-only; samples built in memory go through ``pack_batch``.  The stage
+it.  A samples file holds the arrays of ``toymodel.sample_arrays``;
+``load_samples`` checks them before ``toymodel.pack_rows`` turns them into
+the batch, as it turns arrays made in memory.  The stage
 decides which parameter groups move (the backbone never does, the adapter
 only in stage 1).  A stage trains a copy of the parameters it is given and
 returns it, so the next stage starts from that copy.  Everything is
@@ -32,6 +32,7 @@ from .toymodel import (
     gradients,
     pack_rows,
     param_shapes,
+    sample_arrays,
     stage_loss,
     tile_init,
 )
@@ -170,10 +171,8 @@ def samples_from_records(records: Iterable[dict], cfg: TrainerConfig) -> list[Tr
 
 # --- serialization -------------------------------------------------------------
 #
-# Both trainer files are uncompressed .npz archives.  A samples file packs its
-# samples end to end: ``tokens`` and ``supervised`` concatenated with the
-# per-sample ``lengths``, ``frames`` concatenated with ``frame_counts``, and
-# only the supervised rows of ``loc_targets`` / ``traj_targets``.
+# Both trainer files are uncompressed .npz archives; a samples file holds the
+# arrays of ``toymodel.sample_arrays``.
 
 
 def _save_npz(path: str | Path, arrays: dict) -> None:
@@ -213,26 +212,12 @@ def _load_npz(path: str | Path, spec: dict[str, tuple]) -> dict:
 
 
 def save_samples(samples: Sequence[TrainingSample], path: str | Path) -> None:
-    """Pack ``samples`` into one .npz file; a target kind must be on every sample or none."""
-    if not samples:
-        raise ValueError("dataset is empty")
-    arrays = {
-        name: np.concatenate([getattr(s, name) for s in samples])
-        for name in ("tokens", "supervised", "frames")
-    }
-    arrays["lengths"] = np.array([len(s.tokens) for s in samples])
-    arrays["frame_counts"] = np.array([len(s.frames) for s in samples])
-    for name in STAGE_TARGETS.values():
-        rows = [getattr(s, name)[s.supervised] for s in samples if getattr(s, name) is not None]
-        if len(rows) not in (0, len(samples)):
-            raise ValueError(f"{name} on some samples only")
-        if rows:
-            arrays[name] = np.concatenate(rows)
-    _save_npz(path, arrays)
+    """Write ``sample_arrays(samples)`` to one .npz file."""
+    _save_npz(path, sample_arrays(samples))
 
 
 def load_samples(path: str | Path, cfg: TrainerConfig, stage: int) -> PackedBatch:
-    """The ``stage`` batch of a file written by ``save_samples``: ``pack_batch`` of its samples.
+    """The ``stage`` batch of a file written by ``save_samples``: ``pack_rows`` of its arrays.
 
     Every array read must fit ``cfg`` (see ``_load_npz``), and the file must
     hold the stage's target array (``STAGE_TARGETS``); no other target array
@@ -275,10 +260,7 @@ def load_samples(path: str | Path, cfg: TrainerConfig, stage: int) -> PackedBatc
     for j in np.flatnonzero(bad)[:1]:
         i = np.searchsorted(np.cumsum(lengths), j, side="right")
         fail(i, f"token {tokens[j]} is not an integer in [0, {cfg.vocab})")
-    targets = a[target].astype(float) if target else None
-    # float64 before the means, as in pack_batch: a float32 mean rounds differently
-    means = [f.mean(axis=0) for f in np.split(frames.astype(float), np.cumsum(frame_counts)[:-1])]
-    return pack_rows(lengths.astype(int), tokens.astype(int), supervised, targets, np.array(means))
+    return pack_rows(a, stage)
 
 
 def save_params(params: ToyModelParams, path: str | Path) -> None:

@@ -5,9 +5,14 @@ import numpy as np
 import pytest
 
 from pite.metrics import temporal_iou
-from pite.toymodel import TrainingSample, _hidden, pack_batch
+from pite.toymodel import TrainingSample, _hidden, pack_rows, sample_arrays
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def packed(samples, stage):
+    """The ``stage`` batch of in-memory samples, as the CLI builds it."""
+    return pack_rows(sample_arrays(samples), stage)
 
 
 @pytest.fixture
@@ -50,7 +55,7 @@ def greedy_decode():
         tokens = np.zeros(length, dtype=int)
         for i in range(length):
             sample = TrainingSample(frames, tokens.copy(), np.zeros(length, dtype=bool))
-            logits = _hidden(params, pack_batch([sample], 3)) @ params.vocab_map.T
+            logits = _hidden(params, packed([sample], 3)) @ params.vocab_map.T
             tokens[i] = int(np.argmax(logits[i]))
         return tokens
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import brute_force_soda
+from conftest import brute_force_soda, packed
 from pite.cli import main as cli_main
 from pite.metrics import (
     Caption,
@@ -34,7 +34,6 @@ from pite.toymodel import (
     _hidden,
     grad_check,
     init_params,
-    pack_batch,
     tile_init,
 )
 from pite.tracks import kmeans_pp
@@ -80,7 +79,7 @@ def test_tiling_initialization_bit_for_bit():
             tokens=rng.integers(0, cfg.vocab, size=5),
             supervised=np.zeros(5),
         )
-        H = _hidden(tiled, pack_batch([sample], 3))
+        H = _hidden(tiled, packed([sample], 3))
         locs = H @ tiled.loc_w.T + tiled.loc_b
         trajs = (H @ tiled.traj_w.T + tiled.traj_b).reshape(5, cfg.points, cfg.frames, 2)
         ok &= np.array_equal(trajs, np.broadcast_to(locs[:, None, None, :], trajs.shape))
@@ -94,8 +93,8 @@ def test_gradient_checks_all_stages():
     for stage in (1, 2, 3):
         for seed in range(5):
             params = init_params(cfg, seed=seed)
-            sample = synthetic_dataset(stage, 1, cfg, seed=seed + 500)[0]
-            err = grad_check(params, [sample], stage, cfg)
+            batch = packed(synthetic_dataset(stage, 1, cfg, seed=seed + 500), stage)
+            err = grad_check(params, batch, stage, cfg)
             worst = max(worst, err)
     ok = worst < 1e-4
     report(

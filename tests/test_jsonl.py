@@ -118,8 +118,8 @@ def test_only_jsonl_checks_for_bool():
     assert offenders == []
 
 
-def nodes_outside_load_npz(skip: str = ""):
-    """``(file name, node)`` for each AST node of src/pite outside ``trainer._load_npz``."""
+def nodes_outside(trainer_function: str, skip: str = ""):
+    """``(file name, node)`` for each AST node of src/pite outside ``trainer.<trainer_function>``."""
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "pite").glob("*.py")):
         if path.name == skip:
             continue
@@ -127,7 +127,7 @@ def nodes_outside_load_npz(skip: str = ""):
         inside = {
             id(node)
             for func in ast.walk(tree)
-            if isinstance(func, ast.FunctionDef) and (path.name, func.name) == ("trainer.py", "_load_npz")
+            if isinstance(func, ast.FunctionDef) and (path.name, func.name) == ("trainer.py", trainer_function)
             for node in ast.walk(func)
         }
         yield from ((path.name, node) for node in ast.walk(tree) if id(node) not in inside)
@@ -140,7 +140,7 @@ def test_only_jsonl_names_exception_types():
     """
     offenders = [
         f"{name}:{node.lineno}"
-        for name, node in nodes_outside_load_npz(skip="jsonl.py")
+        for name, node in nodes_outside("_load_npz", skip="jsonl.py")
         if isinstance(node, ast.Attribute)
         and node.attr == "__name__"
         and isinstance(node.value, ast.Call)
@@ -162,7 +162,23 @@ def test_only_load_npz_calls_np_load():
 
     trainer = ast.parse((Path(__file__).resolve().parents[1] / "src" / "pite" / "trainer.py").read_text())
     assert sum(map(is_np_load, ast.walk(trainer))) == 1  # the matcher finds the call inside _load_npz
-    assert [f"{name}:{node.lineno}" for name, node in nodes_outside_load_npz() if is_np_load(node)] == []
+    assert [f"{name}:{node.lineno}" for name, node in nodes_outside("_load_npz") if is_np_load(node)] == []
+
+
+def test_only_save_npz_calls_np_savez():
+    """``trainer._save_npz`` is the one writer of trainer files, so each is stored the same way."""
+
+    def is_np_save(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("save", "savez", "savez_compressed")
+            and getattr(node.func.value, "id", None) in ("np", "numpy")
+        )
+
+    trainer = ast.parse((Path(__file__).resolve().parents[1] / "src" / "pite" / "trainer.py").read_text())
+    assert sum(map(is_np_save, ast.walk(trainer))) == 1  # the matcher finds the call inside _save_npz
+    assert [f"{name}:{node.lineno}" for name, node in nodes_outside("_save_npz") if is_np_save(node)] == []
 
 
 def test_only_pack_rows_builds_a_packed_batch():

@@ -6,6 +6,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from conftest import packed
 from pite import toymodel
 from pite.toymodel import (
     ARRAY_NAMES,
@@ -20,7 +21,8 @@ from pite.toymodel import (
     init_params,
     label_smoothed_ce,
     log_softmax,
-    pack_batch,
+    pack_rows,
+    sample_arrays,
     tile_init,
 )
 
@@ -50,11 +52,11 @@ def make_sample(cfg: TrainerConfig, seed: int, stage: int, length: int = 5) -> T
 
 
 def sample_loss(params, sample, stage, lam=1.0, smoothing=0.1):
-    return stage_loss(params, pack_batch([sample], stage), stage, lam, smoothing)
+    return stage_loss(params, packed([sample], stage), stage, lam, smoothing)
 
 
 def sample_grads(params, sample, stage, lam, smoothing):
-    return gradients(params, pack_batch([sample], stage), stage, lam, smoothing)[1]
+    return gradients(params, packed([sample], stage), stage, lam, smoothing)[1]
 
 
 class Outputs(NamedTuple):
@@ -67,7 +69,7 @@ class Outputs(NamedTuple):
 def heads(params, frames, tokens) -> Outputs:
     """Every head applied to the packed pass's hidden states of one sample."""
     sample = TrainingSample(frames=frames, tokens=tokens, supervised=np.zeros(len(tokens)))
-    H = _hidden(params, pack_batch([sample], 3))
+    H = _hidden(params, packed([sample], 3))
     flat = H @ params.traj_w.T + params.traj_b
     trajs = flat.reshape(len(H), params.points, params.traj_frames, 2)
     return Outputs(H, H @ params.vocab_map.T, H @ params.loc_w.T + params.loc_b, trajs)
@@ -315,13 +317,16 @@ def test_ce_floor_property():
         assert np.all(ce >= smoothed_ce_floor(vocab, eps) - 1e-12)
 
 
-def test_pack_batch_requires_the_stage_targets():
+def test_pack_rows_requires_the_stage_targets():
     sample = make_sample(SMALL, seed=0, stage=3)
-    with pytest.raises(ValueError, match="^stage 1 sample requires loc_targets$"):
-        pack_batch([make_sample(SMALL, seed=1, stage=1), sample], 1)
+    with pytest.raises(ValueError, match="^loc_targets on some samples only$"):
+        sample_arrays([make_sample(SMALL, seed=1, stage=1), sample])
+    arrays = sample_arrays([sample])
     with pytest.raises(ValueError, match="^stage 2 sample requires traj_targets$"):
-        pack_batch([sample], 2)
-    assert pack_batch([sample], 3).targets is None
+        pack_rows(arrays, 2)
+    with pytest.raises(ValueError, match="^stage 1 sample requires loc_targets$"):
+        pack_rows(sample_arrays([make_sample(SMALL, seed=1, stage=2)]), 1)
+    assert pack_rows(arrays, 3).targets is None
 
 
 # --- tiling ----------------------------------------------------------------------
@@ -364,7 +369,7 @@ def test_grad_check_below_tolerance(stage):
     for seed in range(5):
         params = init_params(SMALL, seed=seed)
         sample = make_sample(SMALL, seed=seed + 10, stage=stage)
-        err = grad_check(params, [sample], stage, SMALL)
+        err = grad_check(params, packed([sample], stage), stage, SMALL)
         assert err < 1e-4
 
 
@@ -377,7 +382,7 @@ def test_grad_check_is_nan_when_loss_is_not_finite(poison):
         params.vocab_map[:] = np.inf
     sample = make_sample(SMALL, seed=10, stage=1)
     with np.errstate(all="ignore"):
-        assert math.isnan(grad_check(params, [sample], 1, SMALL))
+        assert math.isnan(grad_check(params, packed([sample], 1), 1, SMALL))
 
 
 def test_frozen_groups_have_zero_gradient():
@@ -429,7 +434,7 @@ def test_packed_loss_is_mean_of_oracle_sample_losses(stage):
         params = init_params(SMALL, seed=seed + 20)
         for make in (ragged_batch, partly_unsupervised):
             samples = make(SMALL, stage, seed=10 * seed + 30)
-            got = stage_loss(params, pack_batch(samples, stage), stage, lam, eps)
+            got = stage_loss(params, packed(samples, stage), stage, lam, eps)
             want = np.mean([oracle_loss(params, s, stage, lam, eps) for s in samples])
             assert abs(got - want) <= 1e-12
 
@@ -439,12 +444,12 @@ def test_packed_pass_ignores_sample_order(stage):
     params = init_params(SMALL, seed=40)
     samples = ragged_batch(SMALL, stage, seed=41)
     order = [2, 0, 1]
-    loss, grads = gradients(params, pack_batch(samples, stage), stage, 1.0, 0.1)
+    loss, grads = gradients(params, packed(samples, stage), stage, 1.0, 0.1)
     loss_p, grads_p = gradients(
-        params, pack_batch([samples[i] for i in order], stage), stage, 1.0, 0.1
+        params, packed([samples[i] for i in order], stage), stage, 1.0, 0.1
     )
     assert abs(loss - loss_p) <= 1e-12
-    assert stage_loss(params, pack_batch(samples, stage), stage, 1.0, 0.1) == loss
+    assert stage_loss(params, packed(samples, stage), stage, 1.0, 0.1) == loss
     for name, grad in grads.items():
         np.testing.assert_allclose(grads_p[name], grad, rtol=0, atol=1e-12)
 
@@ -454,7 +459,7 @@ def test_grad_check_on_multi_sample_batch(stage):
     for seed in range(3):
         params = init_params(SMALL, seed=seed + 60)
         samples = ragged_batch(SMALL, stage, seed=10 * seed + 70)
-        assert grad_check(params, samples, stage, SMALL) < 1e-4
+        assert grad_check(params, packed(samples, stage), stage, SMALL) < 1e-4
 
 
 def grad_check_fixtures(stage):
@@ -479,7 +484,7 @@ def test_stacked_probes_match_sequential_losses(stage, monkeypatch):
     for params, samples in grad_check_fixtures(stage):
         before = {n: getattr(params, n).tobytes() for n in ARRAY_NAMES}
         calls.clear()
-        grad_check(params, samples, stage, SMALL)
+        grad_check(params, packed(samples, stage), stage, SMALL)
         assert {n: getattr(params, n).tobytes() for n in ARRAY_NAMES} == before
         assert len(calls) == len(TRAINABLE_BY_STAGE[stage])
         for name, (probe, batch, args, losses) in zip(TRAINABLE_BY_STAGE[stage], calls):
@@ -508,24 +513,37 @@ def test_grad_check_catches_error_in_last_scalar_of_each_array(stage, monkeypatc
 
         monkeypatch.setattr(toymodel, "gradients", skewed)
         for params, samples in grad_check_fixtures(stage):
-            assert grad_check(params, samples, stage, SMALL) >= 5e-4, name
+            assert grad_check(params, packed(samples, stage), stage, SMALL) >= 5e-4, name
 
 
 def test_stage2_rejects_targets_of_another_head_geometry():
     swapped = TrainerConfig(d_v=4, d=6, vocab=10, points=SMALL.frames, frames=SMALL.points)
     params = init_params(SMALL, seed=0)
-    batch = pack_batch([make_sample(swapped, seed=1, stage=2)], 2)
+    batch = packed([make_sample(swapped, seed=1, stage=2)], 2)
     with pytest.raises(ValueError, match="expected"):
         stage_loss(params, batch, 2, 1.0, 0.1)
     with pytest.raises(ValueError, match="expected"):
         gradients(params, batch, 2, 1.0, 0.1)
 
 
-def test_pack_batch_rejects_empty_and_unknown_stage():
-    with pytest.raises(ValueError, match="empty"):
-        pack_batch([], 3)
-    with pytest.raises(ValueError, match="stage"):
-        pack_batch([make_sample(SMALL, seed=0, stage=3)], 4)
+def test_sample_arrays_rejects_empty_and_pack_rows_unknown_stage():
+    with pytest.raises(ValueError, match="^dataset is empty$"):
+        sample_arrays([])
+    with pytest.raises(ValueError, match="^unknown stage 4$"):
+        pack_rows(sample_arrays([make_sample(SMALL, seed=0, stage=3)]), 4)
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (4,), (1, 3, 4)], ids=["no-rows", "1-D", "3-D"])
+def test_training_sample_rejects_frames_a_samples_file_cannot_hold(shape):
+    """Frames must be one (n >= 1, d_v) block, as in a samples file; no rows would pack to a NaN mean."""
+    with pytest.raises(ValueError, match=rf"^frames has shape {re.escape(str(shape))}, expected"):
+        TrainingSample(np.zeros(shape), [1, 2], [True, False])
+
+
+def test_training_sample_rejects_a_negative_token():
+    """Token -1 would silently train embedding row V-1; ``load_samples`` refuses it in a file."""
+    with pytest.raises(ValueError, match="^tokens must be a nonempty 1-D sequence of ids >= 0$"):
+        TrainingSample(np.zeros((2, 4)), [3, -1], [True, False])
 
 
 def test_decode_uses_prefix_only(greedy_decode):
