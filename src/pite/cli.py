@@ -15,11 +15,10 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-# numpy and the modules built on it are imported by the handlers that use
-# them, so extract-np and the eval commands start without it; nothing here
-# imports logging or dataclasses (pipeline's skip warnings reach stderr
-# through logging's last-resort handler, as the bare message)
-from . import metrics, trees
+# a handler imports the layer modules it runs, once, so a fresh process
+# compiles only those (the eval handlers pass metrics to the per-event
+# callbacks); nothing here imports logging or dataclasses, so pipeline's
+# skip warnings reach stderr bare, through logging's last-resort handler
 from .jsonl import DataError, naming, read_jsonl, read_lines, real, text, unique
 
 
@@ -119,6 +118,8 @@ def _note(message: str) -> None:
 
 
 def cmd_extract_np(args) -> int:
+    from . import trees
+
     records = []
     for location, line in read_lines(args.trees):
         tree = trees.parse_tree(location, line)
@@ -214,12 +215,12 @@ def cmd_grad_check(args) -> int:
     return 0 if ok else 2
 
 
-def _segment(event) -> metrics.TimeSegment:
+def _segment(metrics, event):
     return metrics.TimeSegment(real(event["start"], "start"), real(event["end"], "end"))
 
 
-def _captioned_event(event) -> metrics.CaptionedEvent:
-    return metrics.CaptionedEvent(segment=_segment(event), caption=text(event["caption"], "caption"))
+def _captioned_event(metrics, event):
+    return metrics.CaptionedEvent(_segment(metrics, event), text(event["caption"], "caption"))
 
 
 def _paired_events(
@@ -255,8 +256,11 @@ def _paired_events(
 
 
 def cmd_eval_grounding(args) -> int:
+    from . import metrics
+
     pred_segments, gt_segments = [], []
-    for video_id, gt_events, pred_events in _paired_events(args.pred, args.gt, _segment):
+    videos = _paired_events(args.pred, args.gt, functools.partial(_segment, metrics))
+    for video_id, gt_events, pred_events in videos:
         if pred_events is None:
             pred_events = [None] * len(gt_events)
         elif len(pred_events) != len(gt_events):
@@ -274,7 +278,9 @@ def cmd_eval_grounding(args) -> int:
 
 
 def cmd_eval_dense(args) -> int:
-    videos = _paired_events(args.pred, args.gt, _captioned_event)
+    from . import metrics
+
+    videos = _paired_events(args.pred, args.gt, functools.partial(_captioned_event, metrics))
     # ground-truth captions are prepared once, for the IDF and for their
     # video, and popped in video order, so a scored video's are dropped
     refs = [[metrics.Caption(e.caption) for e in gt_events] for _, gt_events, _ in videos]

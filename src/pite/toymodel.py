@@ -124,7 +124,15 @@ class TrainingSample:
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=float)
-        self.tokens = np.asarray(self.tokens, dtype=int)
+        # the int cast would truncate a fraction and count a boolean; a samples file holds neither
+        tokens = np.asarray(self.tokens)
+        if tokens.dtype.kind == "b" and tokens.size:
+            raise ValueError(f"token {tokens.flat[0]} is a boolean, not an id")
+        if tokens.dtype.kind == "f":
+            not_whole = tokens[~(np.isfinite(tokens) & (tokens == np.floor(tokens)))]
+            if not_whole.size:
+                raise ValueError(f"token {not_whole[0]} is not a whole number")
+        self.tokens = np.asarray(tokens, dtype=int)
         self.supervised = np.asarray(self.supervised, dtype=bool)
         if self.frames.ndim != 2 or len(self.frames) == 0:
             raise ValueError(f"frames has shape {self.frames.shape}, expected (n_frames >= 1, d_v)")

@@ -37,7 +37,6 @@ from .toymodel import (
     tile_init,
 )
 from .jsonl import DataError
-from .tracks import TrajectoryMatrix
 
 # synthetic_dataset: share of absent trajectory cells and of supervised tokens
 SENTINEL_RATE = 0.25
@@ -139,6 +138,8 @@ def samples_from_records(records: Iterable[dict], cfg: TrainerConfig) -> list[Tr
     that object's trajectory matrix, every other token is unsupervised.
     Visual features are synthesized deterministically per video id.
     """
+    from .tracks import TrajectoryMatrix  # here, so train-toy and grad-check start without tracks
+
     samples = []
     for record in records:
         video_seed = zlib.crc32(record["video_id"].encode("utf-8"))

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import io
 import json
 import logging
@@ -72,12 +73,27 @@ def test_each_subcommand_binds_its_handler():
     assert sorted(re.split(r",\s*", listed)) == sorted(subcommands)
 
 
-NUMPY_PROBE = """
+WATCHED = (
+    "dataclasses", "inspect", "logging", "numpy", "numpy.ma",
+    "pite.metrics", "pite.pipeline", "pite.tracks", "pite.trees",
+)
+CLOSURE_PROBE = f"""
 import sys
 from pite import cli
 code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-print(code, [m for m in ("dataclasses", "inspect", "logging", "numpy", "numpy.ma") if m in sys.modules])
+print(code, sorted(m for m in {WATCHED!r} if m in sys.modules))
 """
+# what each command loads of WATCHED beside numpy and the dataclasses and
+# inspect that numpy-backed modules bring; pipeline brings logging too
+LOADS = {
+    None: [],
+    "extract-np": ["pite.trees"],
+    "eval-grounding": ["pite.metrics"],
+    "eval-dense": ["pite.metrics"],
+    "build-dataset": ["logging", "pite.pipeline", "pite.tracks", "pite.trees"],
+    "train-toy": [],
+    "grad-check": [],
+}
 
 
 @pytest.mark.parametrize(
@@ -88,16 +104,25 @@ print(code, [m for m in ("dataclasses", "inspect", "logging", "numpy", "numpy.ma
         ("eval-grounding", False),
         ("eval-dense", False),
         ("build-dataset", True),
+        ("train-toy", True),
+        ("grad-check", True),
     ],
 )
 def test_numpy_is_imported_only_by_the_commands_that_use_it(
     fixtures_dir, toy_fixture_dir, tmp_path, command, loads_numpy
 ):
-    # a fresh interpreter each time, since this one has numpy loaded already;
-    # build-dataset loads logging and dataclasses through pipeline, which
-    # shows that the probe sees them, but not numpy.ma
+    """Each command loads numpy and the layer modules it runs, and no other layer.
+
+    A fresh interpreter each time, since this one has them all loaded
+    already; build-dataset's logging shows that the probe sees stdlib
+    modules, and no command loads numpy.ma.
+    """
     events = [{"start": 0.0, "end": 10.0, "caption": "a big dog runs"}]
     pred, gt = write_eval_files(tmp_path, events, events)
+    samples, config = tmp_path / "stage2.npz", tmp_path / "config.json"
+    if command == "train-toy":
+        save_samples(synthetic_dataset(2, 3, STAGE2_CFG, seed=8), samples)
+        config.write_text(json.dumps(asdict(STAGE2_CFG)))
     out = str(tmp_path / "out")
     eval_args = ["--pred", str(pred), "--gt", str(gt), "--out", out]
     argv = {
@@ -106,11 +131,70 @@ def test_numpy_is_imported_only_by_the_commands_that_use_it(
         "eval-grounding": ["eval-grounding", *eval_args],
         "eval-dense": ["eval-dense", *eval_args],
         "build-dataset": toy_build_args(toy_fixture_dir, out),
+        "train-toy": ["train-toy", "--stage", "2", "--data", str(samples), "--config", str(config), "--out", out],
+        "grad-check": ["grad-check", "--stage", "3", "--fixtures", "1"],
     }[command]
-    done = run_fresh("-c", NUMPY_PROBE, *argv)
+    done = run_fresh("-c", CLOSURE_PROBE, *argv)
     assert done.returncode == 0, done.stderr
-    loaded = ["dataclasses", "inspect", "logging", "numpy"] if loads_numpy else []
-    assert done.stdout.splitlines()[-1] == f"0 {loaded}"
+    loaded = LOADS[command] + (["dataclasses", "inspect", "numpy"] if loads_numpy else [])
+    assert done.stdout.splitlines()[-1] == f"0 {sorted(loaded)}"
+
+
+def import_offenders(source: str) -> list[str]:
+    """Imports in ``source`` that break cli.py's import rules, as ``<line>: <rule>``.
+
+    At module level only stdlib modules and ``.jsonl``; inside a function
+    only in a ``cmd_*`` handler, which runs once per process, so no
+    per-event callback imports.
+    """
+
+    def stdlib_or_jsonl(node):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                return (node.level, node.module) == (1, "jsonl")
+            modules = [node.module]
+        else:
+            modules = [alias.name for alias in node.names]
+        return all(module.partition(".")[0] in sys.stdlib_module_names for module in modules)
+
+    offenders = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                if function is None and not stdlib_or_jsonl(child):
+                    offenders.append(f"{child.lineno}: module level, not stdlib or .jsonl")
+                elif function is not None and not function.startswith("cmd_"):
+                    offenders.append(f"{child.lineno}: in {function}, not a cmd_* handler")
+            else:
+                visit(child, function)
+
+    visit(ast.parse(source), None)
+    return offenders
+
+
+def test_cli_imports_layer_modules_only_in_cmd_handlers():
+    probe = "\n".join([
+        "import json",
+        "from . import metrics",
+        "import numpy as np",
+        "from .jsonl import text",
+        "def cmd_eval(args):",
+        "    from . import metrics",
+        "def _segment(event):",
+        "    def parse():",
+        "        from . import metrics",
+        "    import re",
+    ])
+    assert import_offenders(probe) == [
+        "2: module level, not stdlib or .jsonl",
+        "3: module level, not stdlib or .jsonl",
+        "9: in parse, not a cmd_* handler",
+        "10: in _segment, not a cmd_* handler",
+    ]
+    assert import_offenders(Path(cli.__file__).read_text(encoding="utf-8")) == []
 
 
 def test_each_main_call_writes_notes_to_its_own_stderr(monkeypatch, tmp_path):

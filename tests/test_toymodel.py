@@ -546,6 +546,17 @@ def test_training_sample_rejects_a_negative_token():
         TrainingSample(np.zeros((2, 4)), [3, -1], [True, False])
 
 
+@pytest.mark.parametrize(
+    "tokens, message",
+    [([2.0, 1.7], r"token 1\.7 is not a whole number"), ([True, False], "token True is a boolean, not an id")],
+    ids=["fraction", "boolean"],
+)
+def test_training_sample_rejects_tokens_a_samples_file_cannot_hold(tokens, message):
+    """The int cast would make 1.7 token 1 and ``[True, False]`` tokens 1 and 0; ``load_samples`` refuses both."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TrainingSample(np.zeros((2, 4)), tokens, [False, False])
+
+
 def test_decode_uses_prefix_only(greedy_decode):
     params = init_params(SMALL, seed=11)
     frames = np.random.default_rng(1).normal(size=(2, SMALL.d_v))
