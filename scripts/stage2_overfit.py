@@ -27,7 +27,7 @@ def main():
     parser.add_argument("--curve", default="stage2_overfit_curve.csv")
     args = parser.parse_args()
 
-    batch = pack_rows(sample_arrays(synthetic_dataset(2, SAMPLES, CONFIG, seed=DATA_SEED)), 2)
+    batch = pack_rows(sample_arrays(synthetic_dataset(2, SAMPLES, CONFIG, seed=DATA_SEED)), 2, CONFIG)
     _, curve, grad_norms = run_stage(init_params(CONFIG), batch, 2, CONFIG)
     write_loss_curve(curve, grad_norms, args.curve)
     print(

@@ -204,7 +204,7 @@ def cmd_grad_check(args) -> int:
     for i in range(args.fixtures):
         params = toymodel.init_params(cfg, seed=args.seed + i)
         samples = trainer.synthetic_dataset(args.stage, 1, cfg, seed=args.seed + 1000 + i)
-        batch = toymodel.pack_rows(toymodel.sample_arrays(samples), args.stage)
+        batch = toymodel.pack_rows(toymodel.sample_arrays(samples), args.stage, cfg)
         err = toymodel.grad_check(params, batch, args.stage, cfg)
         worst = np.maximum(worst, err)  # unlike max(), keeps a NaN
         sys.stdout.write(f"fixture {i}: max relative error {err:.3e}\n")
@@ -350,7 +350,7 @@ def cmd_ablate_points(args) -> int:
                 config, strict=True,
             )
             records = list(read_jsonl(out_path, dict))
-        batch = toymodel.pack_rows(toymodel.sample_arrays(trainer.samples_from_records(records, cfg)), 2)
+        batch = toymodel.pack_rows(toymodel.sample_arrays(trainer.samples_from_records(records, cfg)), 2, cfg)
         _, curve, _ = trainer.run_stage(toymodel.init_params(cfg), batch, 2, cfg)
         rows.append(
             {

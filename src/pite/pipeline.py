@@ -31,9 +31,9 @@ import logging
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 
 from .jsonl import DataError, integer, naming, read_jsonl, read_lines, real, text, unique
 from .tracks import (
@@ -112,22 +112,14 @@ class PipelineConfig:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
-@dataclass
-class EventAnnotation:
+class EventAnnotation(NamedTuple):
+    """One annotated event; ``_asdict()`` is its event record."""
+
     caption: str
     start_frame: int
     end_frame: int
     formatted_text: str
-    objects: list[dict] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "caption": self.caption,
-            "start_frame": self.start_frame,
-            "end_frame": self.end_frame,
-            "formatted_text": self.formatted_text,
-            "objects": self.objects,
-        }
+    objects: list[dict]
 
 
 def timestamp_to_frame(t: float, duration: float, N: int) -> int:
@@ -223,6 +215,7 @@ def annotate_event(
         start_frame=start_frame,
         end_frame=end_frame,
         formatted_text=format_temporal(event.caption, start_frame, end_frame),
+        objects=[],
     )
     for np_idx, phrase in enumerate(extract_lowest_np(tree)):
         mask = masks(phrase.text)
@@ -301,7 +294,7 @@ def annotate_video(
                 width=video.width,
                 height=video.height,
                 clip_id=clip_id,
-            ).to_json()
+            )._asdict()
         )
     return {"video_id": video.video_id, "events": events}
 

@@ -7,7 +7,8 @@ backbone that pools the visual tokens, the token prefix, and the sequence
 position.  Losses and their analytic gradients run over one packed batch:
 the samples' tokens concatenated into T rows, each weighted 1/(B * L_b).
 ``sample_arrays`` lays samples end to end as the arrays of a samples file,
-and ``pack_rows`` turns such arrays, in memory or read back, into a batch.
+and ``pack_rows`` checks such arrays, in memory or read back, against the
+config and turns them into a batch.
 The gradients are checked against central finite differences; all +-eps
 probes of one trainable array run as one stacked loss pass.
 
@@ -28,7 +29,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .jsonl import integer, real
+from .jsonl import DataError, integer, real
 
 ARRAY_NAMES = (
     "adapter",
@@ -48,7 +49,7 @@ TRAINABLE_BY_STAGE = {
     3: ("embeddings", "vocab_map"),
 }
 
-# the TrainingSample target array each stage regresses; stage 3 has none
+# the target each stage regresses, a TrainingSample field and a samples-file array; stage 3 has none
 STAGE_TARGETS = {1: "loc_targets", 2: "traj_targets"}
 
 
@@ -114,39 +115,13 @@ class ToyModelParams:
 
 @dataclass
 class TrainingSample:
-    """One training example; each target array has one row per token, meaningful only where supervised."""
+    """One training example, checked only when packed; targets have a row per token, read where supervised."""
 
-    frames: np.ndarray  # (n_frames, d_v)
+    frames: np.ndarray  # (n_frames, d_v) float
     tokens: np.ndarray  # (L,) int
     supervised: np.ndarray  # (L,) bool
     loc_targets: np.ndarray | None = None  # (L, 2)
     traj_targets: np.ndarray | None = None  # (L, P, N, 2)
-
-    def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=float)
-        # the int cast would truncate a fraction and count a boolean; a samples file holds neither
-        tokens = np.asarray(self.tokens)
-        if tokens.dtype.kind == "b" and tokens.size:
-            raise ValueError(f"token {tokens.flat[0]} is a boolean, not an id")
-        if tokens.dtype.kind == "f":
-            not_whole = tokens[~(np.isfinite(tokens) & (tokens == np.floor(tokens)))]
-            if not_whole.size:
-                raise ValueError(f"token {not_whole[0]} is not a whole number")
-        self.tokens = np.asarray(tokens, dtype=int)
-        self.supervised = np.asarray(self.supervised, dtype=bool)
-        if self.frames.ndim != 2 or len(self.frames) == 0:
-            raise ValueError(f"frames has shape {self.frames.shape}, expected (n_frames >= 1, d_v)")
-        if self.tokens.ndim != 1 or len(self.tokens) == 0 or self.tokens.min() < 0:
-            raise ValueError("tokens must be a nonempty 1-D sequence of ids >= 0")
-        if self.supervised.shape != self.tokens.shape:
-            raise ValueError("supervised mask must align with tokens")
-        for name in STAGE_TARGETS.values():
-            value = getattr(self, name)
-            if value is not None:
-                value = np.asarray(value, dtype=float)
-                if value.shape[:1] != self.tokens.shape:
-                    raise ValueError(f"{name} has shape {value.shape}, not one row per token ({len(self.tokens)})")
-                setattr(self, name, value)
 
 
 def sample_arrays(samples: Sequence[TrainingSample]) -> dict[str, np.ndarray]:
@@ -154,22 +129,29 @@ def sample_arrays(samples: Sequence[TrainingSample]) -> dict[str, np.ndarray]:
 
     ``tokens``, ``supervised`` and ``frames`` concatenated, the per-sample
     ``lengths`` and ``frame_counts``, and the supervised rows of each
-    ``STAGE_TARGETS`` kind, which must be on every sample or none.
+    ``STAGE_TARGETS`` kind, which must be on every sample or none.  Only
+    here can a sample's flags and target rows be matched to its tokens, one
+    per token; ``pack_rows`` checks the arrays laid end to end.
     """
     if not samples:
         raise ValueError("dataset is empty")
+    targets = [n for n in STAGE_TARGETS.values() if any(getattr(s, n) is not None for s in samples)]
+    for s in samples:
+        for name in ("supervised", *targets):
+            if getattr(s, name) is None:
+                raise ValueError(f"{name} on some samples only")
+            shape = np.shape(getattr(s, name))
+            if shape[:1] != np.shape(s.tokens)[:1]:
+                raise ValueError(f"{name} has shape {shape}, not one row per token ({len(s.tokens)})")
     arrays = {
         name: np.concatenate([getattr(s, name) for s in samples])
         for name in ("tokens", "supervised", "frames")
     }
     arrays["lengths"] = np.array([len(s.tokens) for s in samples])
     arrays["frame_counts"] = np.array([len(s.frames) for s in samples])
-    for name in STAGE_TARGETS.values():
-        rows = [getattr(s, name)[s.supervised] for s in samples if getattr(s, name) is not None]
-        if len(rows) not in (0, len(samples)):
-            raise ValueError(f"{name} on some samples only")
-        if rows:
-            arrays[name] = np.concatenate(rows)
+    for name in targets:  # cast so that flags of another dtype fail in pack_rows, not as an IndexError
+        rows = [np.asarray(getattr(s, name))[np.asarray(s.supervised, bool)] for s in samples]
+        arrays[name] = np.concatenate(rows)
     return arrays
 
 
@@ -222,13 +204,82 @@ def init_params(cfg: TrainerConfig, seed: int | None = None) -> ToyModelParams:
     return ToyModelParams(**arrays, points=cfg.points, traj_frames=cfg.frames)
 
 
-def pack_rows(arrays: dict[str, np.ndarray], stage: int) -> PackedBatch:
-    """The ``stage`` batch of samples-file arrays (``sample_arrays``), with the stage's target rows."""
+def check_arrays(arrays: dict, spec: dict[str, tuple], at: str = "") -> None:
+    """Raise DataError ``<at>...`` unless every array ``spec`` names is in ``arrays`` and fits it.
+
+    ``spec`` maps each name to its accepted dtype kinds and its shape, with
+    None for an axis of any length.  A float array must also be finite.
+    ``at`` is ``"<path>: "`` for arrays read from a file.
+    """
+    for name, (kinds, shape) in spec.items():
+        arr = arrays.get(name)
+        if arr is None:
+            raise DataError(f"{at}no {name!r} array")
+        if arr.dtype.kind not in kinds or len(arr.shape) != len(shape) or any(
+            n not in (None, m) for n, m in zip(shape, arr.shape)
+        ):
+            axes = ", ".join("n" if n is None else str(n) for n in shape)
+            expected = f"({axes},)" if len(shape) == 1 else f"({axes})"
+            raise DataError(f"{at}{name!r} is a {arr.shape} {arr.dtype} array, expected {expected}")
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+            raise DataError(f"{at}{name!r} holds a non-finite value")
+
+
+def sample_spec(stage: int, cfg: TrainerConfig) -> dict[str, tuple]:
+    """The ``check_arrays`` spec of the arrays a ``stage`` batch packs under ``cfg``."""
+    spec = {
+        "tokens": ("iuf", (None,)), "supervised": ("b", (None,)),
+        "lengths": ("iu", (None,)), "frame_counts": ("iu", (None,)),
+        "frames": ("f", (None, cfg.d_v)),
+    }
+    target = STAGE_TARGETS.get(stage)
+    if target:
+        spec[target] = ("f", (None, 2) if stage == 1 else (None, cfg.points, cfg.frames, 2))
+    return spec
+
+
+def _check_samples(arrays: dict, stage: int, cfg: TrainerConfig, at: str) -> None:
+    """Raise DataError ``<at>...`` unless ``arrays`` fit ``sample_spec`` and their counts and tokens fit.
+
+    The counts must add up to the rows they count, and every token must be
+    an integer in ``[0, vocab)``; a bad count or token is named as
+    ``sample <i>: ...``, the first sample that holds one.
+    """
+    check_arrays(arrays, sample_spec(stage, cfg), at)
+    lengths, frame_counts = arrays["lengths"], arrays["frame_counts"]
+    tokens, supervised = arrays["tokens"], arrays["supervised"]
+    if not len(lengths) or len(frame_counts) != len(lengths):
+        raise DataError(f"{at}{len(lengths)} lengths and {len(frame_counts)} frame_counts")
+    for name, counts in (("tokens", lengths), ("frames", frame_counts)):
+        for i in np.flatnonzero(counts < 1)[:1]:
+            raise DataError(f"{at}sample {i}: {counts[i]} {name}, expected at least 1")
+    totals = [
+        (lengths.sum(), "lengths add up to", tokens, "tokens"),
+        (lengths.sum(), "lengths add up to", supervised, "supervised flags"),
+        (frame_counts.sum(), "frame_counts add up to", arrays["frames"], "frames"),
+    ]
+    target = STAGE_TARGETS.get(stage)
+    if target:
+        totals.append((supervised.sum(), "supervised flags mark", arrays[target], f"{target} rows"))
+    for total, counted, rows, noun in totals:
+        if total != len(rows):
+            raise DataError(f"{at}{counted} {total} {noun}, the file holds {len(rows)}")
+    bad = ~((tokens >= 0) & (tokens < cfg.vocab) & (tokens == np.floor(tokens)))
+    for j in np.flatnonzero(bad)[:1]:
+        i = np.searchsorted(np.cumsum(lengths), j, side="right")
+        raise DataError(f"{at}sample {i}: token {tokens[j]} is not an integer in [0, {cfg.vocab})")
+
+
+def pack_rows(arrays: dict, stage: int, cfg: TrainerConfig, location: object = None) -> PackedBatch:
+    """The ``stage`` batch of samples-file arrays (``sample_arrays``), with the stage's target rows.
+
+    Arrays that do not fit ``cfg`` raise DataError (``_check_samples``),
+    naming ``location``, the file they were read from, if given.
+    """
     if stage not in TRAINABLE_BY_STAGE:
         raise ValueError(f"unknown stage {stage}")
+    _check_samples(arrays, stage, cfg, "" if location is None else f"{location}: ")
     target = STAGE_TARGETS.get(stage)
-    if target and target not in arrays:
-        raise ValueError(f"stage {stage} sample requires {target}")
     lengths = arrays["lengths"].astype(int)
     sample = np.repeat(np.arange(len(lengths)), lengths)
     starts = np.cumsum(lengths) - lengths

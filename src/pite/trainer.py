@@ -3,12 +3,12 @@
 Training is plain full-batch gradient descent on one packed batch, and
 every step takes the loss and analytic gradients from one fused pass over
 it.  A samples file holds the arrays of ``toymodel.sample_arrays``;
-``load_samples`` checks them before ``toymodel.pack_rows`` turns them into
-the batch, as it turns arrays made in memory.  The stage
-decides which parameter groups move (the backbone never does, the adapter
-only in stage 1).  A stage trains a copy of the parameters it is given and
-returns it, so the next stage starts from that copy.  Everything is
-deterministic for a given seed.
+``load_samples`` reads them, and ``toymodel.pack_rows`` checks them against
+the config and turns them into the batch, as it does arrays made in memory.
+The stage decides which parameter groups move (the backbone never does,
+the adapter only in stage 1).  A stage trains a copy of the parameters it
+is given and returns it, so the next stage starts from that copy.
+Everything is deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -23,16 +23,17 @@ import numpy as np
 
 from .toymodel import (
     ARRAY_NAMES,
-    STAGE_TARGETS,
     TRAINABLE_BY_STAGE,
     PackedBatch,
     ToyModelParams,
     TrainerConfig,
     TrainingSample,
+    check_arrays,
     gradients,
     pack_rows,
     param_shapes,
     sample_arrays,
+    sample_spec,
     stage_loss,
     tile_init,
 )
@@ -182,11 +183,10 @@ def _save_npz(path: str | Path, arrays: dict) -> None:
         np.savez(handle, **arrays)
 
 
-def _load_npz(path: str | Path, spec: dict[str, tuple]) -> dict:
-    """The arrays named in ``spec``; a file that does not fit it raises DataError naming ``path``.
+def _load_npz(path: str | Path, names: Iterable[str]) -> dict:
+    """The arrays among ``names`` of the .npz archive at ``path``, unchecked (see ``check_arrays``).
 
-    ``spec`` maps each name to its accepted dtype kinds and its shape, with
-    None for an axis of any length.  A float array must also be finite.
+    A file that is not such an archive, or a damaged one, raises DataError naming ``path``.
     """
     with open(path, "rb") as handle:
         if handle.read(4) != b"PK\x03\x04":
@@ -194,22 +194,9 @@ def _load_npz(path: str | Path, spec: dict[str, tuple]) -> dict:
         handle.seek(0)
         try:
             with np.load(handle, allow_pickle=False) as archive:
-                arrays = {name: archive[name] for name in spec if name in archive.files}
+                return {name: archive[name] for name in names if name in archive.files}
         except (EOFError, OSError, ValueError, zipfile.BadZipFile) as exc:
             raise DataError(f"{path}: damaged .npz archive ({type(exc).__name__})") from None
-    for name, (kinds, shape) in spec.items():
-        arr = arrays.get(name)
-        if arr is None:
-            raise DataError(f"{path}: no {name!r} array")
-        if arr.dtype.kind not in kinds or len(arr.shape) != len(shape) or any(
-            n not in (None, m) for n, m in zip(shape, arr.shape)
-        ):
-            axes = ", ".join("n" if n is None else str(n) for n in shape)
-            expected = f"({axes},)" if len(shape) == 1 else f"({axes})"
-            raise DataError(f"{path}: {name!r} is a {arr.shape} {arr.dtype} array, expected {expected}")
-        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
-            raise DataError(f"{path}: {name!r} holds a non-finite value")
-    return arrays
 
 
 def save_samples(samples: Sequence[TrainingSample], path: str | Path) -> None:
@@ -220,48 +207,10 @@ def save_samples(samples: Sequence[TrainingSample], path: str | Path) -> None:
 def load_samples(path: str | Path, cfg: TrainerConfig, stage: int) -> PackedBatch:
     """The ``stage`` batch of a file written by ``save_samples``: ``pack_rows`` of its arrays.
 
-    Every array read must fit ``cfg`` (see ``_load_npz``), and the file must
-    hold the stage's target array (``STAGE_TARGETS``); no other target array
-    is read; the batch holds the stored supervised rows.  Stored counts that do
-    not add up to the stored rows raise DataError ``<path>: ...``; a bad
-    token raises DataError ``<path>: sample <i>: ...`` naming the first such
-    sample.
+    Only the arrays of ``sample_spec`` are read, so no other stage's target
+    array; arrays that do not fit ``cfg`` raise DataError ``<path>: ...``.
     """
-    spec = {
-        "tokens": ("iuf", (None,)), "supervised": ("b", (None,)),
-        "lengths": ("iu", (None,)), "frame_counts": ("iu", (None,)),
-        "frames": ("f", (None, cfg.d_v)),
-    }
-    target = STAGE_TARGETS.get(stage)
-    if target:
-        spec[target] = ("f", (None, 2) if stage == 1 else (None, cfg.points, cfg.frames, 2))
-    a = _load_npz(path, spec)
-    lengths, frame_counts = a["lengths"], a["frame_counts"]
-    tokens, supervised, frames = a["tokens"], a["supervised"], a["frames"]
-    if not len(lengths) or len(frame_counts) != len(lengths):
-        raise DataError(f"{path}: {len(lengths)} lengths and {len(frame_counts)} frame_counts")
-
-    def fail(i, message):
-        raise DataError(f"{path}: sample {i}: {message}")
-
-    for name, counts in (("tokens", lengths), ("frames", frame_counts)):
-        for i in np.flatnonzero(counts < 1)[:1]:
-            fail(i, f"{counts[i]} {name}, expected at least 1")
-    totals = [
-        (lengths.sum(), "lengths add up to", tokens, "tokens"),
-        (lengths.sum(), "lengths add up to", supervised, "supervised flags"),
-        (frame_counts.sum(), "frame_counts add up to", frames, "frames"),
-    ]
-    if target:
-        totals.append((supervised.sum(), "supervised flags mark", a[target], f"{target} rows"))
-    for total, counted, rows, noun in totals:
-        if total != len(rows):
-            raise DataError(f"{path}: {counted} {total} {noun}, the file holds {len(rows)}")
-    bad = ~((tokens >= 0) & (tokens < cfg.vocab) & (tokens == np.floor(tokens)))
-    for j in np.flatnonzero(bad)[:1]:
-        i = np.searchsorted(np.cumsum(lengths), j, side="right")
-        fail(i, f"token {tokens[j]} is not an integer in [0, {cfg.vocab})")
-    return pack_rows(a, stage)
+    return pack_rows(_load_npz(path, sample_spec(stage, cfg)), stage, cfg, path)
 
 
 def save_params(params: ToyModelParams, path: str | Path) -> None:
@@ -277,7 +226,9 @@ def load_params(path: str | Path, cfg: TrainerConfig) -> ToyModelParams:
     the config's ``(points, frames)``: swapping the two keeps every shape.
     """
     spec = {name: ("f", shape) for name, shape in param_shapes(cfg).items()}
-    a = _load_npz(path, dict(spec, points=("iu", ()), traj_frames=("iu", ())))
+    spec.update(points=("iu", ()), traj_frames=("iu", ()))
+    a = _load_npz(path, spec)
+    check_arrays(a, spec, f"{path}: ")
     geometry = (int(a["points"]), int(a["traj_frames"]))
     if geometry != (cfg.points, cfg.frames):
         raise DataError(

@@ -5,14 +5,20 @@ import numpy as np
 import pytest
 
 from pite.metrics import temporal_iou
-from pite.toymodel import TrainingSample, _hidden, pack_rows, sample_arrays
+from pite.toymodel import TrainerConfig, TrainingSample, _hidden, pack_rows, sample_arrays
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def packed(samples, stage):
-    """The ``stage`` batch of in-memory samples, as the CLI builds it."""
-    return pack_rows(sample_arrays(samples), stage)
+def packed(samples, stage, cfg):
+    """The ``stage`` batch of in-memory samples under ``cfg``, as the CLI builds it."""
+    return pack_rows(sample_arrays(samples), stage, cfg)
+
+
+def config_of(params):
+    """A config with the dimensions of ``params``, to pack samples for them."""
+    (d, d_v), vocab = params.adapter.shape, len(params.embeddings)
+    return TrainerConfig(d_v=d_v, d=d, vocab=vocab, points=params.points, frames=params.traj_frames)
 
 
 @pytest.fixture
@@ -55,7 +61,7 @@ def greedy_decode():
         tokens = np.zeros(length, dtype=int)
         for i in range(length):
             sample = TrainingSample(frames, tokens.copy(), np.zeros(length, dtype=bool))
-            logits = _hidden(params, packed([sample], 3)) @ params.vocab_map.T
+            logits = _hidden(params, packed([sample], 3, config_of(params))) @ params.vocab_map.T
             tokens[i] = int(np.argmax(logits[i]))
         return tokens
 

@@ -77,9 +77,9 @@ def test_tiling_initialization_bit_for_bit():
         sample = TrainingSample(
             frames=rng.normal(size=(3, cfg.d_v)),
             tokens=rng.integers(0, cfg.vocab, size=5),
-            supervised=np.zeros(5),
+            supervised=np.zeros(5, bool),
         )
-        H = _hidden(tiled, packed([sample], 3))
+        H = _hidden(tiled, packed([sample], 3, cfg))
         locs = H @ tiled.loc_w.T + tiled.loc_b
         trajs = (H @ tiled.traj_w.T + tiled.traj_b).reshape(5, cfg.points, cfg.frames, 2)
         ok &= np.array_equal(trajs, np.broadcast_to(locs[:, None, None, :], trajs.shape))
@@ -93,7 +93,7 @@ def test_gradient_checks_all_stages():
     for stage in (1, 2, 3):
         for seed in range(5):
             params = init_params(cfg, seed=seed)
-            batch = packed(synthetic_dataset(stage, 1, cfg, seed=seed + 500), stage)
+            batch = packed(synthetic_dataset(stage, 1, cfg, seed=seed + 500), stage, cfg)
             err = grad_check(params, batch, stage, cfg)
             worst = max(worst, err)
     ok = worst < 1e-4

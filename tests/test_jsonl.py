@@ -182,21 +182,27 @@ def test_only_save_npz_calls_np_savez():
 
 
 def test_only_pack_rows_builds_a_packed_batch():
-    """Samples files and in-memory samples become a batch through ``toymodel.pack_rows`` alone."""
+    """Samples files and in-memory samples become a batch through ``toymodel.pack_rows`` alone.
 
-    def is_packed_batch(node):
-        return isinstance(node, ast.Call) and "PackedBatch" in (
-            getattr(node.func, "id", None), getattr(node.func, "attr", None)
-        )
+    It runs ``_check_samples`` once, before it builds the batch, and nothing else calls the check or
+    makes a batch another way (``_make``, ``_replace``), so no batch skips the check against the config.
+    """
+
+    def calls(node, name):
+        return isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
 
     src = Path(__file__).resolve().parents[1] / "src" / "pite"
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
-    calls = [f"{name}:{node.lineno}" for name, tree in trees.items() for node in ast.walk(tree) if is_packed_batch(node)]
+    nodes = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)]
     pack_rows = next(
         node for node in ast.walk(trees["toymodel.py"]) if isinstance(node, ast.FunctionDef) and node.name == "pack_rows"
     )
-    assert len(calls) == 1
-    assert sum(map(is_packed_batch, ast.walk(pack_rows))) == 1
+    builds = [node for node in ast.walk(pack_rows) if calls(node, "PackedBatch")]
+    checks = [node for node in ast.walk(pack_rows) if calls(node, "_check_samples")]
+    assert sum(calls(node, "PackedBatch") for _, node in nodes) == len(builds) == 1
+    assert sum(calls(node, "_check_samples") for _, node in nodes) == len(checks) == 1
+    assert checks[0].lineno < builds[0].lineno
+    assert [f"{name}:{node.lineno}" for name, node in nodes if calls(node, "_make") or calls(node, "_replace")] == []
 
 
 def test_src_lists_no_directory():

@@ -6,8 +6,9 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from conftest import packed
+from conftest import config_of, packed
 from pite import toymodel
+from pite.jsonl import DataError
 from pite.toymodel import (
     ARRAY_NAMES,
     GRAD_CHECK_EPS,
@@ -52,11 +53,11 @@ def make_sample(cfg: TrainerConfig, seed: int, stage: int, length: int = 5) -> T
 
 
 def sample_loss(params, sample, stage, lam=1.0, smoothing=0.1):
-    return stage_loss(params, packed([sample], stage), stage, lam, smoothing)
+    return stage_loss(params, packed([sample], stage, config_of(params)), stage, lam, smoothing)
 
 
 def sample_grads(params, sample, stage, lam, smoothing):
-    return gradients(params, packed([sample], stage), stage, lam, smoothing)[1]
+    return gradients(params, packed([sample], stage, config_of(params)), stage, lam, smoothing)[1]
 
 
 class Outputs(NamedTuple):
@@ -68,8 +69,8 @@ class Outputs(NamedTuple):
 
 def heads(params, frames, tokens) -> Outputs:
     """Every head applied to the packed pass's hidden states of one sample."""
-    sample = TrainingSample(frames=frames, tokens=tokens, supervised=np.zeros(len(tokens)))
-    H = _hidden(params, packed([sample], 3))
+    sample = TrainingSample(frames=frames, tokens=tokens, supervised=np.zeros(len(tokens), bool))
+    H = _hidden(params, packed([sample], 3, config_of(params)))
     flat = H @ params.traj_w.T + params.traj_b
     trajs = flat.reshape(len(H), params.points, params.traj_frames, 2)
     return Outputs(H, H @ params.vocab_map.T, H @ params.loc_w.T + params.loc_b, trajs)
@@ -176,13 +177,17 @@ def test_forward_token_content_symmetry():
 
 
 def test_training_sample_rejects_bad_tokens():
+    """Empty and 2-D tokens fail when packed, as in a samples file; misaligned flags in ``sample_arrays``."""
     frames = np.zeros((2, SMALL.d_v))
-    with pytest.raises(ValueError, match="nonempty 1-D"):
-        TrainingSample(frames=frames, tokens=[], supervised=[])
-    with pytest.raises(ValueError, match="nonempty 1-D"):
-        TrainingSample(frames=frames, tokens=[[0, 1]], supervised=[[False, False]])
-    with pytest.raises(ValueError, match="align"):
-        TrainingSample(frames=frames, tokens=[0, 1], supervised=[False])
+    with pytest.raises(DataError, match="^sample 0: 0 tokens, expected at least 1$"):
+        packed([TrainingSample(frames, np.zeros(0, int), np.zeros(0, bool))], 3, SMALL)
+    with pytest.raises(DataError, match=r"^'tokens' is a \(1, 2\) int64 array, expected \(n,\)$"):
+        packed([TrainingSample(frames, [[0, 1]], [[False, False]])], 3, SMALL)
+    with pytest.raises(ValueError, match=r"^supervised has shape \(1,\), not one row per token \(2\)$"):
+        sample_arrays([TrainingSample(frames, [0, 1], [False])])
+    # a flag too many and one too few still add up to the batch's tokens
+    with pytest.raises(ValueError, match=r"^supervised has shape \(3,\), not one row per token \(2\)$"):
+        sample_arrays([TrainingSample(frames, [0, 1], [False] * 3), TrainingSample(frames, [0, 1], [False])])
 
 
 @pytest.mark.parametrize(
@@ -191,13 +196,15 @@ def test_training_sample_rejects_bad_tokens():
     ids=["loc-short", "traj-long", "loc-scalar"],
 )
 def test_training_sample_rejects_targets_of_another_length(name, rows):
+    """``sample_arrays`` keeps a target's supervised rows, so it needs one row per token."""
     frames = np.zeros((2, SMALL.d_v))
     message = f"{name} has shape {rows.shape}, not one row per token (3)"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        TrainingSample(frames=frames, tokens=[0, 1, 2], supervised=[True, False, True], **{name: rows})
-    # one row per token passes
+        sample_arrays([TrainingSample(frames, [0, 1, 2], [True, False, True], **{name: rows})])
+    # one row per token passes, and the supervised rows are kept
     full = np.zeros((3, *rows.shape[1:]))
-    assert getattr(TrainingSample(frames, [0, 1, 2], [True, False, True], **{name: full}), name).shape == full.shape
+    arrays = sample_arrays([TrainingSample(frames, [0, 1, 2], [True, False, True], **{name: full})])
+    assert arrays[name].shape == (2, *rows.shape[1:])
 
 
 # --- losses ---------------------------------------------------------------------
@@ -322,11 +329,11 @@ def test_pack_rows_requires_the_stage_targets():
     with pytest.raises(ValueError, match="^loc_targets on some samples only$"):
         sample_arrays([make_sample(SMALL, seed=1, stage=1), sample])
     arrays = sample_arrays([sample])
-    with pytest.raises(ValueError, match="^stage 2 sample requires traj_targets$"):
-        pack_rows(arrays, 2)
-    with pytest.raises(ValueError, match="^stage 1 sample requires loc_targets$"):
-        pack_rows(sample_arrays([make_sample(SMALL, seed=1, stage=2)]), 1)
-    assert pack_rows(arrays, 3).targets is None
+    with pytest.raises(DataError, match="^no 'traj_targets' array$"):
+        pack_rows(arrays, 2, SMALL)
+    with pytest.raises(DataError, match="^no 'loc_targets' array$"):
+        pack_rows(sample_arrays([make_sample(SMALL, seed=1, stage=2)]), 1, SMALL)
+    assert pack_rows(arrays, 3, SMALL).targets is None
 
 
 # --- tiling ----------------------------------------------------------------------
@@ -369,7 +376,7 @@ def test_grad_check_below_tolerance(stage):
     for seed in range(5):
         params = init_params(SMALL, seed=seed)
         sample = make_sample(SMALL, seed=seed + 10, stage=stage)
-        err = grad_check(params, packed([sample], stage), stage, SMALL)
+        err = grad_check(params, packed([sample], stage, SMALL), stage, SMALL)
         assert err < 1e-4
 
 
@@ -382,7 +389,7 @@ def test_grad_check_is_nan_when_loss_is_not_finite(poison):
         params.vocab_map[:] = np.inf
     sample = make_sample(SMALL, seed=10, stage=1)
     with np.errstate(all="ignore"):
-        assert math.isnan(grad_check(params, packed([sample], 1), 1, SMALL))
+        assert math.isnan(grad_check(params, packed([sample], 1, SMALL), 1, SMALL))
 
 
 def test_frozen_groups_have_zero_gradient():
@@ -434,7 +441,7 @@ def test_packed_loss_is_mean_of_oracle_sample_losses(stage):
         params = init_params(SMALL, seed=seed + 20)
         for make in (ragged_batch, partly_unsupervised):
             samples = make(SMALL, stage, seed=10 * seed + 30)
-            got = stage_loss(params, packed(samples, stage), stage, lam, eps)
+            got = stage_loss(params, packed(samples, stage, SMALL), stage, lam, eps)
             want = np.mean([oracle_loss(params, s, stage, lam, eps) for s in samples])
             assert abs(got - want) <= 1e-12
 
@@ -444,12 +451,12 @@ def test_packed_pass_ignores_sample_order(stage):
     params = init_params(SMALL, seed=40)
     samples = ragged_batch(SMALL, stage, seed=41)
     order = [2, 0, 1]
-    loss, grads = gradients(params, packed(samples, stage), stage, 1.0, 0.1)
+    loss, grads = gradients(params, packed(samples, stage, SMALL), stage, 1.0, 0.1)
     loss_p, grads_p = gradients(
-        params, packed([samples[i] for i in order], stage), stage, 1.0, 0.1
+        params, packed([samples[i] for i in order], stage, SMALL), stage, 1.0, 0.1
     )
     assert abs(loss - loss_p) <= 1e-12
-    assert stage_loss(params, packed(samples, stage), stage, 1.0, 0.1) == loss
+    assert stage_loss(params, packed(samples, stage, SMALL), stage, 1.0, 0.1) == loss
     for name, grad in grads.items():
         np.testing.assert_allclose(grads_p[name], grad, rtol=0, atol=1e-12)
 
@@ -459,7 +466,7 @@ def test_grad_check_on_multi_sample_batch(stage):
     for seed in range(3):
         params = init_params(SMALL, seed=seed + 60)
         samples = ragged_batch(SMALL, stage, seed=10 * seed + 70)
-        assert grad_check(params, packed(samples, stage), stage, SMALL) < 1e-4
+        assert grad_check(params, packed(samples, stage, SMALL), stage, SMALL) < 1e-4
 
 
 def grad_check_fixtures(stage):
@@ -484,7 +491,7 @@ def test_stacked_probes_match_sequential_losses(stage, monkeypatch):
     for params, samples in grad_check_fixtures(stage):
         before = {n: getattr(params, n).tobytes() for n in ARRAY_NAMES}
         calls.clear()
-        grad_check(params, packed(samples, stage), stage, SMALL)
+        grad_check(params, packed(samples, stage, SMALL), stage, SMALL)
         assert {n: getattr(params, n).tobytes() for n in ARRAY_NAMES} == before
         assert len(calls) == len(TRAINABLE_BY_STAGE[stage])
         for name, (probe, batch, args, losses) in zip(TRAINABLE_BY_STAGE[stage], calls):
@@ -513,13 +520,13 @@ def test_grad_check_catches_error_in_last_scalar_of_each_array(stage, monkeypatc
 
         monkeypatch.setattr(toymodel, "gradients", skewed)
         for params, samples in grad_check_fixtures(stage):
-            assert grad_check(params, packed(samples, stage), stage, SMALL) >= 5e-4, name
+            assert grad_check(params, packed(samples, stage, SMALL), stage, SMALL) >= 5e-4, name
 
 
 def test_stage2_rejects_targets_of_another_head_geometry():
     swapped = TrainerConfig(d_v=4, d=6, vocab=10, points=SMALL.frames, frames=SMALL.points)
     params = init_params(SMALL, seed=0)
-    batch = packed([make_sample(swapped, seed=1, stage=2)], 2)
+    batch = packed([make_sample(swapped, seed=1, stage=2)], 2, swapped)
     with pytest.raises(ValueError, match="expected"):
         stage_loss(params, batch, 2, 1.0, 0.1)
     with pytest.raises(ValueError, match="expected"):
@@ -530,31 +537,42 @@ def test_sample_arrays_rejects_empty_and_pack_rows_unknown_stage():
     with pytest.raises(ValueError, match="^dataset is empty$"):
         sample_arrays([])
     with pytest.raises(ValueError, match="^unknown stage 4$"):
-        pack_rows(sample_arrays([make_sample(SMALL, seed=0, stage=3)]), 4)
+        pack_rows(sample_arrays([make_sample(SMALL, seed=0, stage=3)]), 4, SMALL)
 
 
-@pytest.mark.parametrize("shape", [(0, 4), (4,), (1, 3, 4)], ids=["no-rows", "1-D", "3-D"])
-def test_training_sample_rejects_frames_a_samples_file_cannot_hold(shape):
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        ((0, 4), "sample 0: 0 frames, expected at least 1"),
+        ((4,), r"'frames' is a \(4,\) float64 array, expected \(n, 4\)"),
+        ((1, 3, 4), r"'frames' is a \(1, 3, 4\) float64 array, expected \(n, 4\)"),
+    ],
+    ids=["no-rows", "1-D", "3-D"],
+)
+def test_training_sample_rejects_frames_a_samples_file_cannot_hold(shape, message):
     """Frames must be one (n >= 1, d_v) block, as in a samples file; no rows would pack to a NaN mean."""
-    with pytest.raises(ValueError, match=rf"^frames has shape {re.escape(str(shape))}, expected"):
-        TrainingSample(np.zeros(shape), [1, 2], [True, False])
+    with pytest.raises(DataError, match=f"^{message}$"):
+        packed([TrainingSample(np.zeros(shape), [1, 2], [True, False])], 3, SMALL)
 
 
 def test_training_sample_rejects_a_negative_token():
-    """Token -1 would silently train embedding row V-1; ``load_samples`` refuses it in a file."""
-    with pytest.raises(ValueError, match="^tokens must be a nonempty 1-D sequence of ids >= 0$"):
-        TrainingSample(np.zeros((2, 4)), [3, -1], [True, False])
+    """Token -1 would silently train embedding row V-1; packing refuses it, in memory as in a file."""
+    with pytest.raises(DataError, match=r"^sample 0: token -1 is not an integer in \[0, 10\)$"):
+        packed([TrainingSample(np.zeros((2, 4)), [3, -1], [True, False])], 3, SMALL)
 
 
 @pytest.mark.parametrize(
     "tokens, message",
-    [([2.0, 1.7], r"token 1\.7 is not a whole number"), ([True, False], "token True is a boolean, not an id")],
+    [
+        ([2.0, 1.7], r"sample 0: token 1\.7 is not an integer in \[0, 10\)"),
+        ([True, False], r"'tokens' is a \(2,\) bool array, expected \(n,\)"),
+    ],
     ids=["fraction", "boolean"],
 )
 def test_training_sample_rejects_tokens_a_samples_file_cannot_hold(tokens, message):
-    """The int cast would make 1.7 token 1 and ``[True, False]`` tokens 1 and 0; ``load_samples`` refuses both."""
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        TrainingSample(np.zeros((2, 4)), tokens, [False, False])
+    """An int cast would make 1.7 token 1 and ``[True, False]`` tokens 1 and 0; packing refuses both."""
+    with pytest.raises(DataError, match=f"^{message}$"):
+        packed([TrainingSample(np.zeros((2, 4)), tokens, [False, False])], 3, SMALL)
 
 
 def test_decode_uses_prefix_only(greedy_decode):

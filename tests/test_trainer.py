@@ -37,7 +37,7 @@ def test_zero_lr_keeps_params_and_curve_flat():
     cfg = replace(CFG, lr=0.0, steps=4)
     params = init_params(cfg)
     data = synthetic_dataset(1, 3, cfg, seed=5)
-    trained, curve, grad_norms = run_stage(params, packed(data, 1), 1, cfg)
+    trained, curve, grad_norms = run_stage(params, packed(data, 1, cfg), 1, cfg)
     for name in ARRAY_NAMES:
         assert np.array_equal(getattr(trained, name), getattr(params, name))
     assert len(curve) == 5
@@ -49,7 +49,7 @@ def test_zero_lr_keeps_params_and_curve_flat():
 def test_training_reduces_loss(stage):
     cfg = replace(CFG, steps=40, lr=1.0, smoothing=0.0)
     data = synthetic_dataset(stage, 6, cfg, seed=9)
-    batch = packed(data, stage)
+    batch = packed(data, stage, cfg)
     trained, curve, _ = run_stage(init_params(cfg), batch, stage, cfg, tile=False)
     assert curve[-1] < curve[0]
     assert curve[-1] == pytest.approx(stage_loss(trained, batch, stage, cfg.lam, cfg.smoothing))
@@ -59,14 +59,14 @@ def test_frozen_groups_bitwise_unchanged():
     cfg = replace(CFG, steps=10)
     params = init_params(cfg)
     data2 = synthetic_dataset(2, 4, cfg, seed=2)
-    trained, _, _ = run_stage(params, packed(data2, 2), 2, cfg, tile=False)
+    trained, _, _ = run_stage(params, packed(data2, 2, cfg), 2, cfg, tile=False)
     assert np.array_equal(trained.backbone_w, params.backbone_w)
     assert np.array_equal(trained.backbone_b, params.backbone_b)
     assert np.array_equal(trained.adapter, params.adapter)  # frozen in stage 2
     assert not np.array_equal(trained.embeddings, params.embeddings)
 
     data3 = synthetic_dataset(3, 4, cfg, seed=3)
-    trained3, _, _ = run_stage(params, packed(data3, 3), 3, cfg)
+    trained3, _, _ = run_stage(params, packed(data3, 3, cfg), 3, cfg)
     assert np.array_equal(trained3.adapter, params.adapter)
     assert np.array_equal(trained3.loc_w, params.loc_w)
     assert np.array_equal(trained3.traj_w, params.traj_w)
@@ -75,8 +75,8 @@ def test_frozen_groups_bitwise_unchanged():
 def test_same_seed_identical_curves():
     cfg = replace(CFG, steps=15)
     data = synthetic_dataset(1, 5, cfg, seed=11)
-    _, curve_a, norms_a = run_stage(init_params(cfg), packed(data, 1), 1, cfg)
-    _, curve_b, norms_b = run_stage(init_params(cfg), packed(data, 1), 1, cfg)
+    _, curve_a, norms_a = run_stage(init_params(cfg), packed(data, 1, cfg), 1, cfg)
+    _, curve_b, norms_b = run_stage(init_params(cfg), packed(data, 1, cfg), 1, cfg)
     assert curve_a == curve_b
     assert norms_a == norms_b
 
@@ -84,15 +84,15 @@ def test_same_seed_identical_curves():
 def test_stage_schema_mismatch():
     data = synthetic_dataset(3, 2, CFG, seed=0)
     with pytest.raises(ValueError, match="traj_targets"):
-        run_stage(init_params(CFG), packed(data, 2), 2, CFG)
+        run_stage(init_params(CFG), packed(data, 2, CFG), 2, CFG)
     with pytest.raises(ValueError, match=r"^target rows of shape None, expected \(2, 3, 2\)$"):
-        run_stage(init_params(CFG), packed(data, 3), 2, CFG)
+        run_stage(init_params(CFG), packed(data, 3, CFG), 2, CFG)
 
 
 def test_run_stage_tiles_before_stage2():
     cfg = replace(CFG, steps=0)
     params = init_params(cfg)
-    batch = packed(synthetic_dataset(2, 2, cfg, seed=1), 2)
+    batch = packed(synthetic_dataset(2, 2, cfg, seed=1), 2, cfg)
     tiled, _, _ = run_stage(params, batch, 2, cfg)
     reps = cfg.points * cfg.frames
     assert np.array_equal(tiled.traj_w, np.tile(params.loc_w, (reps, 1)))
@@ -103,9 +103,9 @@ def test_run_stage_tiles_before_stage2():
 def test_three_stage_chain_carries_params():
     cfg = replace(CFG, steps=8)
     params = init_params(cfg)
-    p1, _, _ = run_stage(params, packed(synthetic_dataset(1, 3, cfg, seed=4), 1), 1, cfg)
-    p2, _, _ = run_stage(p1, packed(synthetic_dataset(2, 3, cfg, seed=5), 2), 2, cfg)
-    p3, _, _ = run_stage(p2, packed(synthetic_dataset(3, 3, cfg, seed=6), 3), 3, cfg)
+    p1, _, _ = run_stage(params, packed(synthetic_dataset(1, 3, cfg, seed=4), 1, cfg), 1, cfg)
+    p2, _, _ = run_stage(p1, packed(synthetic_dataset(2, 3, cfg, seed=5), 2, cfg), 2, cfg)
+    p3, _, _ = run_stage(p2, packed(synthetic_dataset(3, 3, cfg, seed=6), 3, cfg), 3, cfg)
     # the adapter trained in stage 1 survives stages 2 and 3 untouched
     assert np.array_equal(p3.adapter, p1.adapter)
     assert np.array_equal(p3.backbone_w, params.backbone_w)
@@ -121,7 +121,7 @@ def test_stage3_overfit_decodes_target_sequences(greedy_decode):
         TrainingSample(rng.normal(size=(3, cfg.d_v)), rng.permutation(cfg.vocab)[:4], np.zeros(4, bool))
         for _ in range(6)
     ]
-    trained, _, _ = run_stage(init_params(cfg), packed(data, 3), 3, cfg)
+    trained, _, _ = run_stage(init_params(cfg), packed(data, 3, cfg), 3, cfg)
     for sample in data:
         decoded = greedy_decode(trained, sample.frames, len(sample.tokens))
         assert np.array_equal(decoded, sample.tokens)
@@ -166,7 +166,7 @@ def test_sample_file_round_trip_is_bit_exact(stage, tmp_path):
     assert sorted(stored) == sorted(arrays)
     for name, want in arrays.items():
         assert stored[name].dtype == want.dtype and np.array_equal(stored[name], want), name
-    assert_same_batch(load_samples(path, CFG, stage), pack_rows(arrays, stage))
+    assert_same_batch(load_samples(path, CFG, stage), pack_rows(arrays, stage, CFG))
 
 
 def test_samples_file_round_trip(tmp_path):
@@ -189,7 +189,7 @@ def test_sample_file_round_trip_casts_stored_dtypes(stage, tmp_path, rewrite_npz
         frames, tokens = archive["frames"].astype(np.float32), archive["tokens"].astype(float)
     rewrite_npz(path, frames=frames, tokens=tokens)
     rounded = [replace(s, frames=s.frames.astype(np.float32)) for s in samples]
-    assert_same_batch(load_samples(path, CFG, stage), packed(rounded, stage))
+    assert_same_batch(load_samples(path, CFG, stage), packed(rounded, stage, CFG))
 
 
 def test_load_samples_rejects_target_row_count(tmp_path, rewrite_npz):
@@ -272,6 +272,10 @@ def token_at_6(value):
             r"'frames' is a \(12, 5\) float64 array, expected \(n, 4\)",
         ),
         (
+            lambda a: {"frames": np.where(np.arange(12)[:, None] == 5, np.nan, a["frames"])},
+            r"'frames' holds a non-finite value",
+        ),
+        (
             lambda a: {"lengths": a["lengths"] + [0, 0, 1]},
             r"lengths add up to 19 tokens, the file holds 18",
         ),
@@ -283,11 +287,12 @@ def token_at_6(value):
         (lambda a: {"frame_counts": a["frame_counts"][:2]}, r"3 lengths and 2 frame_counts"),
     ],
     ids=[
-        "token-1", "token2.7", "token-vocab", "no-frames", "frame-width", "long", "short",
+        "token-1", "token2.7", "token-vocab", "no-frames", "frame-width", "frame-nan", "long", "short",
         "token-dtype", "frame-counts",
     ],
 )
 def test_load_samples_checks_samples_against_config(tmp_path, rewrite_npz, change, message):
+    """The same arrays fail the same way read from a file and packed straight from memory."""
     path = tmp_path / "samples.npz"
     save_samples(synthetic_dataset(3, 3, CFG, seed=1), path)  # 3 samples, 6 tokens, 4 frames
     with np.load(path) as archive:
@@ -295,6 +300,38 @@ def test_load_samples_checks_samples_against_config(tmp_path, rewrite_npz, chang
     rewrite_npz(path, **change(arrays))
     with pytest.raises(DataError, match=f"^{path}: {message}$"):
         load_samples(path, CFG, 3)
+    with pytest.raises(DataError, match=f"^{message}$"):
+        pack_rows({**arrays, **change(arrays)}, 3, CFG)
+
+
+def vocab_token(samples):
+    samples[1].tokens[0] = CFG.vocab
+
+
+def nan_frame(samples):
+    samples[1].frames[0, 0] = np.nan
+
+
+def wide_frames(samples):
+    for sample in samples:  # frames of two widths would not concatenate
+        sample.frames = np.zeros((len(sample.frames), CFG.d_v + 1))
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (vocab_token, r"sample 1: token 12 is not an integer in \[0, 12\)"),
+        (nan_frame, r"'frames' holds a non-finite value"),
+        (wide_frames, r"'frames' is a \(12, 5\) float64 array, expected \(n, 4\)"),
+    ],
+    ids=["token-vocab", "frame-nan", "frame-width"],
+)
+def test_pack_rows_checks_in_memory_samples_against_config(spoil, message):
+    """A bad in-memory sample fails when packed, with the text a samples file gets."""
+    samples = synthetic_dataset(3, 3, CFG, seed=1)  # 3 samples, 6 tokens, 4 frames
+    spoil(samples)
+    with pytest.raises(DataError, match=f"^{message}$"):
+        packed(samples, 3, CFG)
 
 
 def test_save_samples_rejects_targets_on_some_samples_only(tmp_path):
