@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from pite.pipeline import np_slug
-from pite.tracks import Mask, save_mask
+from pite.tracks import save_mask
 
 FIG3A = "(TOP (S (NP woman) (VP is (VP counting (NP money) (PP with (NP (NP a pen) (PP on (NP a white table))))))))"
 FIG3B = "(TOP (NP (NP two people) (VP shaking (NP hands) (PP in (NP (NP front) (PP of (NP a desk)))))))"
@@ -81,11 +81,11 @@ BACKGROUND_TRACKS = 5
 SEED = 7  # the committed fixture's tracks are drawn from this seed
 
 
-def rect_mask(width, height, rect) -> Mask:
+def rect_mask(width, height, rect) -> np.ndarray:
     arr = np.zeros((height, width), dtype=bool)
     x0, x1, y0, y1 = rect
     arr[y0:y1, x0:x1] = True
-    return Mask.from_array(arr)
+    return arr
 
 
 def walk_track(rng, start, n_frames, width, height, lose_visibility):

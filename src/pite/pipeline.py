@@ -35,15 +35,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Sequence, TextIO
 
+import numpy as np
+
 from .jsonl import DataError, integer, naming, read_jsonl, read_lines, real, text, unique
 from .tracks import (
-    Mask,
     Tracks,
-    TrajectoryMatrix,
     condense,
     filter_tracks_by_mask,
     iter_clip_tracks,
     load_mask,
+    matrix_from_json,
+    matrix_to_json,
     to_matrix,
 )
 from .trees import ParseTree, extract_lowest_np, parse_bracketed
@@ -167,9 +169,9 @@ NO_TRACKS = "no tracks inside mask"
 
 
 def phrase_trajectory(
-    tracks: Tracks, mask: Mask | None, width: int, height: int, config: PipelineConfig, seed: int
-) -> TrajectoryMatrix | str:
-    """One phrase's P x N trajectory matrix, or the reason it has none.
+    tracks: Tracks, mask: np.ndarray | None, width: int, height: int, config: PipelineConfig, seed: int
+) -> np.ndarray | str:
+    """One phrase's (P, N, 2) trajectory matrix, or the reason it has none.
 
     The reasons: no mask (``NO_MASK``), a mask covering less than
     ``MIN_AREA_FRACTION`` of the frame (``SMALL_MASK``), no track starting
@@ -178,9 +180,9 @@ def phrase_trajectory(
     """
     if mask is None:
         return NO_MASK
-    if (mask.width, mask.height) != (width, height):
-        raise DataError(f"mask is {mask.width}x{mask.height}, clip is {width}x{height}")
-    if mask.area() < MIN_AREA_FRACTION * width * height:
+    if mask.shape != (height, width):
+        raise DataError(f"mask is {mask.shape[1]}x{mask.shape[0]}, clip is {width}x{height}")
+    if np.count_nonzero(mask) < MIN_AREA_FRACTION * width * height:
         return SMALL_MASK
     selected = filter_tracks_by_mask(tracks, mask)
     if not selected:
@@ -192,7 +194,7 @@ def phrase_trajectory(
 def annotate_event(
     event: ManifestEvent,
     tree: ParseTree,
-    masks: Callable[[str], Mask | None],
+    masks: Callable[[str], np.ndarray | None],
     tracks: Tracks,
     config: PipelineConfig,
     duration: float,
@@ -202,8 +204,8 @@ def annotate_event(
 ) -> EventAnnotation:
     """Annotate one event: NP extraction, then ``phrase_trajectory`` per phrase.
 
-    ``masks(text)`` is the first-frame mask of the NP with surface text
-    ``text``, or None if the mask provider rejected it.  Phrase ``i``
+    ``masks(text)`` is the (height, width) bool first-frame mask of the NP
+    with surface text ``text``, or None if the mask provider rejected it.  Phrase ``i``
     seeds k-means with ``derive_seed(config.seed, clip_id, i)``; a phrase
     that gets a drop reason is left out of the objects, and one whose
     ``phrase_trajectory`` fails raises DataError naming ``clip_id`` and it.
@@ -228,13 +230,13 @@ def annotate_event(
         annotation.objects.append(
             {
                 "np": {"text": phrase.text, "span": list(phrase.span)},
-                "trajectory": matrix.to_json(),
+                "trajectory": matrix_to_json(matrix),
             }
         )
     return annotation
 
 
-def _phrase_mask(event_dir: Path, phrase: str) -> Mask | None:
+def _phrase_mask(event_dir: Path, phrase: str) -> np.ndarray | None:
     """The mask ``np_slug`` names for ``phrase`` in ``event_dir``, or None if it is no regular file.
 
     ``os.path.isfile``, unlike ``Path.is_file``, reads a name too long for
@@ -242,15 +244,6 @@ def _phrase_mask(event_dir: Path, phrase: str) -> Mask | None:
     """
     path = event_dir / f"{np_slug(phrase)}.json"
     return load_mask(path) if os.path.isfile(path) else None
-
-
-def parse_tree(location: str, line: str) -> ParseTree:
-    """``trees.parse_tree``, calling ``parse_bracketed`` through this module's binding.
-
-    The benchmark's ``trees.parse`` span wraps ``pite.pipeline.parse_bracketed``.
-    """
-    with naming(location):
-        return parse_bracketed(line)
 
 
 def annotate_video(
@@ -261,7 +254,10 @@ def annotate_video(
     config: PipelineConfig,
 ) -> dict:
     """Produce one output record for a video from one ``read_lines`` pair per event."""
-    trees = [parse_tree(location, line) for location, line in tree_lines]
+    trees = []
+    for location, line in tree_lines:  # trees.parse_tree, through this module's parse_bracketed
+        with naming(location):
+            trees.append(parse_bracketed(line))
     tracks_path = tracks_dir / f"{video.video_id}.jsonl"
     if not tracks_path.is_file():
         raise DataError(f"{video.video_id}: missing track file {tracks_path}")
@@ -456,4 +452,4 @@ def _check_event(event: dict) -> None:
         lo, hi = integer(lo, "span start"), integer(hi, "span end")
         if not 0 <= lo < hi <= words:
             raise DataError(f"span [{lo}, {hi}] is not a word range of the {words}-word caption")
-        TrajectoryMatrix.from_json(obj["trajectory"])
+        matrix_from_json(obj["trajectory"])

@@ -131,18 +131,22 @@ def sample_arrays(samples: Sequence[TrainingSample]) -> dict[str, np.ndarray]:
     ``lengths`` and ``frame_counts``, and the supervised rows of each
     ``STAGE_TARGETS`` kind, which must be on every sample or none.  Only
     here can a sample's flags and target rows be matched to its tokens, one
-    per token; ``pack_rows`` checks the arrays laid end to end.
+    per token, and its frame rows to sample 0's; ``pack_rows`` checks the
+    arrays laid end to end.
     """
     if not samples:
         raise ValueError("dataset is empty")
     targets = [n for n in STAGE_TARGETS.values() if any(getattr(s, n) is not None for s in samples)]
-    for s in samples:
+    row = np.shape(samples[0].frames)[1:]
+    for i, s in enumerate(samples):
         for name in ("supervised", *targets):
             if getattr(s, name) is None:
                 raise ValueError(f"{name} on some samples only")
             shape = np.shape(getattr(s, name))
             if shape[:1] != np.shape(s.tokens)[:1]:
                 raise ValueError(f"{name} has shape {shape}, not one row per token ({len(s.tokens)})")
+        if np.shape(s.frames)[1:] != row:
+            raise ValueError(f"sample {i}: frames rows have shape {np.shape(s.frames)[1:]}, sample 0's {row}")
     arrays = {
         name: np.concatenate([getattr(s, name) for s in samples])
         for name in ("tokens", "supervised", "frames")
@@ -243,7 +247,8 @@ def _check_samples(arrays: dict, stage: int, cfg: TrainerConfig, at: str) -> Non
 
     The counts must add up to the rows they count, and every token must be
     an integer in ``[0, vocab)``; a bad count or token is named as
-    ``sample <i>: ...``, the first sample that holds one.
+    ``sample <i>: ...``, the first sample that holds one.  A total that does
+    not match says what "the file holds" when ``at`` names a file.
     """
     check_arrays(arrays, sample_spec(stage, cfg), at)
     lengths, frame_counts = arrays["lengths"], arrays["frame_counts"]
@@ -261,9 +266,10 @@ def _check_samples(arrays: dict, stage: int, cfg: TrainerConfig, at: str) -> Non
     target = STAGE_TARGETS.get(stage)
     if target:
         totals.append((supervised.sum(), "supervised flags mark", arrays[target], f"{target} rows"))
+    holder = "the file holds" if at else "the arrays hold"
     for total, counted, rows, noun in totals:
         if total != len(rows):
-            raise DataError(f"{at}{counted} {total} {noun}, the file holds {len(rows)}")
+            raise DataError(f"{at}{counted} {total} {noun}, {holder} {len(rows)}")
     bad = ~((tokens >= 0) & (tokens < cfg.vocab) & (tokens == np.floor(tokens)))
     for j in np.flatnonzero(bad)[:1]:
         i = np.searchsorted(np.cumsum(lengths), j, side="right")

@@ -6,10 +6,13 @@ A track file is decoded one track at a time: ``decode_track``, a ``json``
 object_hook, turns each ``{xy, vis}`` object into its two arrays as soon as
 the decoder closes it, so a clip line's peak memory is about three times the
 line rather than the ten times its nested lists of floats would take.
-A first-frame object mask selects the tracks belonging to one object.  Those
-tracks are condensed to at most P key points by k-means++ on their
-first-frame positions, then resampled onto an N-frame grid of normalized
-coordinates with (-1, -1) marking absent samples.
+A first-frame object mask, a (height, width) bool array, selects the tracks
+belonging to one object; run-length coding is only how a mask file stores
+it (``load_mask``, ``save_mask``).  Those tracks are condensed to at most P
+key points by k-means++ on their first-frame positions, then resampled by
+``to_matrix`` onto a float64 (P, N, 2) trajectory matrix of normalized
+coordinates with (-1, -1) marking absent samples; ``matrix_to_json`` and
+``matrix_from_json`` write and read its record form.
 The k-means restarts run in lockstep: the Lloyd, sweep and SSE helpers take
 a batch of R runs as (R, k, 2) centers and (R, n) assignments, and a run
 drops out of the batch at the step where it would stop alone, so the result
@@ -72,105 +75,23 @@ class Tracks:
         return Tracks(self.xy[rows], self.vis[rows])
 
 
-@dataclass(frozen=True)
-class Mask:
-    """Binary foreground mask, row-major RLE alternating bg/fg starting with bg."""
-
-    width: int
-    height: int
-    runs: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("mask dimensions must be positive")
-        if any(r < 0 for r in self.runs):
-            raise ValueError("negative run length")
-        if sum(self.runs) != self.width * self.height:
-            raise ValueError(
-                f"runs cover {sum(self.runs)} cells, expected {self.width * self.height}"
-            )
-
-    def to_array(self) -> np.ndarray:
-        fg = np.arange(len(self.runs)) % 2 == 1
-        return np.repeat(fg, self.runs).reshape(self.height, self.width)
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "Mask":
-        arr = np.asarray(arr, dtype=bool)
-        height, width = arr.shape
-        flat = arr.reshape(-1)
-        changes = np.flatnonzero(np.diff(flat)) + 1
-        runs = np.diff(np.concatenate(([0], changes, [flat.size]))).tolist()
-        if flat[:1].any():
-            runs.insert(0, 0)  # the first run is always background
-        return cls(width=width, height=height, runs=tuple(runs))
-
-    def area(self) -> int:
-        """Foreground pixel count."""
-        return sum(self.runs[1::2])
-
-
-@dataclass(frozen=True, eq=False)
-class TrajectoryMatrix:
-    """P key points x N frames: ``coords`` (P, N, 2) in [0,1], or the (-1,-1) sentinel."""
-
-    points: int
-    frames: int
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.shape != (self.points, self.frames, 2):
-            raise ValueError(
-                f"coords shape {coords.shape} != ({self.points}, {self.frames}, 2)"
-            )
-        inside = ((coords >= 0.0) & (coords <= 1.0)).all(axis=-1)
-        valid = inside | (coords == SENTINEL).all(axis=-1)
-        if not valid.all():
-            cell = tuple(coords[~valid][0].tolist())
-            raise ValueError(f"invalid cell {cell}: must be in [0,1]^2 or (-1,-1)")
-        object.__setattr__(self, "coords", coords)
-
-    def to_json(self) -> dict:
-        return {"points": self.points, "frames": self.frames, "coords": self.coords.tolist()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TrajectoryMatrix":
-        """Read one matrix in one typed pass over its flattened ``coords``.
-
-        ``coords`` holds ``points`` rows of ``frames`` (x, y) pairs of JSON
-        numbers (not bools); a ragged or misdeclared shape raises ValueError
-        and any other entry TypeError.  The same checks that ``track_arrays``
-        makes per track run here over the whole matrix at once.
-        """
-        points, frames = integer(obj["points"], "points"), integer(obj["frames"], "frames")
-        rows = obj["coords"]
-        cells = list(chain.from_iterable(rows))
-        if len(rows) != points or set(map(len, rows)) - {frames} or set(map(len, cells)) - {2}:
-            raise ValueError(f"coords shape is not ({points}, {frames}, 2)")
-        flat = list(chain.from_iterable(cells))
-        if set(map(type, flat)) - {int, float}:
-            raise TypeError("coords entries must be JSON numbers")
-        return cls(points, frames, np.array(flat, dtype=float).reshape(points, frames, 2))
-
-
-def filter_tracks_by_mask(tracks: Tracks, mask: Mask) -> Tracks:
+def filter_tracks_by_mask(tracks: Tracks, mask: np.ndarray) -> Tracks:
     """Keep exactly the tracks whose frame-0 position is visible and inside the mask.
 
-    A position (x, y) is inside when its pixel cell (floor x, floor y) is
-    foreground; a visible position outside the mask's pixel grid raises.
+    ``mask`` is a (height, width) bool array.  A position (x, y) is inside
+    when its pixel cell (floor x, floor y) is foreground; a visible position
+    outside the mask's pixel grid raises.
     """
+    height, width = mask.shape
     visible = tracks.vis[:, 0]
     cells = np.floor(tracks.xy[visible, 0])
-    outside = ((cells < 0) | (cells >= (mask.width, mask.height))).any(axis=1)
+    outside = ((cells < 0) | (cells >= (width, height))).any(axis=1)
     if outside.any():
         x, y = tracks.xy[visible, 0][outside][0].tolist()
-        raise ValueError(
-            f"visible track position ({x}, {y}) outside {mask.width}x{mask.height} mask"
-        )
+        raise ValueError(f"visible track position ({x}, {y}) outside {width}x{height} mask")
     px, py = cells.astype(np.intp).T
     keep = visible.copy()
-    keep[visible] = mask.to_array()[py, px]
+    keep[visible] = mask[py, px]
     return tracks[keep]
 
 
@@ -392,12 +313,13 @@ def condense(tracks: Tracks, P: int, seed: int = 0) -> Tracks:
     return tracks[rows[order]]
 
 
-def to_matrix(keypoints: Tracks, P: int, N: int, width: int, height: int) -> TrajectoryMatrix:
-    """Resample key-point tracks onto a P x N grid of normalized coordinates.
+def to_matrix(keypoints: Tracks, P: int, N: int, width: int, height: int) -> np.ndarray:
+    """Resample key-point tracks onto a float64 (P, N, 2) matrix of normalized coordinates.
 
     With F source frames, sample k reads source frame floor(k * F / N).
     Visible samples become (x/width, y/height); invisible samples and rows
-    past the keypoint count are the (-1, -1) sentinel.
+    past the keypoint count are the (-1, -1) sentinel.  A visible sample
+    outside the frame fails ``_check_cells``.
     """
     if len(keypoints) > P:
         raise ValueError("more keypoints than matrix rows")
@@ -408,7 +330,17 @@ def to_matrix(keypoints: Tracks, P: int, N: int, width: int, height: int) -> Tra
     coords[: len(keypoints)] = np.where(
         keypoints.vis[:, src, None], keypoints.xy[:, src] / (width, height), SENTINEL
     )
-    return TrajectoryMatrix(points=P, frames=N, coords=coords)
+    return _check_cells(coords)
+
+
+def _check_cells(coords: np.ndarray) -> np.ndarray:
+    """``coords``, unless a cell is neither in [0,1]^2 nor the (-1, -1) sentinel (ValueError)."""
+    inside = ((coords >= 0.0) & (coords <= 1.0)).all(axis=-1)
+    valid = inside | (coords == SENTINEL).all(axis=-1)
+    if not valid.all():
+        cell = tuple(coords[~valid][0].tolist())
+        raise ValueError(f"invalid cell {cell}: must be in [0,1]^2 or (-1,-1)")
+    return coords
 
 
 # --- file formats ----------------------------------------------------------
@@ -495,14 +427,58 @@ def iter_clip_tracks(path: str | Path) -> Iterator[ClipTracks]:
     yield from read_jsonl(path, unique(ClipTracks.from_json, "clip_id"), object_hook=decode_track)
 
 
-def load_mask(path: str | Path) -> Mask:
-    """Read a mask file; bad JSON or a bad mask raises DataError naming ``path``."""
+def matrix_to_json(coords: np.ndarray) -> dict:
+    """The record form of a (P, N, 2) trajectory matrix."""
+    points, frames, _ = coords.shape
+    return {"points": points, "frames": frames, "coords": coords.tolist()}
+
+
+def matrix_from_json(obj: dict) -> np.ndarray:
+    """Read one record matrix as a float64 (P, N, 2) array, in one typed pass over its ``coords``.
+
+    ``coords`` holds ``points`` rows of ``frames`` (x, y) pairs of JSON
+    numbers (not bools); a ragged or misdeclared shape raises ValueError
+    and any other entry TypeError.  The same checks that ``track_arrays``
+    makes per track run here over the whole matrix at once, then
+    ``_check_cells``.
+    """
+    points, frames = integer(obj["points"], "points"), integer(obj["frames"], "frames")
+    rows = obj["coords"]
+    cells = list(chain.from_iterable(rows))
+    if len(rows) != points or set(map(len, rows)) - {frames} or set(map(len, cells)) - {2}:
+        raise ValueError(f"coords shape is not ({points}, {frames}, 2)")
+    flat = list(chain.from_iterable(cells))
+    if set(map(type, flat)) - {int, float}:
+        raise TypeError("coords entries must be JSON numbers")
+    return _check_cells(np.array(flat, dtype=float).reshape(points, frames, 2))
+
+
+def load_mask(path: str | Path) -> np.ndarray:
+    """Read a mask file as a (height, width) bool array; a bad file raises DataError naming ``path``.
+
+    ``rle`` holds row-major run lengths, alternating background and foreground from background.
+    """
     with open(path, encoding="utf-8") as handle, naming(path):
         obj = json.load(handle)
-        runs = tuple(integer(run, "rle run") for run in obj["rle"])
-        return Mask(integer(obj["width"], "width"), integer(obj["height"], "height"), runs)
+        runs = [integer(run, "rle run") for run in obj["rle"]]
+        width, height = integer(obj["width"], "width"), integer(obj["height"], "height")
+        if width <= 0 or height <= 0:
+            raise ValueError("mask dimensions must be positive")
+        if any(run < 0 for run in runs):
+            raise ValueError("negative run length")
+        if sum(runs) != width * height:
+            raise ValueError(f"runs cover {sum(runs)} cells, expected {width * height}")
+        return np.repeat(np.arange(len(runs)) % 2 == 1, runs).reshape(height, width)
 
 
-def save_mask(mask: Mask, path: str | Path) -> None:
+def save_mask(mask: np.ndarray, path: str | Path) -> None:
+    """Write a (height, width) bool array as the mask file ``load_mask`` reads."""
+    mask = np.asarray(mask, dtype=bool)
+    height, width = mask.shape
+    flat = mask.reshape(-1)
+    changes = np.flatnonzero(np.diff(flat)) + 1
+    runs = np.diff(np.concatenate(([0], changes, [flat.size]))).tolist()
+    if flat[:1].any():
+        runs.insert(0, 0)  # the first run is always background
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump({"width": mask.width, "height": mask.height, "rle": list(mask.runs)}, handle)
+        json.dump({"width": width, "height": height, "rle": runs}, handle)

@@ -139,7 +139,7 @@ def samples_from_records(records: Iterable[dict], cfg: TrainerConfig) -> list[Tr
     that object's trajectory matrix, every other token is unsupervised.
     Visual features are synthesized deterministically per video id.
     """
-    from .tracks import TrajectoryMatrix  # here, so train-toy and grad-check start without tracks
+    from .tracks import matrix_from_json  # here, so train-toy and grad-check start without tracks
 
     samples = []
     for record in records:
@@ -152,7 +152,7 @@ def samples_from_records(records: Iterable[dict], cfg: TrainerConfig) -> list[Tr
             traj_targets = np.zeros((len(words), cfg.points, cfg.frames, 2))
             for obj in event["objects"]:
                 lo, hi = obj["np"]["span"]
-                matrix = TrajectoryMatrix.from_json(obj["trajectory"]).coords
+                matrix = matrix_from_json(obj["trajectory"])
                 if matrix.shape != (cfg.points, cfg.frames, 2):
                     raise ValueError(
                         f"trajectory shape {matrix.shape} does not match config "

@@ -343,9 +343,10 @@ def test_build_dataset_names_file_and_line_of_malformed_tree(capsys, caplog, toy
         ('{"width": 32, "height": 32}', "KeyError: 'rle'"),
         ('{"width": 32, "height": 32, "rle": [-1, 1025]}', "ValueError: negative run length"),
         ('{"width": 32, "height": 32, "rle": [10]}', "ValueError: runs cover 10 cells, expected 1024"),
+        ('{"width": 0, "height": 32, "rle": []}', "ValueError: mask dimensions must be positive"),
         ("[" * 200_000, "RecursionError: maximum recursion depth exceeded"),
     ],
-    ids=["json", "key", "negative", "short", "deep"],
+    ids=["json", "key", "negative", "short", "dimensions", "deep"],
 )
 def test_bad_mask_file_is_named(capsys, caplog, toy_fixture_dir, tmp_path, content, message):
     masks = tmp_path / "masks"

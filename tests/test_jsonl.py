@@ -205,6 +205,31 @@ def test_only_pack_rows_builds_a_packed_batch():
     assert [f"{name}:{node.lineno}" for name, node in nodes if calls(node, "_make") or calls(node, "_replace")] == []
 
 
+def test_only_the_file_rules_spell_rle_and_coords():
+    """A mask file's ``rle`` runs and a record matrix's ``coords`` are each spelled by one reader and one writer.
+
+    Each string constant is charged to its innermost enclosing function, or to None at module level.
+    """
+    found = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "pite").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for func in ast.walk(tree):  # breadth first, so an inner function overwrites its outer one
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        found.update(
+            (node.value, path.name, owner.get(id(node)))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in ("rle", "coords")
+        )
+    assert found == {
+        ("rle", "tracks.py", "load_mask"),
+        ("rle", "tracks.py", "save_mask"),
+        ("coords", "tracks.py", "matrix_from_json"),
+        ("coords", "tracks.py", "matrix_to_json"),
+    }
+
+
 def test_src_lists_no_directory():
     """Every input is found by a path built from its id (``np_slug`` for masks), never by a directory listing."""
 

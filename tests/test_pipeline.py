@@ -32,7 +32,7 @@ from pite.pipeline import (
     timestamp_to_frame,
     validate_record,
 )
-from pite.tracks import Mask, Tracks, load_mask
+from pite.tracks import Tracks, load_mask, matrix_to_json
 from pite.trees import parse_bracketed
 
 
@@ -65,8 +65,8 @@ def test_small_object_policy():
     # in a 50x50 frame one pixel is 0.0004 of the area, below MIN_AREA_FRACTION
     assert pipeline.MIN_AREA_FRACTION == 0.0005
     config = PipelineConfig(frames=10, points=2)
-    small = Mask.from_array(np.pad(np.ones((1, 1), dtype=bool), ((0, 49), (0, 49))))
-    big = Mask.from_array(np.pad(np.ones((5, 5), dtype=bool), ((0, 45), (0, 45))))
+    small = np.pad(np.ones((1, 1), dtype=bool), ((0, 49), (0, 49)))
+    big = np.pad(np.ones((5, 5), dtype=bool), ((0, 45), (0, 45)))
 
     def keep(mask):
         annotation = annotate_event(
@@ -164,7 +164,7 @@ def test_pipeline_loads_masks_through_the_module_name(toy_fixture_dir, tmp_path,
 
 
 def full_mask(width, height):
-    return Mask.from_array(np.ones((height, width), dtype=bool))
+    return np.ones((height, width), dtype=bool)
 
 
 def tracks_at(points, n_frames=10):
@@ -206,7 +206,7 @@ def test_annotate_event_drops_unmasked_phrase(fig3_trees):
     # "a desk" is phrase 3, after the unmasked "front"
     seed = derive_seed(EVENT_CONFIG.seed, "v:0", 3)
     matrix = phrase_trajectory(tracks, masks["a desk"], 16, 16, EVENT_CONFIG, seed)
-    assert matrix.to_json() == annotation.objects[2]["trajectory"]
+    assert matrix_to_json(matrix) == annotation.objects[2]["trajectory"]
 
 
 def test_annotate_event_drops_small_mask(fig3_trees):
@@ -218,7 +218,7 @@ def test_annotate_event_drops_small_mask(fig3_trees):
     masks = {
         "woman": full_mask(64, 64),
         "money": full_mask(64, 64),
-        "a pen": Mask.from_array(tiny),
+        "a pen": tiny,
         "a white table": full_mask(64, 64),
     }
     tracks = tracks_at([(2.0, 2.0), (9.0, 9.0)])
@@ -300,11 +300,11 @@ def test_annotate_event_drops_trackless_object():
     left = np.zeros((16, 16), dtype=bool)
     left[:, :4] = True
     tracks = tracks_at([(12.0, 2.0)])  # starts outside the mask
-    assert phrase_trajectory(tracks, Mask.from_array(left), 16, 16, EVENT_CONFIG, 0) == NO_TRACKS
+    assert phrase_trajectory(tracks, left, 16, 16, EVENT_CONFIG, 0) == NO_TRACKS
     annotation = annotate_event(
         event,
         tree,
-        {"a dog": Mask.from_array(left)}.get,
+        {"a dog": left}.get,
         tracks,
         EVENT_CONFIG,
         duration=10.0,

@@ -12,10 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pite import tracks as tracks_module
+from pite.jsonl import DataError
 from pite.tracks import (
     ClipTracks,
-    Mask,
-    TrajectoryMatrix,
     Tracks,
     _assign,
     _lloyd,
@@ -27,6 +26,10 @@ from pite.tracks import (
     filter_tracks_by_mask,
     iter_clip_tracks,
     kmeans_pp,
+    load_mask,
+    matrix_from_json,
+    matrix_to_json,
+    save_mask,
     to_matrix,
 )
 
@@ -196,41 +199,46 @@ def sweep_case(rng: np.random.Generator, case: int):
 # --- masks ------------------------------------------------------------------
 
 
-def test_mask_round_trip():
+def saved_mask(arr, path):
+    """``arr`` written by ``save_mask`` to ``path``: the file's JSON object and ``load_mask``'s array."""
+    save_mask(arr, path)
+    return json.loads(path.read_text()), load_mask(path)
+
+
+def test_mask_round_trip(tmp_path):
     arr = np.zeros((4, 6), dtype=bool)
     arr[1:3, 2:5] = True
-    mask = Mask.from_array(arr)
-    assert sum(mask.runs) == 24
-    assert np.array_equal(mask.to_array(), arr)
-    assert mask.area() == 6
+    obj, back = saved_mask(arr, tmp_path / "mask.json")
+    assert (obj["width"], obj["height"], sum(obj["rle"])) == (6, 4, 24)
+    assert back.dtype == bool and np.array_equal(back, arr)
     rng = np.random.default_rng(0)
     for _ in range(20):
         arr = rng.random((int(rng.integers(1, 6)), int(rng.integers(1, 6)))) < 0.5
-        mask = Mask.from_array(arr)
-        assert np.array_equal(mask.to_array(), arr)
-        assert all(run > 0 for run in mask.runs[1:])  # only the leading run may be 0
+        obj, back = saved_mask(arr, tmp_path / "mask.json")
+        assert back.shape == arr.shape and np.array_equal(back, arr)
+        assert all(run > 0 for run in obj["rle"][1:])  # only the leading run may be 0
 
 
-def test_mask_run_validation():
-    with pytest.raises(ValueError):
-        Mask(width=2, height=2, runs=(3,))
-    with pytest.raises(ValueError):
-        Mask(width=2, height=2, runs=(5, -1))
+def test_mask_run_validation(tmp_path):
+    path = tmp_path / "mask.json"
+    for runs, message in [([3], "runs cover 3 cells, expected 4"), ([5, -1], "negative run length")]:
+        path.write_text(json.dumps({"width": 2, "height": 2, "rle": runs}))
+        with pytest.raises(DataError, match=f"^{path}: ValueError: {message}$"):
+            load_mask(path)
 
 
-def test_empty_and_full_mask_encoding():
-    empty = Mask.from_array(np.zeros((3, 3), dtype=bool))
-    assert empty.runs == (9,)
-    full = Mask.from_array(np.ones((3, 3), dtype=bool))
-    assert full.runs == (0, 9)
-    assert full.area() == 9
+def test_empty_and_full_mask_encoding(tmp_path):
+    empty, back = saved_mask(np.zeros((3, 3), dtype=bool), tmp_path / "empty.json")
+    assert empty["rle"] == [9] and not back.any()
+    full, back = saved_mask(np.ones((3, 3), dtype=bool), tmp_path / "full.json")
+    assert full["rle"] == [0, 9] and back.all()
 
 
 # --- filter_tracks_by_mask ----------------------------------------------------
 
 
 def test_filter_full_mask_keeps_visible():
-    full = Mask.from_array(np.ones((10, 10), dtype=bool))
+    full = np.ones((10, 10), dtype=bool)
     tracks = static_tracks(
         [(1.0, 1.0), (2.0, 3.0), (8.0, 8.0)], visible=[True, False, True]
     )
@@ -239,7 +247,7 @@ def test_filter_full_mask_keeps_visible():
 
 
 def test_filter_empty_mask():
-    empty = Mask.from_array(np.zeros((10, 10), dtype=bool))
+    empty = np.zeros((10, 10), dtype=bool)
     kept = filter_tracks_by_mask(static_tracks([(1.0, 1.0)]), empty)
     assert len(kept) == 0 and kept.frames == 4
 
@@ -247,15 +255,14 @@ def test_filter_empty_mask():
 def test_filter_left_half_mask():
     arr = np.zeros((10, 10), dtype=bool)
     arr[:, :5] = True
-    mask = Mask.from_array(arr)
     tracks = static_tracks([(x, 5.0) for x in [1.0, 2.0, 4.0, 7.0, 9.0]])
-    kept = filter_tracks_by_mask(tracks, mask)
+    kept = filter_tracks_by_mask(tracks, arr)
     assert [x for x, _ in starts_of(kept)] == [1.0, 2.0, 4.0]
 
 
 def test_mask_contains_pixel_center():
     # a point belongs to the pixel cell [floor x, floor x + 1) x [floor y, floor y + 1)
-    mask = Mask.from_array(np.array([[False, True], [False, False]]))
+    mask = np.array([[False, True], [False, False]])
     tracks = static_tracks([(1.5, 0.5), (1.0, 0.0), (0.99, 0.5), (1.99, 0.99)])
     assert starts_of(filter_tracks_by_mask(tracks, mask)) == [
         (1.5, 0.5),
@@ -280,7 +287,7 @@ def test_filter_ragged_tracks():
 
 
 def test_filter_dimension_mismatch():
-    mask = Mask.from_array(np.ones((4, 4), dtype=bool))
+    mask = np.ones((4, 4), dtype=bool)
     with pytest.raises(ValueError, match="outside"):
         filter_tracks_by_mask(static_tracks([(9.0, 1.0)]), mask)
 
@@ -675,20 +682,21 @@ def test_condense_permutation_stable_on_separated_blobs():
 
 def test_to_matrix_empty_keypoints():
     matrix = to_matrix(static_tracks(np.zeros((0, 2))), P=3, N=5, width=10, height=10)
-    assert np.all(matrix.coords == -1.0)
+    assert matrix.dtype == np.float64 and matrix.shape == (3, 5, 2)
+    assert np.all(matrix == -1.0)
 
 
 def test_to_matrix_static_point():
     track = static_tracks([(5.0, 5.0)], n=10)
     matrix = to_matrix(track, P=2, N=10, width=10, height=10)
-    assert all(cell == [0.5, 0.5] for cell in matrix.coords[0].tolist())
-    assert all(cell == [-1.0, -1.0] for cell in matrix.coords[1].tolist())
+    assert all(cell == [0.5, 0.5] for cell in matrix[0].tolist())
+    assert all(cell == [-1.0, -1.0] for cell in matrix[1].tolist())
 
 
 def test_to_matrix_half_visible():
     track = Tracks(xy=np.full((1, 100, 2), (3.0, 4.0)), vis=[[i < 50 for i in range(100)]])
     matrix = to_matrix(track, P=1, N=100, width=10, height=10)
-    row = matrix.coords[0].tolist()
+    row = matrix[0].tolist()
     # per-frame oracle: sample k reads source frame k here
     for k in range(100):
         if k < 50:
@@ -700,32 +708,34 @@ def test_to_matrix_half_visible():
 def test_to_matrix_downsamples_by_floor():
     track = Tracks(xy=[[(float(i), 0.0) for i in range(10)]], vis=np.ones((1, 10), dtype=bool))
     matrix = to_matrix(track, P=1, N=5, width=10, height=10)
-    xs = matrix.coords[0, :, 0].tolist()
+    xs = matrix[0, :, 0].tolist()
     assert xs == [0.0, 0.2, 0.4, 0.6, 0.8]
 
 
 def test_matrix_rejects_mixed_cells():
-    with pytest.raises(ValueError, match="invalid cell"):
-        TrajectoryMatrix(points=1, frames=1, coords=np.array([[[-1.0, 0.5]]]))
+    with pytest.raises(ValueError, match=r"^invalid cell \(-1.0, 0.5\)"):
+        matrix_from_json({"points": 1, "frames": 1, "coords": [[[-1.0, 0.5]]]})
 
 
 def test_matrix_json_checks_declared_shape():
     obj = {"points": 1, "frames": 2, "coords": [[[0.5, 0.25], [-1.0, -1.0]]]}
-    assert TrajectoryMatrix.from_json(obj).to_json() == obj
+    matrix = matrix_from_json(obj)
+    assert matrix.dtype == np.float64 and matrix.shape == (1, 2, 2)
+    assert matrix_to_json(matrix) == obj
     for points, frames in [(2, 2), (1, 1), (2, 1)]:
         with pytest.raises(ValueError, match="coords shape"):
-            TrajectoryMatrix.from_json({**obj, "points": points, "frames": frames})
+            matrix_from_json({**obj, "points": points, "frames": frames})
     with pytest.raises(ValueError):
-        TrajectoryMatrix.from_json({**obj, "coords": [[[0.5, 0.25], [-1.0]]]})
+        matrix_from_json({**obj, "coords": [[[0.5, 0.25], [-1.0]]]})
 
 
 @pytest.mark.parametrize("value", ["0.5", True, None, [0.5]])
 def test_matrix_json_reads_only_json_numbers(value):
     obj = {"points": 1, "frames": 2, "coords": [[[0, 1], [-1, -1]]]}
-    assert TrajectoryMatrix.from_json(obj).coords.tolist() == [[[0.0, 1.0], [-1.0, -1.0]]]
+    assert matrix_from_json(obj).tolist() == [[[0.0, 1.0], [-1.0, -1.0]]]
     obj["coords"][0][0][1] = value
     with pytest.raises(TypeError, match="^coords entries must be JSON numbers$"):
-        TrajectoryMatrix.from_json(obj)
+        matrix_from_json(obj)
 
 
 # --- properties ------------------------------------------------------------------
@@ -750,7 +760,7 @@ def random_tracks(draw):
 def test_sentinel_exclusivity_property(tracks, P, N):
     keep = tracks[: min(len(tracks), P)]
     matrix = to_matrix(keep, P=P, N=N, width=64, height=48)
-    for j, row in enumerate(matrix.coords.tolist()):
+    for j, row in enumerate(matrix.tolist()):
         for k, (x, y) in enumerate(row):
             assert (x, y) == (-1.0, -1.0) or (0 <= x <= 1 and 0 <= y <= 1)
             # per-cell oracle: sample k reads source frame floor(k * F / N)
@@ -764,7 +774,7 @@ def test_sentinel_exclusivity_property(tracks, P, N):
 @given(random_tracks())
 @settings(max_examples=40, deadline=None)
 def test_full_mask_filter_is_visibility_filter(tracks):
-    full = Mask.from_array(np.ones((48, 64), dtype=bool))
+    full = np.ones((48, 64), dtype=bool)
     kept = filter_tracks_by_mask(tracks, full)
     assert rows_of(kept) == [row for row in rows_of(tracks) if row[1][0]]
 
@@ -773,7 +783,7 @@ def test_full_mask_filter_is_visibility_filter(tracks):
 @settings(max_examples=40, deadline=None)
 def test_filter_matches_per_track_oracle(tracks, seed):
     arr = np.random.default_rng(seed).random((48, 64)) < 0.5
-    kept = filter_tracks_by_mask(tracks, Mask.from_array(arr))
+    kept = filter_tracks_by_mask(tracks, arr)
     expected = [
         (xy, vis)
         for xy, vis in rows_of(tracks)

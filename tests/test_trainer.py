@@ -292,7 +292,10 @@ def token_at_6(value):
     ],
 )
 def test_load_samples_checks_samples_against_config(tmp_path, rewrite_npz, change, message):
-    """The same arrays fail the same way read from a file and packed straight from memory."""
+    """The same arrays fail the same way read from a file and packed straight from memory.
+
+    Only a count that does not add up reads differently: in memory it names the arrays, not a file.
+    """
     path = tmp_path / "samples.npz"
     save_samples(synthetic_dataset(3, 3, CFG, seed=1), path)  # 3 samples, 6 tokens, 4 frames
     with np.load(path) as archive:
@@ -300,7 +303,7 @@ def test_load_samples_checks_samples_against_config(tmp_path, rewrite_npz, chang
     rewrite_npz(path, **change(arrays))
     with pytest.raises(DataError, match=f"^{path}: {message}$"):
         load_samples(path, CFG, 3)
-    with pytest.raises(DataError, match=f"^{message}$"):
+    with pytest.raises(DataError, match=f"^{message.replace('the file holds', 'the arrays hold')}$"):
         pack_rows({**arrays, **change(arrays)}, 3, CFG)
 
 
@@ -313,7 +316,7 @@ def nan_frame(samples):
 
 
 def wide_frames(samples):
-    for sample in samples:  # frames of two widths would not concatenate
+    for sample in samples:  # frames of two widths fail in sample_arrays, before the pack check
         sample.frames = np.zeros((len(sample.frames), CFG.d_v + 1))
 
 
@@ -332,6 +335,13 @@ def test_pack_rows_checks_in_memory_samples_against_config(spoil, message):
     spoil(samples)
     with pytest.raises(DataError, match=f"^{message}$"):
         packed(samples, 3, CFG)
+
+
+def test_sample_arrays_names_the_sample_whose_frames_differ_in_width():
+    samples = synthetic_dataset(3, 3, CFG, seed=1)  # 3 samples, 6 tokens, 4 frames
+    samples[2].frames = np.zeros((4, CFG.d_v + 1))
+    with pytest.raises(ValueError, match=r"^sample 2: frames rows have shape \(5,\), sample 0's \(4,\)$"):
+        sample_arrays(samples)
 
 
 def test_save_samples_rejects_targets_on_some_samples_only(tmp_path):
