@@ -288,7 +288,9 @@ def cmd_eval_dense(args) -> int:
     refs.reverse()
 
     soda_vals, cider_vals, meteor_vals = [], [], []
-    for _, gt_events, pred_events in videos:
+    for video_id, gt_events, pred_events in videos:
+        if not gt_events:  # it would score 0 in every per-video mean
+            raise DataError(f"{args.gt}: video {video_id!r} has no ground-truth events")
         pred_events = pred_events or []
         gts = refs.pop()
         preds = [metrics.Caption(e.caption, reference=False) for e in pred_events]
@@ -308,9 +310,7 @@ def cmd_eval_dense(args) -> int:
         cider_vals.append(metrics.iou_bucketed_caption_scores(ious, cider_metric))
         meteor_vals.append(metrics.iou_bucketed_caption_scores(ious, meteor_metric))
 
-    def mean(vals):
-        return sum(vals) / len(vals)
-
+    mean = lambda vals: sum(vals) / len(vals)
     # everything lands on a 0-100 scale (CIDEr is already x10 internally)
     result = {
         "SODA_c": 100.0 * mean(soda_vals),

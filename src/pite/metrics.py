@@ -3,11 +3,15 @@
 Caption metrics use a fixed preprocessing: lowercase, punctuation stripped
 to spaces, whitespace tokenization.  METEOR here is the exact-match-only
 variant (no stemming or synonym tables), so scores are deterministic and
-dependency-free; it is named meteor_lite to flag the deviation.  Scorers
-take captions prepared once as ``Caption``; SODA and the bucketed scores
-take a video's ``iou_table`` and score pairs by index.  ``TimeSegment`` and
-``CaptionedEvent`` are named tuples, so the eval commands need no
-``dataclasses``.
+dependency-free; it is named meteor_lite to flag the deviation.  ``cider``
+is plain CIDEr, not CIDEr-D: it neither clips candidate weights nor
+penalizes length differences.  Scorers take captions prepared once as
+``Caption``, whose n-grams are keyed by strings: a unigram by its token, a
+longer n-gram by its tokens joined with one space (no token holds
+whitespace, so keys of different orders never collide).  SODA and the
+bucketed scores take a video's ``iou_table`` and score pairs by index.
+``TimeSegment`` and ``CaptionedEvent`` are named tuples, so the eval
+commands need no ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from itertools import islice
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 GROUNDING_THRESHOLDS = (0.3, 0.5, 0.7)  # Recall@1 IoU thresholds
 CAPTION_IOU_THRESHOLDS = (0.3, 0.5, 0.7, 0.9)  # iou_bucketed_caption_scores
@@ -32,9 +37,6 @@ class TimeSegment(NamedTuple("TimeSegment", [("start", float), ("end", float)]))
             raise ValueError(f"segment start {start} > end {end}")
         return super().__new__(cls, start, end)
 
-    def length(self) -> float:
-        return self.end - self.start
-
 
 class CaptionedEvent(NamedTuple):
     segment: TimeSegment
@@ -49,28 +51,27 @@ def tokenize(text: str) -> list[str]:
     return _PUNCT.sub(" ", text.lower()).split()
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Iterator[tuple[str, ...]]:
-    """The n-gram tuples of ``tokens`` in order, repeats included."""
-    return zip(*[tokens[i:] for i in range(n)])
-
-
 class Caption:
     """A caption tokenized once for every scorer.
 
-    ``tokens`` is ``tokenize(text)``; ``ngrams`` counts the n-gram tuples of
-    orders 1..CIDER_MAX_N, the orders in turn (order n ends at index
+    ``tokens`` is ``tokenize(text)``; ``ngrams`` counts the n-grams of
+    orders 1..CIDER_MAX_N, keyed by the token for n = 1 and else by the n
+    tokens joined with one space, the orders in turn (order n ends at index
     ``ends[n - 1]``), each in order of first occurrence; ``positions`` maps
-    each token to its indices for METEOR to align against (None unless ``reference``).
+    each token to its indices for METEOR to align against (None unless
+    ``reference``).
     """
 
     __slots__ = ("tokens", "ngrams", "ends", "positions")
 
     def __init__(self, text: str, reference: bool = True):
-        self.tokens = tokenize(text)
-        self.ngrams: Counter = Counter()
-        self.ends: list[int] = []
-        for n in range(1, CIDER_MAX_N + 1):
-            self.ngrams.update(_ngrams(self.tokens, n))
+        self.tokens = grams = tokenize(text)
+        self.ngrams: Counter = Counter(grams)
+        self.ends: list[int] = [len(self.ngrams)]
+        for n in range(2, CIDER_MAX_N + 1):
+            # an n-gram's key is its first n - 1 tokens' key, a space and its last token
+            grams = list(map(" ".join, zip(grams, self.tokens[n - 1 :])))
+            self.ngrams.update(grams)
             self.ends.append(len(self.ngrams))
         self.positions: dict | None = {} if reference else None
         for i, token in enumerate(self.tokens if reference else ()):
@@ -78,17 +79,29 @@ class Caption:
 
 
 def temporal_iou(a: TimeSegment, b: TimeSegment) -> float:
-    """Intersection over union of two segments; 0 when the union has no length."""
-    inter = max(0.0, min(a.end, b.end) - max(a.start, b.start))
-    union = a.length() + b.length() - inter
-    if union <= 0:
-        return 0.0
-    return inter / union
+    """Intersection over union of two segments: ``iou_table`` of the one pair."""
+    return iou_table((a,), (b,))[0][0]
 
 
 def iou_table(preds: Sequence[TimeSegment], gts: Sequence[TimeSegment]) -> list[list[float]]:
-    """``temporal_iou`` of every pair: row j holds ground truth j against each prediction."""
-    return [[temporal_iou(pred, gt) for pred in preds] for gt in gts]
+    """Intersection over union of every pair, 0 when the union has no length.
+
+    Row j holds ground truth j against each prediction in turn.
+    """
+    spans = [(start, end, end - start) for start, end in preds]
+    table = []
+    for gt_start, gt_end in gts:
+        gt_length = gt_end - gt_start
+        row = []
+        for start, end, length in spans:
+            # max(0.0, min(end, gt_end) - max(start, gt_start)), with each
+            # builtin's pick on ties, without its call
+            overlap = (gt_end if gt_end < end else end) - (gt_start if gt_start > start else start)
+            inter = overlap if overlap > 0.0 else 0.0
+            union = length + gt_length - inter
+            row.append(inter / union if union > 0 else 0.0)
+        table.append(row)
+    return table
 
 
 def grounding_scores(
@@ -112,11 +125,11 @@ def grounding_scores(
 # --- CIDEr -------------------------------------------------------------------
 
 
-def build_idf(captions: Sequence[Caption]) -> dict[tuple[str, ...], float]:
-    """idf(g) = log(|captions| / df(g)) for every n-gram, n = 1..CIDER_MAX_N.
+def build_idf(captions: Sequence[Caption]) -> dict[str, float]:
+    """idf(g) = log(|captions| / df(g)) for every n-gram key, n = 1..CIDER_MAX_N.
 
-    df(g) counts the captions containing ``g``; an n-gram is a tuple of n
-    tokens, so one dict serves every order.
+    df(g) counts the captions containing ``g``; keys of different orders
+    never collide, so one dict serves every order.
     """
     if not captions:
         raise ValueError("captions must be nonempty")
@@ -128,26 +141,34 @@ def build_idf(captions: Sequence[Caption]) -> dict[tuple[str, ...], float]:
 
 
 def tfidf_vectors(
-    caption: Caption, idf: Mapping[tuple[str, ...], float]
-) -> tuple[dict[tuple[str, ...], float], list[float]]:
-    """TF-IDF weight of each n-gram of ``caption``, and the L2 norm of each order 1..CIDER_MAX_N."""
+    caption: Caption, idf: Mapping[str, float]
+) -> tuple[dict[str, float], list[float], list[int]]:
+    """TF-IDF weight of each n-gram of ``caption``, the L2 norm of each order
+    1..CIDER_MAX_N, and ``caption.ends``, where each order's weights end."""
     vec = {g: idf.get(g, 0.0) * tf for g, tf in caption.ngrams.items()}
     weights = list(vec.values())
     bounds = zip([0, *caption.ends], caption.ends)
-    return vec, [math.sqrt(sum([v * v for v in weights[a:b]])) for a, b in bounds]
+    return vec, [math.sqrt(sum([v * v for v in weights[a:b]])) for a, b in bounds], caption.ends
 
 
-def cider(candidate: tuple[dict, list[float]], ref: tuple[dict, list[float]]) -> float:
-    """Per-n cosine of two ``tfidf_vectors`` results (one ``idf``), averaged over n, times 10."""
-    cand_vec, cand_norms = candidate
-    ref_vec, ref_norms = ref
-    dots: list[list[float]] = [[] for _ in range(CIDER_MAX_N)]
-    for g, v in cand_vec.items():
-        w = ref_vec.get(g)
-        if w is not None:
-            dots[len(g) - 1].append(v * w)
+def cider(
+    candidate: tuple[dict, list[float], list[int]], ref: tuple[dict, list[float], list[int]]
+) -> float:
+    """Per-n cosine of two ``tfidf_vectors`` results (one ``idf``), averaged over n, times 10.
+
+    Plain CIDEr: candidate weights are not clipped and length differences
+    are not penalized.
+    """
+    cand_vec, cand_norms, cand_ends = candidate
+    ref_vec, ref_norms, _ = ref
+    ref_weight = ref_vec.get
+    weights = iter(cand_vec.items())
     total = 0.0
-    for terms, cand_norm, ref_norm in zip(dots, cand_norms, ref_norms):
+    start = 0
+    for end, cand_norm, ref_norm in zip(cand_ends, cand_norms, ref_norms):
+        order = islice(weights, end - start)
+        terms = [v * w for g, v in order if (w := ref_weight(g)) is not None]
+        start = end
         if cand_norm and ref_norm:
             total += sum(terms) / (cand_norm * ref_norm)
     return 10.0 * total / CIDER_MAX_N

@@ -364,16 +364,21 @@ def _replaced_on_success(path: str | Path) -> Iterator[TextIO]:
     A regular file (after following symlinks) is written as a temporary
     file beside it that replaces it at the end, so a failed run leaves it as
     it was.  A device or pipe, such as ``/dev/null``, is written in place:
-    replacing it would put a regular file where the device was.
+    replacing it would put a regular file where the device was.  A failure
+    to create the temporary file names ``path`` as given.
     """
-    path = Path(path).resolve()
+    given, path = path, Path(path).resolve()
     if path.exists() and not path.is_file():
         with open(path, "w", encoding="utf-8") as handle:
             yield handle
         return
     partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with open(partial, "w", encoding="utf-8") as handle:
+        handle = open(partial, "w", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(given)) from None
+    try:
+        with handle:
             yield handle
         os.replace(partial, path)
     finally:

@@ -300,6 +300,15 @@ def test_build_dataset_names_clip_and_phrase_of_track_outside_mask(capsys, toy_f
     assert err == "error: vid_dog:0: 'a dog': ValueError: visible track position (40.5, 3.0) outside 32x32 mask\n"
 
 
+def test_build_dataset_names_out_path_in_a_missing_directory(capsys, toy_fixture_dir, tmp_path):
+    # --out as given, not the temporary file written beside it
+    out = tmp_path / "missing" / "out.jsonl"
+    code, stdout, err = run_cli(capsys, *toy_build_args(toy_fixture_dir, out))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def toy_build_args(toy_fixture_dir, out, manifest=None):
     return [
         "build-dataset",
@@ -1165,6 +1174,23 @@ def test_eval_rejects_ground_truth_without_events(capsys, tmp_path, command, con
     assert code == 2
     assert out == ""
     assert err == f"error: {gt}: no ground-truth {missing}\n"
+
+
+def test_eval_dense_rejects_a_ground_truth_video_without_events(capsys, tmp_path):
+    # an eventless video would score 0 in each per-video mean, halving all three scores
+    event = {"start": 0, "end": 4, "caption": "a dog runs"}
+    gt = tmp_path / "gt.jsonl"
+    gt.write_text(
+        json.dumps({"video_id": "a", "events": [event]}) + "\n"
+        + json.dumps({"video_id": "b", "events": []}) + "\n"
+    )
+    code, out, err = run_cli(capsys, "eval-dense", "--pred", str(gt), "--gt", str(gt))
+    assert (code, out) == (2, "")
+    assert err == f"error: {gt}: video 'b' has no ground-truth events\n"
+    # eval-grounding pools the events, so an empty video adds nothing
+    code, out, _ = run_cli(capsys, "eval-grounding", "--pred", str(gt), "--gt", str(gt))
+    assert code == 0
+    assert json.loads(out)["mIoU"] == 100.0
 
 
 @pytest.mark.parametrize(

@@ -128,11 +128,44 @@ def test_iou_properties(segments):
         v = temporal_iou(a, b)
         assert 0.0 <= v <= 1.0
         assert v == temporal_iou(b, a)
-    if a.length() > 0:
+    if a.end > a.start:
         assert temporal_iou(a, a) == 1.0
     out = grounding_scores(segments, segments[::-1])
     r = [out["r_at"][m] for m in (0.3, 0.5, 0.7)]
     assert r[0] >= r[1] >= r[2]
+
+
+def reference_iou(a, b):
+    """Oracle: the IoU of one pair, with the min and max builtins and both lengths."""
+    inter = max(0.0, min(a.end, b.end) - max(a.start, b.start))
+    union = (a.end - a.start) + (b.end - b.start) - inter
+    return inter / union if union > 0 else 0.0
+
+
+def test_iou_table_matches_temporal_iou_bit_for_bit():
+    rng = np.random.default_rng(23)
+    # zero-length (2-2, 4-4), identical (0-4 twice), touching (0-4, 4-7),
+    # nested (1-3 in 0-4, everything in -1.5-9) and disjoint pairs
+    fixed = [
+        seg(2, 2), seg(0, 4), seg(0, 4), seg(4, 7), seg(1, 3), seg(-1.5, 9), seg(4, 4), seg(8, 9)
+    ]
+
+    def draw():
+        k = int(rng.integers(0, 6))
+        # half-unit grid, so ends meet and segments repeat; a fifth have length 0
+        starts, lengths = rng.integers(-2, 12, size=k) / 2, rng.integers(0, 5, size=k) / 2
+        drawn = [seg(float(a), float(a + b)) for a, b in zip(starts, lengths)]
+        picked = [fixed[i] for i in rng.choice(len(fixed), size=int(rng.integers(0, 4)))]
+        return drawn + picked if rng.random() < 0.5 else picked + drawn
+
+    for _ in range(300):
+        preds, gts = draw(), draw()
+        table = iou_table(preds, gts)
+        assert len(table) == len(gts)
+        for gt, row in zip(gts, table):
+            assert len(row) == len(preds)
+            for pred, iou in zip(preds, row):
+                assert iou.hex() == temporal_iou(pred, gt).hex() == reference_iou(pred, gt).hex()
 
 
 # --- CIDEr ------------------------------------------------------------------------
@@ -188,12 +221,12 @@ def test_cider_case_invariance(text):
 
 
 def reference_idf(corpus):
-    """Oracle: IDF per n-gram, each caption tokenized once per n."""
+    """Oracle: IDF per n-gram (its tokens joined with one space), each caption tokenized once per n."""
     df = Counter()
     for n in range(1, 5):
         for caption in corpus:
             tokens = tokenize(caption)
-            df.update({tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)})
+            df.update({" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)})
     return {g: math.log(len(corpus) / c) for g, c in df.items()}
 
 
@@ -201,7 +234,7 @@ def reference_cider(candidate, ref, idf):
     """Oracle: CIDEr of one pair, rebuilding both TF-IDF vectors and norms on each call."""
 
     def vector(tokens, n):
-        counts = Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+        counts = Counter(" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
         return Counter({g: tf * idf.get(g, 0.0) for g, tf in counts.items()})
 
     def cosine(a, b):
@@ -242,6 +275,31 @@ def test_cider_matches_reference_bit_for_bit():
                 candidate = str(rng.choice(corpus))
             ref = str(rng.choice(corpus))
             assert score_cider(candidate, ref, idf) == reference_cider(candidate, ref, idf)
+
+
+# letters (one outside ASCII), digits, the underscore, punctuation and
+# whitespace that is not the ASCII space: tab, newline, U+00A0 and U+2003
+caption_text = st.text(alphabet="abAé1_.,!?'-/ \t\n\u00a0\u2003", max_size=40)
+
+
+@given(st.lists(caption_text, min_size=1, max_size=5), caption_text)
+@settings(max_examples=100, deadline=None)
+def test_string_keys_lose_nothing(corpus, candidate):
+    for text in [candidate, *corpus]:
+        tokens = tokenize(text)
+        assert not any(c.isspace() for token in tokens for c in token)
+        caption = Caption(text)
+        keys = list(caption.ngrams)
+        # each order holds exactly its own n-grams, in order of first
+        # occurrence with their counts, so no key of one order took another's
+        for n, (a, b) in enumerate(zip([0, *caption.ends], caption.ends), start=1):
+            grams = Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+            assert {tuple(k.split(" ")): caption.ngrams[k] for k in keys[a:b]} == grams
+            assert [tuple(k.split(" ")) for k in keys[a:b]] == list(grams)
+    idf = idf_of(corpus)
+    assert idf == reference_idf(corpus)
+    for ref in corpus:
+        assert score_cider(candidate, ref, idf) == reference_cider(candidate, ref, idf)
 
 
 # --- METEOR ------------------------------------------------------------------------
